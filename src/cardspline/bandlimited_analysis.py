@@ -28,8 +28,8 @@ import numpy as np
 
 from .cardinal_interpolation import (DataSequence, FundamentalFunction,
                                      GrowthModel, _solve_window,
-                                     build_fundamental, eval_fundamental)
-from .errors import UnknownTargetError
+                                     build_fundamental, interpolate_grid)
+from .errors import QuadratureConvergenceError, UnknownTargetError
 from .greens_kernel import SplineParams
 from .spectral_symbol import fundamental_hat
 
@@ -264,7 +264,11 @@ class ErrorReport:
 def _error_integrals(params: SplineParams, target: BandlimitedTarget,
                      tol: float) -> tuple[float, float, int, int]:
     """(int |ghat|^2 (S^2+T), int |ghat|^2 S^2, quad resolution, ell truncation),
-    by doubling Gauss panels on the target's smooth pieces."""
+    by doubling Gauss panels on the target's smooth pieces.
+
+    Raises QuadratureConvergenceError when 256 panels per piece still do not
+    agree with 128.
+    """
     ell_tol = tol / max(target.l2_norm_sq, 1e-12)
     prev_exact = prev_s2 = None
     panels, order = 2, 24
@@ -281,10 +285,13 @@ def _error_integrals(params: SplineParams, target: BandlimitedTarget,
             if abs(exact - prev_exact) < max(tol, 1e-13 * scale) and \
                abs(s2 - prev_s2) < max(tol, 1e-13 * scale):
                 break
+            if panels >= 256:
+                raise QuadratureConvergenceError(
+                    f"error integrals for {target.name!r} at (alpha={params.alpha}, "
+                    f"k={params.k}) did not converge within 256 panels per piece "
+                    f"(last change {abs(exact - prev_exact):.3e})")
         prev_exact, prev_s2 = exact, s2
         panels *= 2
-        if panels > 256:
-            break
     return exact, s2, panels * order * len(target.pieces), L_used
 
 
@@ -306,8 +313,8 @@ def sup_error_grid(params: SplineParams, target: BandlimitedTarget,
                    grid_half_width: float = 5.0, n: int = 101,
                    L: FundamentalFunction | None = None,
                    tol: float = 1e-9) -> float:
-    """max over n equispaced points in [-W, W] of |g(x) - I_k[g](x)| with
-    windowed interpolation of the integer samples."""
+    """max over n equispaced points in [-W, W] of |g(x) - I_k[g](x)|, where
+    I_k[g] is interpolate_grid on the integer samples in best-effort mode."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if L is None:
@@ -318,14 +325,8 @@ def sup_error_grid(params: SplineParams, target: BandlimitedTarget,
     data = sample_integers(target, int(math.ceil(W)) + J_win + 2)
     xs = np.linspace(-W, W, n)
     g = np.asarray(target.time_eval(xs))
-    errs = np.empty(n)
-    for i, x in enumerate(xs):
-        m = int(round(x))
-        js = np.arange(m - J_win, m + J_win + 1)
-        b = data.values(js)
-        Lv = np.asarray(eval_fundamental(L, x - js.astype(float)))
-        errs[i] = abs(float(np.dot(b, Lv)) - g[i])
-    return float(np.max(errs))
+    fb = interpolate_grid(L, data, xs, tol, best_effort=True)
+    return float(np.max(np.abs(fb - g)))
 
 
 def error_report(params: SplineParams, target: BandlimitedTarget,

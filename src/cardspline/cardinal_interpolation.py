@@ -45,6 +45,9 @@ from .spectral_symbol import (CoefficientTable, compute_coefficients,
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_CAP = 10 ** 6
 _WINDOW_HORIZON = 4000
+# elements (points x window x table) per batched synthesis temporary: 64 KB
+# keeps the kernel's Horner passes in cache
+_CHUNK_ELEMS = 8192
 # the envelope tail model ignores sign alternation and overstates real tails
 # by a small constant; refusals require missing the floor by this factor
 _MODEL_FLOOR_SLACK = 25.0
@@ -60,8 +63,7 @@ class FundamentalFunction:
 
     env_rate/env_amplitude describe the fitted envelope |L_k(x)| <=
     C e^{-c |x|}; noise_floor is the double-precision cancellation scale of
-    the synthesis; env_horizon is the |x| beyond which the computed values sink
-    into that floor.  compact is True for k = 1 (support in [-1, 1]).
+    the synthesis.  compact is True for k = 1 (support in [-1, 1]).
     """
 
     params: SplineParams
@@ -70,7 +72,6 @@ class FundamentalFunction:
     env_rate: Optional[float]
     env_amplitude: Optional[float]
     noise_floor: float
-    env_horizon: float
     cardinality_ok: bool
     cardinality_error: float = 0.0
 
@@ -127,15 +128,10 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
 
     partial = FundamentalFunction(params=params, kernel=kernel, table=table,
                                   env_rate=None, env_amplitude=None,
-                                  noise_floor=noise, env_horizon=np.inf,
-                                  cardinality_ok=False)
-    if table.compact_support:
-        rate, amp, horizon = None, None, 1.0
-    else:
-        rate, amp = _fit_fundamental_envelope(partial)
-        horizon = math.log(max(amp / max(noise, 1e-300), 2.0)) / rate
-
-    L = replace(partial, env_rate=rate, env_amplitude=amp, env_horizon=horizon)
+                                  noise_floor=noise, cardinality_ok=False)
+    rate, amp = (None, None) if table.compact_support else \
+        _fit_fundamental_envelope(partial)
+    L = replace(partial, env_rate=rate, env_amplitude=amp)
 
     js = np.arange(-20, 21)
     delta = (js == 0).astype(float)
@@ -420,7 +416,11 @@ def _solve_window(L: FundamentalFunction, center: int, growth: GrowthModel,
     # the envelope pulls the product back down
     log_terms = math.log(2.0) + growth.log_bound(abs(center) + d) \
         + math.log(L.env_amplitude) - L.env_rate * (d - 0.5)
-    terms = np.exp(np.clip(log_terms, -745.0, 700.0))
+    # terms at or below the underflow edge equal exp(-745); they are filled in
+    # rather than computed, because subnormal results make exp ~50x slower
+    terms = np.full(len(d), np.exp(-745.0))
+    live = log_terms > -745.0
+    terms[live] = np.exp(np.minimum(log_terms[live], 700.0))
     ratio = math.exp(growth.rate - L.env_rate)
     beyond = terms[-1] * ratio / (1.0 - ratio)
     tails = np.cumsum(terms[::-1])[::-1] + beyond
@@ -457,28 +457,93 @@ def select_window(L: FundamentalFunction, x: float, beta: float, tol: float) -> 
 
 def interpolate_at(L: FundamentalFunction, data: DataSequence, x: float,
                    tol: float = 1e-8, best_effort: bool = False) -> float:
-    """f_b(x) = sum over a certified window around round(x) of b_j L_k(x - j).
+    """f_b(x) at one point: interpolate_grid on a one-point grid."""
+    return float(interpolate_grid(L, data, np.array([x], dtype=float), tol,
+                                  best_effort)[0])
 
-    At integers the cardinality property short-circuits the sum to b_m.  With
+
+def _gather_samples(data: DataSequence, js: np.ndarray):
+    """b_j at the sorted indices js as one array, with the mask of stored
+    indices (all True for generator rules)."""
+    if data.table is None:
+        return data.values(js), np.ones(len(js), dtype=bool)
+    keys = np.fromiter(data.table, dtype=np.int64, count=len(data.table))
+    vals = np.fromiter(data.table.values(), dtype=float, count=len(data.table))
+    pos = np.minimum(np.searchsorted(js, keys), len(js) - 1)
+    hit = js[pos] == keys
+    b = np.zeros(len(js))
+    present = np.zeros(len(js), dtype=bool)
+    b[pos[hit]] = vals[hit]
+    present[pos[hit]] = True
+    return b, present
+
+
+def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
+                     tol: float = 1e-8, best_effort: bool = False) -> np.ndarray:
+    """f_b(x) = sum over a certified window around round(x) of b_j L_k(x - j),
+    at every point of xs.
+
+    The window is solved once per distinct center round(x) (half to even, as
+    Python's round).  At integers the cardinality property short-circuits the
+    sum to b_m.  Finite zero-filled tables sum over their stored indices only;
+    strict tables raise MissingDataError at the first absent index.  With
     best_effort, tolerances below the double-precision floor degrade to the
     noise-capped window instead of raising (divergent data still raises).
+
+    The samples are gathered once, over the union of the windows; L_k is
+    synthesized in chunks of at most _CHUNK_ELEMS kernel evaluations.
     """
-    m = int(round(x))
-    if L.cardinality_ok and abs(x - m) < 1e-12:
-        return float(data.values(np.array([m]))[0])
-    J = _solve_window(L, m, data.growth, tol, clip_to_knee=best_effort)
-    js = np.arange(m - J, m + J + 1)
-    if data.table is not None and data.zero_fill:
-        # finite support: only stored indices can contribute
-        keep = np.array([int(j) in data.table for j in js])
-        js = js[keep]
-        if len(js) == 0:
-            return 0.0
-    b = data.values(js)
-    Lv = np.asarray(eval_fundamental(L, x - js.astype(float)))
-    return float(np.dot(b, Lv))
+    xs = np.asarray(xs, dtype=float).ravel()
+    out = np.empty(len(xs))
+    if len(xs) == 0:
+        return out
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("interpolation points must be finite")
+    ms = np.rint(xs).astype(np.int64)
+    exact = (np.abs(xs - ms) < 1e-12) & L.cardinality_ok
+    Js = np.zeros(len(xs), dtype=np.int64)
+    centers, which = np.unique(ms[~exact], return_inverse=True)
+    Js[~exact] = np.array([_solve_window(L, int(m), data.growth, tol,
+                                         clip_to_knee=best_effort)
+                           for m in centers], dtype=np.int64)[which]
 
+    # every index within Jmax of a center, sorted: the union of runs of
+    # overlapping windows, so far-apart points allocate no gap between them;
+    # each point's window is a contiguous slice starting at first[i]
+    Jmax = int(np.max(Js))
+    cu = np.unique(ms)
+    starts = np.concatenate([[True], np.diff(cu) > 2 * Jmax + 1])
+    ends = np.concatenate([starts[1:], [True]])
+    js = np.concatenate([np.arange(a - Jmax, z + Jmax + 1)
+                         for a, z in zip(cu[starts], cu[ends])])
+    first = np.searchsorted(js, ms - Js)
+    b, present = _gather_samples(data, js)
+    if not data.zero_fill:
+        for f, J in zip(first, Js):
+            gap = ~present[f:f + 2 * J + 1]
+            if gap.any():
+                j = js[f + int(np.argmax(gap))]
+                raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
+    # zero-filled tables sum over their stored indices only
+    filtered = not np.all(present)
+    out[exact] = b[first[exact]]
 
-def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs: np.ndarray,
-                     tol: float = 1e-8) -> np.ndarray:
-    return np.array([interpolate_at(L, data, float(x), tol) for x in xs])
+    todo = np.nonzero(~exact)[0]
+    if len(todo) == 0:
+        return out
+    offsets = np.arange(-Jmax, Jmax + 1)
+    step = max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.indices)))
+    for s in range(0, len(todo), step):
+        rows = todo[s:s + step]
+        diff = xs[rows, None] - (ms[rows, None] + offsets[None, :])
+        Lv = np.asarray(eval_fundamental(L, diff.ravel())).reshape(diff.shape)
+        for r, i in enumerate(rows):
+            win = slice(first[i], first[i] + 2 * Js[i] + 1)
+            bi, Li = b[win], Lv[r, Jmax - Js[i]:Jmax + Js[i] + 1]
+            if filtered:
+                keep = present[win]
+                bi, Li = bi[keep], Li[keep]
+            # one dot per row over its own window: a padded contraction sums
+            # in another order and moves results at the synthesis noise floor
+            out[i] = np.dot(bi, Li)
+    return out

@@ -10,7 +10,7 @@ Subcommands
 Grids are `start:stop:count` with inclusive endpoints.  CSV floats are
 formatted `%.9e` so identical configs produce byte-identical files; full
 precision lives in the JSON sidecars.  Every run writes a manifest referencing
-the files it emitted.  CARDSPLINE_THREADS caps the converge worker pool.
+the files it emitted.
 
 Exit codes: 0 ok, 1 reproduction failure, 2 bad parameters or input,
 3 quadrature non-convergence, 4 summation-window overflow.
@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bandlimited_analysis import error_report, target_gallery
 from .cardinal_interpolation import (_basis_rule, build_fundamental,
-                                     interpolate_at, eval_fundamental,
+                                     interpolate_grid, eval_fundamental,
                                      sequence_from_csv, sequence_from_rule)
 from .errors import (CardsplineError, DataFormatError, MissingDataError,
                      ParameterDomainError, QuadratureConvergenceError,
@@ -178,7 +176,7 @@ def cmd_interp(args) -> int:
     data = sequence_from_csv(args.data)
     t0 = time.perf_counter()
     L = build_fundamental(params, tol)
-    vals = np.array([interpolate_at(L, data, float(x), max(tol, 1e-12)) for x in grid])
+    vals = interpolate_grid(L, data, grid, max(tol, 1e-12))
     wall = (time.perf_counter() - t0) * 1e3
     csv_path, json_path = _outputs(args, f"interp_a{args.alpha:g}_k{params.k}.csv")
     outs = []
@@ -208,11 +206,9 @@ def cmd_reproduce(args) -> int:
     # the pass gate is global (tol * max(1, max|g|)), so every point gets the
     # same absolute window budget
     point_tol = 0.05 * gate_tol * max(1.0, float(np.max(np.abs(g))))
-    fb = np.empty_like(g)
-    for i, x in enumerate(grid):
-        # best effort: the gate below decides pass/fail; only divergent data
-        # aborts the run
-        fb[i] = interpolate_at(L, data, float(x), point_tol, best_effort=True)
+    # best effort: the gate below decides pass/fail; only divergent data
+    # aborts the run
+    fb = interpolate_grid(L, data, grid, point_tol, best_effort=True)
     abs_err = np.abs(fb - g)
     wall = (time.perf_counter() - t0) * 1e3
     csv_path, json_path = _outputs(args, f"reproduce_{args.basis}_a{args.alpha:g}_k{params.k}.csv")
@@ -236,18 +232,11 @@ def cmd_converge(args) -> int:
     tol = _check_tol(args.tol)
     target = target_gallery(args.target)
     t0 = time.perf_counter()
-
-    def one(k: int):
+    reports = []
+    for k in ks:
         params = SplineParams(alpha=alpha, k=k)
         L = build_fundamental(params, tol)
-        return error_report(params, target, tol=max(tol, 1e-12), L=L)
-
-    workers = max(1, int(os.environ.get("CARDSPLINE_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, ks))
-    else:
-        reports = [one(k) for k in ks]
+        reports.append(error_report(params, target, tol=max(tol, 1e-12), L=L))
     wall = (time.perf_counter() - t0) * 1e3
 
     csv_path, json_path = _outputs(args, f"converge_{args.target}_a{alpha:g}.csv")

@@ -3,7 +3,9 @@
 Everything here is deliberately built on different machinery than the shipped
 code paths: QUADPACK quadrature over the real line for transforms, the spatial
 cosine-series (Poisson summation) route for the periodized symbol, and the
-k = 1 hyperbolic closed forms.
+k = 1 hyperbolic closed forms.  The one exception is interpolate_pointwise,
+the earlier one-point-at-a-time interpolation loop, kept as the reference for
+the batched gather and reduction in interpolate_grid.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from cardspline.cardinal_interpolation import _solve_window, eval_fundamental
 from cardspline.greens_kernel import SplineParams, build_green_kernel, eval_green
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -142,3 +145,22 @@ def half_band_time(x):
     # sin(pi x / 2) / (pi x) = (1/2) sinc(x/2)
     x = np.asarray(x, dtype=float)
     return 0.5 * np.sinc(x / 2.0)
+
+
+def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
+                          best_effort: bool = False) -> float:
+    """f_b(x) one point at a time: its own window solve, a dict gather and its
+    own L_k synthesis over the kept window indices."""
+    m = int(round(x))
+    if L.cardinality_ok and abs(x - m) < 1e-12:
+        return float(data.values(np.array([m]))[0])
+    J = _solve_window(L, m, data.growth, tol, clip_to_knee=best_effort)
+    js = np.arange(m - J, m + J + 1)
+    if data.table is not None and data.zero_fill:
+        keep = np.array([int(j) in data.table for j in js])
+        js = js[keep]
+        if len(js) == 0:
+            return 0.0
+    b = data.values(js)
+    Lv = np.asarray(eval_fundamental(L, x - js.astype(float)))
+    return float(np.dot(b, Lv))

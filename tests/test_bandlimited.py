@@ -11,7 +11,7 @@ from cardspline.bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                              l2_error_bound, l2_error_spectral,
                                              replica_power, sample_integers,
                                              sup_error_grid, target_gallery)
-from cardspline.errors import UnknownTargetError
+from cardspline.errors import QuadratureConvergenceError, UnknownTargetError
 from cardspline.greens_kernel import SplineParams
 from cardspline.spectral_symbol import fundamental_hat
 from oracles import half_band_time, sinc_time, triangle_time
@@ -24,6 +24,18 @@ def zero_target() -> BandlimitedTarget:
                              spectrum=lambda xi: np.zeros_like(np.asarray(xi, dtype=float)),
                              pieces=((-np.pi, np.pi),),
                              sample_tail_l2=lambda J: 0.0)
+
+
+def straddling_band() -> BandlimitedTarget:
+    """A flat spectrum on |xi| <= 3 declared as one smooth piece over
+    [-pi, pi]: the jumps at +-3 never fall on a panel edge, so the Gauss
+    panels converge only like 1/panels."""
+    c = 1.0 / SQRT_2PI
+    return BandlimitedTarget(
+        name="straddled-band",
+        spectrum=lambda xi: np.where(np.abs(np.asarray(xi, dtype=float)) <= 3.0, c, 0.0),
+        pieces=((-np.pi, np.pi),),
+        sample_tail_l2=lambda J: 1.0 / (np.pi ** 2 * max(J, 1)))
 
 
 class TestGallery:
@@ -193,6 +205,10 @@ class TestL2Error:
         vals = [l2_error_spectral(SplineParams(alpha, k), t, 1e-10)
                 for k in range(1, 9)]
         assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
+
+    def test_panel_cap_raises(self):
+        with pytest.raises(QuadratureConvergenceError, match="256 panels"):
+            l2_error_spectral(SplineParams(1.0, 3), straddling_band(), 1e-10)
 
     def test_error_report_fields(self):
         p = SplineParams(1.0, 2)

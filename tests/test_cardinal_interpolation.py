@@ -6,10 +6,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from cardspline import cardinal_interpolation
 from cardspline.cardinal_interpolation import (build_fundamental,
                                                eval_fundamental,
                                                eval_fundamental_spectral,
-                                               interpolate_at, select_window,
+                                               interpolate_at,
+                                               interpolate_grid, select_window,
                                                sequence_from_csv,
                                                sequence_from_rule,
                                                sequence_from_table)
@@ -17,7 +19,7 @@ from cardspline.errors import (DataFormatError, MissingDataError,
                                ParameterDomainError, UnknownBasisError,
                                WindowOverflowError)
 from cardspline.greens_kernel import SplineParams
-from oracles import fundamental_k1_closed
+from oracles import fundamental_k1_closed, interpolate_pointwise
 
 ALPHAS = [0.5, 1.0, 2.0]
 
@@ -254,6 +256,160 @@ class TestInterpolateAt:
             interpolate_at(L, data, 0.5, 1e-8)
 
 
+def seeded_table(seed: int):
+    """b_j = r_j (1 + |j|)^beta on |j| <= 120, r_j uniform in [-1, 1] and
+    beta in [1, 2]: the polynomial-growth data of the dense interp workload."""
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(1.0, 2.0))
+    js = np.arange(-120, 121)
+    b = rng.uniform(-1.0, 1.0, len(js)) * (1.0 + np.abs(js)) ** beta
+    return sequence_from_table({int(j): float(v) for j, v in zip(js, b)})
+
+
+def pointwise(L, data, xs, tol, best_effort=False):
+    return np.array([interpolate_pointwise(L, data, float(x), tol, best_effort)
+                     for x in xs])
+
+
+def first_error(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestInterpolateGrid:
+    """The batched evaluator against the one-point-at-a-time reference."""
+
+    @pytest.fixture
+    def solved_centers(self, monkeypatch):
+        centers = []
+        solve = cardinal_interpolation._solve_window
+
+        def recording(L, center, *args, **kwargs):
+            centers.append(center)
+            return solve(L, center, *args, **kwargs)
+
+        monkeypatch.setattr(cardinal_interpolation, "_solve_window", recording)
+        return centers
+
+    def test_readme_interp_config_bitwise(self):
+        # cardspline interp --alpha 1 --k 2 --grid -5:5:101 (default tol)
+        L = L_of(1.0, 2)
+        data = seeded_table(1)
+        xs = np.linspace(-5.0, 5.0, 101)
+        np.testing.assert_array_equal(interpolate_grid(L, data, xs, 1e-10),
+                                      pointwise(L, data, xs, 1e-10))
+
+    def test_dense_alpha1_k3_bitwise(self):
+        L = L_of(1.0, 3, 1e-9)
+        data = seeded_table(2)
+        xs = np.linspace(-30.35, 29.65, 1201)
+        np.testing.assert_array_equal(interpolate_grid(L, data, xs, 1e-9),
+                                      pointwise(L, data, xs, 1e-9))
+
+    def test_small_zero_filled_table(self):
+        # stored indices only: the kept entries differ from point to point
+        L = L_of(1.0, 2)
+        rng = np.random.default_rng(3)
+        data = sequence_from_table({j: float(rng.standard_normal())
+                                    for j in range(-8, 9)})
+        xs = np.linspace(-12.0, 12.0, 97)
+        np.testing.assert_allclose(interpolate_grid(L, data, xs, 1e-10),
+                                   pointwise(L, data, xs, 1e-10),
+                                   rtol=0, atol=1e-15)
+
+    def test_one_window_solve_per_center(self, solved_centers):
+        L = L_of(1.0, 3)
+        data = sequence_from_rule("power-beta", 1.0, beta=2.0)
+        xs = np.linspace(-3.3, 3.3, 67)
+        interpolate_grid(L, data, xs, 1e-8)
+        assert sorted(solved_centers) == list(range(-3, 4))
+
+    def test_half_integers_round_to_even(self, solved_centers):
+        L = L_of(1.0, 3)
+        data = sequence_from_rule("power-beta", 1.0, beta=2.0)
+        xs = np.array([2.5, 3.5, -2.5, -0.5, 0.5])
+        got = interpolate_grid(L, data, xs, 1e-8)
+        assert sorted(solved_centers) == [-2, 0, 2, 4]
+        np.testing.assert_array_equal(got, pointwise(L, data, xs, 1e-8))
+
+    def test_integer_points_use_cardinality(self, solved_centers):
+        L = L_of(1.0, 3)
+        assert L.cardinality_ok
+        data = sequence_from_table({-1: 4.0, 0: 2.0, 1: -1.0})
+        got = interpolate_grid(L, data, np.array([-1.0, 0.0, 1.0 + 1e-13, 7.0]))
+        assert got.tolist() == [4.0, 2.0, -1.0, 0.0]
+        assert solved_centers == []
+
+    def test_flagged_fundamental_sums_at_integers(self):
+        # without a certified delta property integers take the full sum
+        L = L_of(0.5, 6)
+        assert not L.cardinality_ok
+        data = sequence_from_rule("power-beta", 0.5, beta=1.0)
+        xs = np.array([-2.0, 0.0, 1.0, 1.5])
+        got = interpolate_grid(L, data, xs, 1e-6)
+        np.testing.assert_allclose(got, pointwise(L, data, xs, 1e-6),
+                                   rtol=1e-14, atol=0)
+        assert got[1] != 1.0
+
+    def test_empty_table_gives_zeros(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("j,b_j\n")
+        data = sequence_from_csv(path)
+        got = interpolate_grid(L_of(1.0, 2), data, np.linspace(-3.0, 3.0, 13))
+        assert got.tolist() == [0.0] * 13
+
+    def test_far_apart_points(self):
+        # the gather spans the windows, not the 2e12 indices between them
+        L = L_of(1.0, 2)
+        data = seeded_table(4)
+        xs = np.array([-1e12 + 0.5, 0.5, 1e12 + 0.25])
+        got = interpolate_grid(L, data, xs, 1e-10)
+        np.testing.assert_array_equal(got, pointwise(L, data, xs, 1e-10))
+        assert got[0] == got[2] == 0.0
+
+    def test_empty_grid(self):
+        got = interpolate_grid(L_of(1.0, 2), sequence_from_rule("delta", 1.0),
+                               np.array([]))
+        assert got.shape == (0,)
+
+    def test_strict_table_raises_at_first_missing_index(self):
+        L = L_of(1.0, 2)
+        data = sequence_from_table({j: 1.0 for j in range(-3, 4)}, zero_fill=False)
+        for xs in ([0.5, 0.25], [5.0, 0.5], [1.0, -0.5]):
+            want = first_error(lambda: [interpolate_pointwise(L, data, x, 1e-8)
+                                        for x in xs])
+            assert want[0] is MissingDataError
+            assert first_error(interpolate_grid, L, data, np.array(xs), 1e-8) == want
+
+    def test_strict_table_covering_every_window(self):
+        L = L_of(1.0, 2)
+        data = sequence_from_table({j: float(j) for j in range(-60, 61)},
+                                   zero_fill=False)
+        xs = np.linspace(-4.0, 4.0, 33)
+        np.testing.assert_array_equal(interpolate_grid(L, data, xs, 1e-8),
+                                      pointwise(L, data, xs, 1e-8))
+
+    def test_window_overflow_from_any_center(self):
+        # quadratic data: the window at center 0 is attainable, the one at
+        # center 100 lies below the double-precision floor
+        L = L_of(1.0, 3)
+        data = sequence_from_rule("power-beta", 1.0, beta=2.0)
+        assert np.isfinite(interpolate_at(L, data, 0.5, 1e-10))
+        with pytest.raises(WindowOverflowError):
+            interpolate_grid(L, data, np.array([0.5, 1.5, 100.5]), 1e-10)
+
+    def test_best_effort_clips_to_the_knee(self):
+        L = L_of(1.0, 3)
+        data = sequence_from_rule("power-beta", 1.0, beta=2.0)
+        xs = np.array([0.5, 1.5, 100.5, -250.25])
+        got = interpolate_grid(L, data, xs, 1e-10, best_effort=True)
+        np.testing.assert_array_equal(
+            got, pointwise(L, data, xs, 1e-10, best_effort=True))
+        # the clipped window at center 100 is the one 1e-9 certifies
+        assert got[2] == interpolate_at(L, data, 100.5, 1e-9)
+
+
 class TestReproductionSuite:
     """Reproduction of the operator's own solution family in the convergent,
     float64-attainable regime."""
@@ -292,7 +448,7 @@ class TestGrowthBound:
         L = L_of(1.0, 3)
         data = sequence_from_rule("power-beta", 1.0, beta=2.0)
         xs = np.linspace(-50, 50, 201)
-        vals = np.array([interpolate_at(L, data, float(x), 1e-7) for x in xs])
+        vals = interpolate_grid(L, data, xs, 1e-7)
         ratios = np.abs(vals) / (1 + np.abs(xs)) ** 2
         at_zero = abs(interpolate_at(L, data, 0.0, 1e-7))
         assert np.max(ratios) <= 10.0 * at_zero
@@ -309,7 +465,7 @@ class TestL2Stability:
         for _ in range(20):
             y = rng.standard_normal(21)
             data = sequence_from_table({j - 10: float(v) for j, v in enumerate(y)})
-            vals = np.array([interpolate_at(L, data, float(x), 1e-9) for x in xs])
+            vals = interpolate_grid(L, data, xs, 1e-9)
             l2 = math.sqrt(float(np.trapezoid(vals * vals, dx=dx)))
             ratios.append(l2 / float(np.linalg.norm(y)))
         fitted = max(ratios[:10])

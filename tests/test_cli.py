@@ -235,14 +235,13 @@ class TestConverge:
                    "nosuch", "-o", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_worker_pool_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CARDSPLINE_THREADS", "2")
-        out = tmp_path / "conv.csv"
-        rc = main(["converge", "--alpha", "1", "--k", "1..3",
-                   "--target", "half-band", "-o", str(out)])
-        assert rc == 0
-        _, rows = read_csv(out)
-        assert [int(r[1]) for r in rows] == [1, 2, 3]
+    def test_unconverged_quadrature_exit_3(self, tmp_path, monkeypatch):
+        from cardspline import cli
+        from test_bandlimited import straddling_band
+        monkeypatch.setattr(cli, "target_gallery", lambda name: straddling_band())
+        rc = main(["converge", "--alpha", "1", "--k", "3", "--target", "half-band",
+                   "-o", str(tmp_path / "conv.csv")])
+        assert rc == 3
 
     def test_json_only_format(self, tmp_path):
         out = tmp_path / "conv.csv"
