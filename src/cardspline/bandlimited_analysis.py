@@ -182,7 +182,7 @@ def target_gallery(name: str) -> BandlimitedTarget:
 
 def sample_integers(target: BandlimitedTarget, J: int) -> DataSequence:
     """Integer samples {g(j): |j| <= J} as a finitely supported sequence with
-    growth_beta = 0 and the target's l2 tail estimate attached."""
+    growth beta = 0 and the target's l2 tail estimate attached."""
     if J < 0:
         raise ValueError("J must be >= 0")
     js = np.arange(-J, J + 1)
@@ -191,7 +191,7 @@ def sample_integers(target: BandlimitedTarget, J: int) -> DataSequence:
     amp = max(1.0, float(np.max(np.abs(vals))))
     return DataSequence(name=f"{target.name}-samples", table=table,
                         growth=GrowthModel(beta=0.0, amplitude=amp),
-                        zero_fill=True, growth_beta=0.0,
+                        zero_fill=True,
                         l2_tail=float(target.sample_tail_l2(J)))
 
 

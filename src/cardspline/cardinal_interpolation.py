@@ -252,7 +252,6 @@ class DataSequence:
     rule: Optional[Callable] = None
     zero_fill: bool = True
     l2_tail: Optional[float] = None
-    growth_beta: Optional[float] = None
 
     def values(self, js: np.ndarray) -> np.ndarray:
         if self.rule is not None:
@@ -292,8 +291,7 @@ def sequence_from_table(values: dict, growth_beta: float | None = None,
     else:
         amp = max((abs(b) for b in table.values()), default=1.0)
         growth = GrowthModel(beta=0.0, amplitude=max(amp, 1.0))
-    return DataSequence(name=name, growth=growth, table=table, zero_fill=zero_fill,
-                        growth_beta=growth_beta)
+    return DataSequence(name=name, growth=growth, table=table, zero_fill=zero_fill)
 
 
 def sequence_from_csv(path, **kw) -> DataSequence:
@@ -357,8 +355,7 @@ def sequence_from_rule(name: str, alpha: float, beta: float = 0.0) -> DataSequen
     if n == "power-beta":
         return DataSequence(name=f"power-{beta:g}",
                             growth=GrowthModel(beta=beta),
-                            rule=lambda t: (1.0 + np.abs(t)) ** beta,
-                            growth_beta=beta)
+                            rule=lambda t: (1.0 + np.abs(t)) ** beta)
     fn, _, growth = _basis_rule(n, alpha)
     return DataSequence(name=n, growth=growth, rule=fn)
 
@@ -483,15 +480,22 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     """f_b(x) = sum over a certified window around round(x) of b_j L_k(x - j),
     at every point of xs.
 
-    The window is solved once per distinct center round(x) (half to even, as
-    Python's round).  At integers the cardinality property short-circuits the
+    The window is solved once per distinct |m|, m = round(x) (half to even, as
+    Python's round); the solved width depends on the center only through its
+    magnitude.  At integers the cardinality property short-circuits the
     sum to b_m.  Finite zero-filled tables sum over their stored indices only;
     strict tables raise MissingDataError at the first absent index.  With
     best_effort, tolerances below the double-precision floor degrade to the
     noise-capped window instead of raising (divergent data still raises).
 
-    The samples are gathered once, over the union of the windows; L_k is
-    synthesized in chunks of at most _CHUNK_ELEMS kernel evaluations.
+    The samples are gathered once, over the union of the windows.  L_k is
+    synthesized once per distinct offset t = x - m, as the row L_k(t - o) for
+    |o| <= max J, and every point with that offset takes its window's slice
+    of the row; the cost scales with the number of distinct offsets, not
+    points.  Sharing is exact: |t| <= 1/2 and m is an integer, so t = x - m
+    carries no rounding, and fl(t - o) == fl(x - (m + o)) are the same kernel
+    arguments the point would form itself.  Rows are synthesized in chunks of
+    at most _CHUNK_ELEMS kernel evaluations.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
@@ -502,7 +506,8 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     ms = np.rint(xs).astype(np.int64)
     exact = (np.abs(xs - ms) < 1e-12) & L.cardinality_ok
     Js = np.zeros(len(xs), dtype=np.int64)
-    centers, which = np.unique(ms[~exact], return_inverse=True)
+    # the window depends on its center only through |center|
+    centers, which = np.unique(np.abs(ms[~exact]), return_inverse=True)
     Js[~exact] = np.array([_solve_window(L, int(m), data.growth, tol,
                                          clip_to_knee=best_effort)
                            for m in centers], dtype=np.int64)[which]
@@ -531,19 +536,28 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     todo = np.nonzero(~exact)[0]
     if len(todo) == 0:
         return out
+    # one row L_k(t - o), |o| <= Jmax, per distinct offset t = x - m; the
+    # points are grouped by row so that each chunk's rows are consumed
+    # before the next chunk is synthesized
+    ts, row = np.unique(xs[todo] - ms[todo], return_inverse=True)
+    order = np.argsort(row, kind="stable")
+    todo, row = todo[order], row[order]
     offsets = np.arange(-Jmax, Jmax + 1)
     step = max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.indices)))
-    for s in range(0, len(todo), step):
-        rows = todo[s:s + step]
-        diff = xs[rows, None] - (ms[rows, None] + offsets[None, :])
+    for s in range(0, len(ts), step):
+        diff = ts[s:s + step, None] - offsets[None, :]
         Lv = np.asarray(eval_fundamental(L, diff.ravel())).reshape(diff.shape)
-        for r, i in enumerate(rows):
-            win = slice(first[i], first[i] + 2 * Js[i] + 1)
-            bi, Li = b[win], Lv[r, Jmax - Js[i]:Jmax + Js[i] + 1]
+        lo, hi = np.searchsorted(row, [s, s + step])
+        pts = todo[lo:hi]
+        # plain ints: numpy scalar arithmetic would cost more than the dots
+        for i, r, f, J in zip(pts.tolist(), (row[lo:hi] - s).tolist(),
+                              first[pts].tolist(), Js[pts].tolist()):
+            win = slice(f, f + 2 * J + 1)
+            bi, Li = b[win], Lv[r, Jmax - J:Jmax + J + 1]
             if filtered:
                 keep = present[win]
                 bi, Li = bi[keep], Li[keep]
-            # one dot per row over its own window: a padded contraction sums
+            # one dot per point over its own window: a padded contraction sums
             # in another order and moves results at the synthesis noise floor
             out[i] = np.dot(bi, Li)
     return out

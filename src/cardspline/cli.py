@@ -19,6 +19,7 @@ Exit codes: 0 ok, 1 reproduction failure, 2 bad parameters or input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -263,7 +264,10 @@ def cmd_converge(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a parse."""
     p = argparse.ArgumentParser(prog="cardspline",
                                 description="polyhyperbolic cardinal spline experiments")
     p.add_argument("--version", action="version", version=f"cardspline {__version__}")

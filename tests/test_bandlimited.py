@@ -91,7 +91,7 @@ class TestSampleIntegers:
         np.testing.assert_allclose(data.values(js), (js == 0).astype(float),
                                    atol=1e-12)
         assert data.l2_tail == 0.0
-        assert data.growth_beta == 0.0
+        assert data.growth.beta == 0.0
 
     def test_tail_estimate_decreases(self):
         t = target_gallery("half-band")

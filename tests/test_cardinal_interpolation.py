@@ -1,6 +1,7 @@
 """Fundamental function evaluation, windows, and cardinal interpolation."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -323,15 +324,65 @@ class TestInterpolateGrid:
         data = sequence_from_rule("power-beta", 1.0, beta=2.0)
         xs = np.linspace(-3.3, 3.3, 67)
         interpolate_grid(L, data, xs, 1e-8)
-        assert sorted(solved_centers) == list(range(-3, 4))
+        # the window depends on its center only through |center|
+        assert sorted(solved_centers) == [0, 1, 2, 3]
 
     def test_half_integers_round_to_even(self, solved_centers):
         L = L_of(1.0, 3)
         data = sequence_from_rule("power-beta", 1.0, beta=2.0)
         xs = np.array([2.5, 3.5, -2.5, -0.5, 0.5])
         got = interpolate_grid(L, data, xs, 1e-8)
-        assert sorted(solved_centers) == [-2, 0, 2, 4]
+        assert sorted(solved_centers) == [0, 2, 4]
         np.testing.assert_array_equal(got, pointwise(L, data, xs, 1e-8))
+
+    def test_one_row_per_distinct_offset(self, monkeypatch):
+        L = L_of(1.0, 3, 1e-9)
+        data = seeded_table(2)
+        xs = np.linspace(-30.35, 29.65, 1201)
+        ms = np.rint(xs)
+        assert L.cardinality_ok
+        t = xs - ms
+        offsets = np.unique(t[np.abs(t) >= 1e-12])   # integers synthesize nothing
+        assert len(offsets) < 60
+        Jmax = max(cardinal_interpolation._solve_window(L, int(m), data.growth, 1e-9)
+                   for m in np.unique(np.abs(ms)))
+        points = []
+        synth = cardinal_interpolation.eval_fundamental
+
+        def counting(fundamental, x):
+            points.append(np.size(x))
+            return synth(fundamental, x)
+
+        monkeypatch.setattr(cardinal_interpolation, "eval_fundamental", counting)
+        interpolate_grid(L, data, xs, 1e-9)
+        assert sum(points) == len(offsets) * (2 * Jmax + 1)
+
+    def test_permuted_grid_with_repeats(self):
+        L = L_of(1.0, 3, 1e-9)
+        data = seeded_table(2)
+        xs = np.linspace(-30.35, 29.65, 1201)
+        vals = interpolate_grid(L, data, xs, 1e-9)
+        pick = np.random.default_rng(5).permutation(len(xs))
+        pick = np.concatenate([pick, pick[:300], pick[:7]])
+        np.testing.assert_array_equal(interpolate_grid(L, data, xs[pick], 1e-9),
+                                      vals[pick])
+
+    def test_memory_does_not_grow_with_the_windows(self):
+        # distinct offsets everywhere: one row per point, synthesized chunk
+        # by chunk rather than as one points x window matrix
+        L = L_of(1.0, 2)
+        data = seeded_table(6)
+        xs = np.random.default_rng(6).uniform(-40.0, 40.0, 20000)
+        Jmax = max(cardinal_interpolation._solve_window(L, int(m), data.growth, 1e-10)
+                   for m in np.unique(np.abs(np.rint(xs))))
+        tracemalloc.start()
+        try:
+            interpolate_grid(L, data, xs, 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a points x window matrix of L_k values alone would take the full bound
+        assert peak < len(xs) * (2 * Jmax + 1) * 8 / 2
 
     def test_integer_points_use_cardinality(self, solved_centers):
         L = L_of(1.0, 3)

@@ -4,9 +4,11 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cardspline
 from cardspline.cli import main
 from cardspline.errors import (DataFormatError, MissingDataError,
                                ParameterDomainError, QuadratureConvergenceError,
@@ -164,6 +166,19 @@ class TestReproduce:
         gmax = max(abs(float(r[1])) for r in rows)
         assert max(errs) < 1e-6 * max(1.0, gmax)
 
+    def test_defaults_do_not_leak_between_calls(self, tmp_path):
+        # the parser is built once per process; each call keeps its own defaults
+        data = tmp_path / "d.csv"
+        data.write_text("j,b_j\n0,1.0\n")
+        assert main(["interp", "--alpha", "1", "--k", "2", "--data", str(data),
+                     "--tol", "1e-9", "-o", str(tmp_path / "i.csv")]) == 0
+        out = tmp_path / "r.csv"
+        assert main(["reproduce", "--alpha", "0.25", "--k", "2", "--basis", "cosh",
+                     "--grid", "-5:5:21", "-o", str(out)]) == 0
+        config = json.loads(out.with_suffix(".manifest.json").read_text())["config"]
+        assert config["tol"] == 1e-6
+        assert "data" not in config
+
     def test_power_ge_k_exit_2(self, tmp_path):
         rc = main(["reproduce", "--alpha", "1", "--k", "1", "--basis", "xexp+",
                    "--grid", "-2:2:5", "-o", str(tmp_path / "x.csv")])
@@ -265,17 +280,22 @@ class TestExitCodeMap:
         assert exit_code_for(WindowOverflowError("x")) == 4
 
 
+# `python -m` puts the working directory first on sys.path, so the child
+# imports the package under test whether or not it is installed
+PACKAGE_ROOT = Path(cardspline.__file__).resolve().parent.parent
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         rc = subprocess.run(
             [sys.executable, "-m", "cardspline.cli", "coeffs", "--alpha", "1",
              "--k", "1", "-o", str(tmp_path / "c.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=PACKAGE_ROOT)
         assert rc.returncode == 0
         assert (tmp_path / "c.csv").exists()
 
     def test_version_flag(self):
         rc = subprocess.run([sys.executable, "-m", "cardspline.cli", "--version"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, cwd=PACKAGE_ROOT)
         assert rc.returncode == 0
         assert "cardspline" in rc.stdout
