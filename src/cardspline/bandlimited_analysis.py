@@ -29,9 +29,10 @@ import numpy as np
 from .cardinal_interpolation import (DataSequence, FundamentalFunction,
                                      GrowthModel, _solve_window,
                                      build_fundamental, interpolate_grid)
-from .errors import QuadratureConvergenceError, UnknownTargetError
-from .greens_kernel import SplineParams
-from .spectral_symbol import fundamental_hat
+from .errors import (QuadratureConvergenceError, ToleranceUnreachableError,
+                     UnknownTargetError)
+from .greens_kernel import SplineParams, eval_green_hat
+from .spectral_symbol import fundamental_hat, periodized_green_hat
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -210,12 +211,20 @@ def aliasing_envelope(params: SplineParams, ell: int) -> float:
 
 
 def _ell_truncation(params: SplineParams, tol: float) -> int:
-    """Smallest L with the squared-envelope tail below tol (floor at 4)."""
+    """Smallest L with the squared-envelope tail below tol (floor at 4).
+
+    Raises ToleranceUnreachableError when 2^20 replicas per side still leave
+    the tail at or above tol (tol <= 0, or tol below ~2e-20 at k = 1).
+    """
     a2 = params.alpha * params.alpha
     k = params.k
     c = ((np.pi ** 2 + a2) / np.pi ** 2) ** (2 * k)
     L = 4
-    while c * (2 * L + 1) ** (1 - 4 * k) / (2 * (4 * k - 1)) >= tol and L < 10 ** 6:
+    while c * (2 * L + 1) ** (1 - 4 * k) / (2 * (4 * k - 1)) >= tol:
+        if L >= 10 ** 6:
+            raise ToleranceUnreachableError(
+                f"replica sum would need more than {L} replicas per side for "
+                f"tol={tol:g} at (alpha={params.alpha}, k={k})")
         L *= 2
     return L
 
@@ -227,15 +236,23 @@ def interp_deviation(params: SplineParams, xi, tol: float = 1e-12):
 
 def replica_power(params: SplineParams, xi, tol: float = 1e-12):
     """T(xi) = sum_{l != 0} 2 pi Lhat_k(xi - 2 pi l)^2, truncated under the
-    squared aliasing envelope."""
+    squared aliasing envelope.
+
+    The symbol P is 2 pi periodic, so every replica shares the node's
+    denominator: Lhat_k(xi - 2 pi l) = (2 pi)^{-1/2} Ehat_k(xi - 2 pi l) / P(xi)
+    exactly.  Each node costs one P (2M+1 lattice shifts plus the corrected
+    tails, to fundamental_hat's tolerance tol |Ehat_k(pi)|) and 2L kernel
+    transforms.
+    """
     xs = np.atleast_1d(np.asarray(xi, dtype=float))
     L = _ell_truncation(params, tol)
+    P = periodized_green_hat(params, xs, tol * abs(eval_green_hat(params, np.pi)))
     out = np.zeros_like(xs)
     ells = np.concatenate([np.arange(-L, 0), np.arange(1, L + 1)])
     block = max(1, int(2e6 // max(1, len(xs))))
     for s in range(0, len(ells), block):
         sh = xs[None, :] - 2.0 * np.pi * ells[s:s + block, None]
-        lh = np.asarray(fundamental_hat(params, sh.ravel(), tol)).reshape(sh.shape)
+        lh = _INV_SQRT_2PI * eval_green_hat(params, sh) / P
         out += 2.0 * np.pi * np.sum(lh * lh, axis=0)
     return (float(out[0]), L) if np.ndim(xi) == 0 else (out, L)
 

@@ -13,7 +13,8 @@ precision lives in the JSON sidecars.  Every run writes a manifest referencing
 the files it emitted.
 
 Exit codes: 0 ok, 1 reproduction failure, 2 bad parameters or input,
-3 quadrature non-convergence, 4 summation-window overflow.
+3 quadrature non-convergence or an uncertifiable tolerance, 4 summation-window
+overflow.
 """
 
 from __future__ import annotations

@@ -137,18 +137,3 @@ def eval_green_hat(params: SplineParams, xi) -> float | np.ndarray:
     out = sign * (xi_a * xi_a + params.alpha * params.alpha) ** (-params.k)
     return float(out) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
-
-def one_sided_derivatives(kernel: GreenKernel, order: int) -> tuple[float, float]:
-    """Derivatives of E_k at 0 from the right and from the left, exactly
-    from the coefficient representation.
-
-    For x > 0, E_k = e^{-a x} p(x) so d^m/dx^m at 0+ equals
-    sum_i C(m,i) (-a)^{m-i} i! c_i; evenness gives the left value a (-1)^m factor.
-    """
-    a = kernel.params.alpha
-    c = kernel.poly_coeffs
-    right = 0.0
-    for i in range(min(order, len(c) - 1) + 1):
-        right += math.comb(order, i) * (-a) ** (order - i) * math.factorial(i) * c[i]
-    left = (-1.0) ** order * right
-    return right, left

@@ -157,12 +157,6 @@ def periodized_green_hat(params: SplineParams, xi, tol: float = 1e-12):
     return float(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
 
-def plain_tail_bound(M: int, k: int) -> float:
-    """Integral-comparison bound on the uncorrected tail sum_{|j|>M}; reference
-    quantity showing why the plain truncation is unusable at k = 1."""
-    return 2.0 * ((2 * M - 1) * np.pi) ** (1 - 2 * k) / ((2 * k - 1) * _TWO_PI)
-
-
 def fundamental_hat(params: SplineParams, xi, tol: float = 1e-12):
     """Lhat_k(xi) = (2 pi)^{-1/2} Ehat_k(xi) / P(xi).
 

@@ -3,9 +3,11 @@
 Everything here is deliberately built on different machinery than the shipped
 code paths: QUADPACK quadrature over the real line for transforms, the spatial
 cosine-series (Poisson summation) route for the periodized symbol, and the
-k = 1 hyperbolic closed forms.  The one exception is interpolate_pointwise,
-the earlier one-point-at-a-time interpolation loop, kept as the reference for
-the batched gather and reduction in interpolate_grid.
+k = 1 hyperbolic closed forms.  The exceptions are interpolate_pointwise, the
+earlier one-point-at-a-time interpolation loop, kept as the reference for the
+batched gather and reduction in interpolate_grid, and two reference quantities
+that only the tests read: the exact one-sided knot derivatives of E_k and the
+plain (uncorrected) periodization tail bound.
 """
 
 import math
@@ -78,6 +80,26 @@ def periodized_k1_closed(alpha: float, xi):
     return -np.sinh(alpha) / (2.0 * alpha * (np.cosh(alpha) - np.cos(np.asarray(xi))))
 
 
+def replica_power_k1_closed(alpha: float, xi):
+    """Exact k = 1 replica power T(xi) = sum_{l != 0} Ehat_1(xi - 2 pi l)^2 / P^2.
+
+    With u_j = xi - 2 pi j, F = sum_j (u_j^2 + a^2)^{-1} = sinh a / (2 a (cosh a - cos xi))
+    and G = sum_j (u_j^2 + a^2)^{-2} = -F'(a) / (2 a); T drops the j = 0 term
+    of G and divides by P^2 = F^2.
+    """
+    xi = np.asarray(xi, dtype=float)
+    d = np.cosh(alpha) - np.cos(xi)
+    F = np.sinh(alpha) / (2.0 * alpha * d)
+    G = F / (2.0 * alpha) * (1.0 / alpha + np.sinh(alpha) / d - 1.0 / np.tanh(alpha))
+    return (G - (xi * xi + alpha * alpha) ** -2) / (F * F)
+
+
+def plain_tail_bound(M: int, k: int) -> float:
+    """Integral-comparison bound on the uncorrected tail sum_{|j|>M}; reference
+    quantity showing why the plain truncation is unusable at k = 1."""
+    return 2.0 * ((2 * M - 1) * np.pi) ** (1 - 2 * k) / ((2 * k - 1) * (2.0 * np.pi))
+
+
 def reciprocal_k1_closed(alpha: float, xi):
     return -2.0 * alpha * (np.cosh(alpha) - np.cos(np.asarray(xi))) / np.sinh(alpha)
 
@@ -86,6 +108,22 @@ def fundamental_k1_closed(alpha: float, x):
     """L_1(x) = sinh(a (1 - |x|)) / sinh(a) on |x| <= 1, zero outside."""
     ax = np.abs(np.asarray(x, dtype=float))
     return np.where(ax <= 1.0, np.sinh(alpha * (1.0 - ax)) / np.sinh(alpha), 0.0)
+
+
+def one_sided_derivatives(kernel, order: int) -> tuple[float, float]:
+    """Derivatives of E_k at 0 from the right and from the left, exactly
+    from the coefficient representation.
+
+    For x > 0, E_k = e^{-a x} p(x) so d^m/dx^m at 0+ equals
+    sum_i C(m,i) (-a)^{m-i} i! c_i; evenness gives the left value a (-1)^m factor.
+    """
+    a = kernel.params.alpha
+    c = kernel.poly_coeffs
+    right = 0.0
+    for i in range(min(order, len(c) - 1) + 1):
+        right += math.comb(order, i) * (-a) ** (order - i) * math.factorial(i) * c[i]
+    left = (-1.0) ** order * right
+    return right, left
 
 
 def fd_weights(z: float, nodes, m: int) -> np.ndarray:

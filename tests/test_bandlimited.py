@@ -1,20 +1,24 @@
 """Band-limited targets, aliasing envelope, and the spectral error machinery."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import cardspline.bandlimited_analysis as ba
 from cardspline.bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                              aliasing_envelope, error_report,
                                              gallery_names, interp_deviation,
                                              l2_error_bound, l2_error_spectral,
                                              replica_power, sample_integers,
                                              sup_error_grid, target_gallery)
-from cardspline.errors import QuadratureConvergenceError, UnknownTargetError
-from cardspline.greens_kernel import SplineParams
-from cardspline.spectral_symbol import fundamental_hat
-from oracles import half_band_time, sinc_time, triangle_time
+from cardspline.errors import (QuadratureConvergenceError,
+                               ToleranceUnreachableError, UnknownTargetError)
+from cardspline.greens_kernel import SplineParams, eval_green_hat
+from cardspline.spectral_symbol import fundamental_hat, periodized_green_hat
+from oracles import (half_band_time, replica_power_k1_closed, sinc_time,
+                     triangle_time)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -168,6 +172,61 @@ class TestDeviationIdentity:
         T, L = replica_power(SplineParams(1.0, 2), np.linspace(-np.pi, np.pi, 17))
         assert np.all(T > 0)
         assert L >= 4
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    def test_replica_power_oracle(self, k, alpha, tol):
+        # k = 1 against the closed-form sums of (u^2 + a^2)^{-1} and ^{-2};
+        # k >= 2 against a direct |l| < 3000 replica sum over the symbol
+        p = SplineParams(alpha, k)
+        xis = np.linspace(-np.pi, np.pi, 33)
+        T, _ = replica_power(p, xis, tol)
+        if k == 1:
+            expected = replica_power_k1_closed(alpha, xis)
+        else:
+            acc = np.zeros_like(xis)
+            for ell in range(1, 3000):
+                acc += eval_green_hat(p, xis - 2 * np.pi * ell) ** 2
+                acc += eval_green_hat(p, xis + 2 * np.pi * ell) ** 2
+            expected = acc / np.asarray(periodized_green_hat(p, xis, 1e-13)) ** 2
+        assert np.max(np.abs(T - expected)) <= tol
+
+    def test_replica_power_one_symbol_per_node(self, monkeypatch):
+        # the replicas share their node's periodized symbol: one P per node,
+        # counted at every module that binds periodized_green_hat
+        counted = []
+
+        def counting(params, xi, tol=1e-12):
+            counted.append(np.size(xi))
+            return periodized_green_hat(params, xi, tol)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "cardspline" or name.startswith("cardspline."):
+                for key, val in list(vars(mod).items()):
+                    if val is periodized_green_hat:
+                        monkeypatch.setattr(mod, key, counting)
+        nodes = np.linspace(-np.pi, np.pi, 48)
+        T, L = replica_power(SplineParams(1.0, 1), nodes, 1e-10)
+        assert L == 1024
+        assert sum(counted) == len(nodes)
+
+    def test_unreachable_replica_tolerance_raises_first(self, monkeypatch):
+        # 2^20 replicas per side cannot bring the k = 1 tail below ~2e-20:
+        # refuse before a single replica transform is evaluated
+        replicas = []
+
+        def counting(params, xi):
+            replicas.append(np.size(xi))
+            return eval_green_hat(params, xi)
+
+        monkeypatch.setattr(ba, "eval_green_hat", counting)
+        with pytest.raises(ToleranceUnreachableError):
+            l2_error_spectral(SplineParams(1.0, 1), target_gallery("half-band"), 1e-20)
+        assert replicas == []
+        for tol in (0.0, -1.0):
+            with pytest.raises(ToleranceUnreachableError):
+                replica_power(SplineParams(1.0, 2), 0.5, tol)
 
 
 class TestL2Error:

@@ -8,9 +8,9 @@ import pytest
 from cardspline.errors import ParameterDomainError
 from cardspline.greens_kernel import (GreenKernel, K_MAX, SplineParams,
                                       build_green_kernel, eval_green,
-                                      eval_green_hat, one_sided_derivatives)
+                                      eval_green_hat)
 from oracles import (fd_weights, green_convolution_quad, green_transform_quad,
-                     hyperbolic_operator_residual)
+                     hyperbolic_operator_residual, one_sided_derivatives)
 
 
 class TestSplineParams:

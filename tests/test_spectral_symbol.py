@@ -11,9 +11,9 @@ from cardspline.errors import (DegenerateDecayError,
 from cardspline.greens_kernel import SplineParams, eval_green_hat
 from cardspline.spectral_symbol import (compute_coefficients, decay_estimate,
                                         fundamental_hat, periodized_green_hat,
-                                        plain_tail_bound, reciprocal_symbol)
+                                        reciprocal_symbol)
 from oracles import (periodized_k1_closed, periodized_spatial,
-                     reciprocal_k1_closed)
+                     plain_tail_bound, reciprocal_k1_closed)
 
 ALPHAS = [0.5, 1.0, 2.0]
 XI_GRID = np.linspace(-np.pi, np.pi, 41)
