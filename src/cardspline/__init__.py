@@ -15,31 +15,30 @@ from .bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                    sup_error_grid, target_gallery)
 from .cardinal_interpolation import (DataSequence, FundamentalFunction,
                                      GrowthModel, build_fundamental,
-                                     eval_fundamental,
-                                     eval_fundamental_spectral, interpolate_at,
+                                     eval_fundamental, interpolate_at,
                                      interpolate_grid, select_window,
                                      sequence_from_csv, sequence_from_rule,
                                      sequence_from_table)
-from .errors import (CardsplineError, DataFormatError, DegenerateDecayError,
-                     MissingDataError, ParameterDomainError,
+from .errors import (CardsplineError, DataFormatError, MissingDataError,
+                     ParameterDomainError,
                      QuadratureConvergenceError, ToleranceUnreachableError,
                      UnknownBasisError, UnknownTargetError,
                      WindowOverflowError)
 from .greens_kernel import (GreenKernel, K_MAX, SplineParams,
                             build_green_kernel, eval_green, eval_green_hat)
 from .spectral_symbol import (CoefficientTable, compute_coefficients,
-                              decay_estimate, fundamental_hat,
-                              periodized_green_hat, reciprocal_symbol)
+                              fundamental_hat, periodized_green_hat,
+                              reciprocal_symbol)
 
 __all__ = [
     "BandlimitedTarget", "CardsplineError", "CoefficientTable", "DataFormatError",
-    "DataSequence", "DegenerateDecayError", "ErrorReport", "FundamentalFunction",
+    "DataSequence", "ErrorReport", "FundamentalFunction",
     "GreenKernel", "GrowthModel", "K_MAX", "MissingDataError",
     "ParameterDomainError", "QuadratureConvergenceError", "SplineParams",
     "ToleranceUnreachableError", "UnknownBasisError", "UnknownTargetError",
     "WindowOverflowError", "aliasing_envelope", "build_fundamental",
-    "build_green_kernel", "compute_coefficients", "decay_estimate",
-    "error_report", "eval_fundamental", "eval_fundamental_spectral",
+    "build_green_kernel", "compute_coefficients",
+    "error_report", "eval_fundamental",
     "eval_green", "eval_green_hat", "fundamental_hat", "gallery_names",
     "interpolate_at", "interpolate_grid", "l2_error_bound", "l2_error_spectral",
     "periodized_green_hat", "reciprocal_symbol", "sample_integers",

@@ -213,9 +213,12 @@ def aliasing_envelope(params: SplineParams, ell: int) -> float:
 def _ell_truncation(params: SplineParams, tol: float) -> int:
     """Smallest L with the squared-envelope tail below tol (floor at 4).
 
-    Raises ToleranceUnreachableError when 2^20 replicas per side still leave
-    the tail at or above tol (tol <= 0, or tol below ~2e-20 at k = 1).
+    Raises ToleranceUnreachableError at once when tol is not positive (NaN
+    included), and when 2^20 replicas per side still leave the tail at or
+    above tol (tol below ~2e-20 at k = 1).
     """
+    if not tol > 0:
+        raise ToleranceUnreachableError(f"replica tolerance must be positive, got {tol:g}")
     a2 = params.alpha * params.alpha
     k = params.k
     c = ((np.pi ** 2 + a2) / np.pi ** 2) ** (2 * k)

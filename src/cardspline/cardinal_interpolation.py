@@ -10,9 +10,7 @@ The fast path evaluates the spatial synthesis
 
     L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j)
 
-from a coefficient table; a slow spectral oracle integrates
-(2 pi)^{-1/2} int Lhat_k(xi) e^{i x xi} d xi with QUADPACK Fourier quadrature
-and exists to arbitrate the normalization chain end to end.
+from a coefficient table.
 
 Window selection for the interpolation sums is certified against a fitted
 exponential envelope of |L_k| and is aware of two hard limits:
@@ -32,15 +30,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (DataFormatError, MissingDataError, ParameterDomainError,
                      UnknownBasisError, WindowOverflowError)
 from .greens_kernel import (GreenKernel, SplineParams, build_green_kernel,
-                            eval_green, eval_green_hat)
+                            eval_green)
 from .spectral_symbol import (CoefficientTable, compute_coefficients,
-                              fit_decay_envelope, fundamental_hat,
-                              reciprocal_symbol)
+                              fit_decay_envelope)
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_CAP = 10 ** 6
@@ -149,72 +145,6 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     if even_err > 0.0:
         raise ParameterDomainError(f"evenness must be exact, got {even_err:.3e}")
     return replace(L, cardinality_ok=card_err < 1e-8, cardinality_error=card_err)
-
-
-def _cos_integral_panels(fn, x: float, T: float, fine_until: float = 64.0) -> float:
-    """int_0^T fn(xi) cos(x xi) d xi by Gauss-24 panels: quarter-period panels
-    while the integrand still has structure at the kernel scale, one panel per
-    period beyond."""
-    gx, gw = np.polynomial.legendre.leggauss(24)
-    fine_edges = np.arange(0.0, fine_until + 1e-9, math.pi / 2.0)
-    coarse_start = float(fine_edges[-1])
-    n_coarse = max(0, int(math.ceil((T - coarse_start) / (2.0 * math.pi))))
-    coarse_edges = coarse_start + 2.0 * math.pi * np.arange(1, n_coarse + 1)
-    edges = np.concatenate([fine_edges, coarse_edges])
-    total = 0.0
-    block = 2000
-    for s in range(0, len(edges) - 1, block):
-        e = min(s + block, len(edges) - 1)
-        lo, hi = edges[s:e], edges[s + 1:e + 1]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel()
-        vals = np.asarray(fn(nodes))
-        total += float(np.dot(w, vals * np.cos(x * nodes)))
-    return total
-
-
-def eval_fundamental_spectral(params: SplineParams, x: float, tol: float = 1e-9) -> float:
-    """Oracle: L_k(x) = (2 pi)^{-1/2} int Lhat_k(xi) e^{i x xi} d xi by direct
-    Fourier quadrature over the whole line.
-
-    Away from the lattice frequencies (|x| >= 0.05) QUADPACK's infinite-range
-    Fourier rule extrapolates the cycle sums.  Near x = 0 the oscillation is
-    too slow for cycle extrapolation; there the mean of the reciprocal symbol
-    is split off, its kernel tail summed in closed form through E_k, and the
-    zero-mean periodic remainder tail is bounded by integration by parts.
-
-    Slow by design; exists to arbitrate the normalization chain against
-    eval_fundamental and is part of the test surface, not the fast path.
-    """
-    ax = abs(float(x))  # L_k is even
-    if ax >= 0.05:
-        f = lambda xi: fundamental_hat(params, xi, 1e-13)
-        epsabs = max(tol / 10.0, 1e-12)
-        val, _ = quad(f, 0.0, np.inf, weight="cos", wvar=ax, epsabs=epsabs,
-                      limit=400, limlst=400, maxp1=80)
-        return 2.0 * _INV_SQRT_2PI * val
-
-    # sigma mean by one-period trapezoid (independent of the table pipeline)
-    n = 4096
-    xi_grid = 2.0 * math.pi * np.arange(n) / n
-    sig = np.asarray(reciprocal_symbol(params, xi_grid, 1e-13))
-    c_mean = float(np.mean(sig))
-
-    # beyond T, Lhat = (2pi)^{-1/2} sigma Ehat splits into the mean part, whose
-    # cosine tail is exact through the closed-form kernel transform, and a
-    # zero-mean periodic remainder bounded by parts: |rem| <= max|B| (Ehat(T)
-    # + |x| int_T |Ehat|), B the (periodic) antiderivative of sigma - mean
-    T = 2.0 * math.pi * (160000 if params.k == 1 else 500)
-    finite = _cos_integral_panels(
-        lambda nodes: fundamental_hat(params, nodes, 1e-13), ax, T)
-    full_kernel_cos = math.sqrt(2.0 * math.pi) / 2.0 * float(eval_green(
-        build_green_kernel(params), ax))
-    kernel_head = _cos_integral_panels(
-        lambda nodes: eval_green_hat(params, nodes), ax, T)
-    tail_cos = _INV_SQRT_2PI * c_mean * (full_kernel_cos - kernel_head)
-    return 2.0 * _INV_SQRT_2PI * (finite + tail_cos)
 
 
 # ---------------------------------------------------------------------------

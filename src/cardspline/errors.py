@@ -26,11 +26,6 @@ class MissingDataError(CardsplineError):
     """Raised when a data sequence cannot supply a sample inside the window."""
 
 
-class DegenerateDecayError(CardsplineError):
-    """Raised when a coefficient table has too few nonzero entries for a decay fit
-    (the compactly supported k=1 case)."""
-
-
 class UnknownTargetError(CardsplineError):
     """Raised for an unrecognized band-limited target name."""
 

@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DegenerateDecayError, QuadratureConvergenceError,
-                     ToleranceUnreachableError)
+from .errors import QuadratureConvergenceError, ToleranceUnreachableError
 from .greens_kernel import SplineParams, eval_green_hat
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -52,6 +51,9 @@ _M_CAP = 10 ** 7
 # whose per-coefficient error is ~ eps * mean|sigma| / 2.
 _COEFF_NOISE_ABS = 1e-14
 _COEFF_NOISE_REL = 5e-17
+
+# products per block of the exact coefficient refinement (256 KB of doubles)
+_REFINE_BLOCK = 32768
 
 
 def _tail_integral(u0, alpha: float, k: int):
@@ -103,8 +105,8 @@ def _em_remainder_bound(M: int, alpha: float, k: int) -> float:
 @lru_cache(maxsize=512)
 def _choose_shift_count(params: SplineParams, tol: float) -> int:
     """Smallest M whose corrected tail is certified below tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol:g}")
     a, k = params.alpha, params.k
     M = max(8, int(math.ceil(a / math.pi)) + 4)
     while _em_remainder_bound(M, a, k) >= tol / 2.0:
@@ -235,24 +237,71 @@ def _sample_reciprocal(params: SplineParams, n: int) -> np.ndarray:
     return np.asarray(reciprocal_symbol(params, xi, 1e-13))
 
 
+def _exact_row_sums(p: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of the 2-D array p, the value
+    math.fsum gives for that row.  p is overwritten.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    2008): with sigma = 1.5 * 2^52 * g for a power of two g, every |p| < 2^W g
+    splits exactly as p = q + r, where q = fl(p + sigma) - sigma is a multiple
+    of g and |r| <= g / 2.  A row holds at most 2^(50 - W) entries, so its q
+    add up to at most 2^50 g in magnitude, through partial sums that are all
+    multiples of g: each level's row sum is exact in any summation order.  The
+    residuals are split again on the grid g 2^-W, and so on until they are all
+    zero, which happens at the latest once g reaches 2^-1074, the spacing of
+    every double.  The exact level sums then go through math.fsum, whose
+    correctly rounded total of them is the correctly rounded total of the row.
+    """
+    W = 50 - math.ceil(math.log2(p.shape[1]))
+    top = float(np.max(np.abs(p)))
+    if not top < 2.0 ** 960:
+        raise ValueError("exact row sums need finite entries below 2^960")
+    e = math.frexp(top)[1]                      # every |p| < 2^e = 2^W g
+    q = np.empty_like(p)
+    levels = []
+    while True:
+        e_g = max(e - W, -1074)
+        sigma = math.ldexp(1.5, 52 + e_g)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        levels.append(q.sum(axis=1))
+        if e_g == -1074 or not p.any():
+            break
+        e = e_g
+    return np.array([math.fsum(row) for row in np.stack(levels, axis=1).tolist()])
+
+
 def _refined_coefficients(vals: np.ndarray, j_max: int) -> np.ndarray:
     """Trapezoid Fourier coefficients c_0..c_{j_max} of the sampled symbol with
-    exact angle reduction and exactly rounded accumulation.
+    exact angle reduction and correctly rounded accumulation.
 
     The plain FFT leaves absolute noise ~ eps * max|sigma| on every output; for
     sharply peaked reciprocal symbols (high order k) that floor pollutes the
-    small tail coefficients.  Reducing j*n modulo the grid size keeps the
-    cosine argument exact, and math.fsum removes the accumulation error, so
-    each coefficient is correct to ~ eps * mean|sigma| instead.
+    small tail coefficients.  Reducing j*i modulo the grid size (a power of
+    two, so a bit mask) keeps the cosine argument exact, and each coefficient
+    is the correctly rounded sum of its n products vals[i] * cos_table[j*i mod
+    n], divided by n, so it is correct to ~ eps * mean|sigma| instead.
+
+    Each block of about _REFINE_BLOCK products (whole rows j) is summed by
+    _exact_row_sums, whose rows are correctly rounded exactly as math.fsum
+    rounds them; the products are the same IEEE products too, so every
+    coefficient is bitwise math.fsum(vals * cos_table[j*i mod n]) / n, the
+    one-fsum-per-coefficient loop that tests/oracles.py keeps as reference.
     """
     n = len(vals)
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"sample count must be a power of two, got {n}")
     cos_table = np.cos(_TWO_PI * np.arange(n) / n)
     idx = np.arange(n)
+    rows = max(1, _REFINE_BLOCK // n)
     out = np.empty(j_max + 1)
-    for j in range(j_max + 1):
-        prods = vals * cos_table[(j * idx) % n]
-        out[j] = math.fsum(prods.tolist()) / n
-    return out
+    for s in range(0, j_max + 1, rows):
+        js = np.arange(s, min(s + rows, j_max + 1))
+        prods = cos_table[np.multiply.outer(js, idx) & (n - 1)]
+        prods *= vals
+        out[s:s + len(js)] = _exact_row_sums(prods)
+    return out / n
 
 
 def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> CoefficientTable:
@@ -360,21 +409,3 @@ def _extract_table(params: SplineParams, vals: np.ndarray, n: int,
                             tail_bound=envelope_tail(J), decay_rate=rate,
                             decay_amplitude=amplitude)
 
-
-def decay_estimate(table: CoefficientTable) -> tuple[float, float]:
-    """Certified decay fit (rate, amplitude) for a table: every stored entry
-    satisfies |c_j| <= amplitude * e^{-rate |j|} (5% slack allowed downstream).
-
-    Raises DegenerateDecayError for compactly supported tables (k = 1), whose
-    three nonzero entries leave nothing to fit.
-    """
-    if table.nonzero_count <= 3:
-        raise DegenerateDecayError(
-            "coefficient table is compactly supported; no decay to fit")
-    half = table.coeffs[table.half_width:]
-    js = np.nonzero(np.abs(half) >= _COEFF_NOISE_ABS)[0]
-    if len(js) < 4:
-        raise DegenerateDecayError("fewer than four usable entries for the decay fit")
-    rate, amplitude = fit_decay_envelope(js, np.abs(half[js]))
-    amplitude = max(amplitude, float(np.max(np.abs(table.coeffs))))
-    return rate, amplitude

@@ -1,13 +1,17 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately built on different machinery than the shipped
-code paths: QUADPACK quadrature over the real line for transforms, the spatial
-cosine-series (Poisson summation) route for the periodized symbol, and the
-k = 1 hyperbolic closed forms.  The exceptions are interpolate_pointwise, the
-earlier one-point-at-a-time interpolation loop, kept as the reference for the
-batched gather and reduction in interpolate_grid, and two reference quantities
-that only the tests read: the exact one-sided knot derivatives of E_k and the
-plain (uncorrected) periodization tail bound.
+code paths: QUADPACK quadrature over the real line for transforms and for L_k
+itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
+summation) route for the periodized symbol, and the k = 1 hyperbolic closed
+forms.  The exceptions are two earlier loops kept as references for their
+batched replacements, interpolate_pointwise (one point at a time, for
+interpolate_grid) and refined_coefficients_fsum (one math.fsum per
+coefficient, for the exact row sums of the coefficient refinement), and two
+reference quantities that only the tests read: the exact one-sided knot
+derivatives of E_k and the plain (uncorrected) periodization tail bound.
+
+scipy is imported here only; the package itself does not need it.
 """
 
 import math
@@ -16,7 +20,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from cardspline.cardinal_interpolation import _solve_window, eval_fundamental
-from cardspline.greens_kernel import SplineParams, build_green_kernel, eval_green
+from cardspline.greens_kernel import (SplineParams, build_green_kernel, eval_green,
+                                      eval_green_hat)
+from cardspline.spectral_symbol import fundamental_hat, reciprocal_symbol
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -49,6 +55,72 @@ def green_convolution_quad(alpha: float, m: int, k: int, x: float) -> float:
     pts = sorted({0.0, float(x)})
     v, _ = quad(f, -lim, lim, points=pts, limit=400, epsabs=1e-13, epsrel=1e-12)
     return INV_SQRT_2PI * v
+
+
+def _cos_integral_panels(fn, x: float, T: float, fine_until: float = 64.0) -> float:
+    """int_0^T fn(xi) cos(x xi) d xi by Gauss-24 panels: quarter-period panels
+    while the integrand still has structure at the kernel scale, one panel per
+    period beyond."""
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    fine_edges = np.arange(0.0, fine_until + 1e-9, math.pi / 2.0)
+    coarse_start = float(fine_edges[-1])
+    n_coarse = max(0, int(math.ceil((T - coarse_start) / (2.0 * math.pi))))
+    coarse_edges = coarse_start + 2.0 * math.pi * np.arange(1, n_coarse + 1)
+    edges = np.concatenate([fine_edges, coarse_edges])
+    total = 0.0
+    block = 2000
+    for s in range(0, len(edges) - 1, block):
+        e = min(s + block, len(edges) - 1)
+        lo, hi = edges[s:e], edges[s + 1:e + 1]
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+        w = (half[:, None] * gw[None, :]).ravel()
+        vals = np.asarray(fn(nodes))
+        total += float(np.dot(w, vals * np.cos(x * nodes)))
+    return total
+
+
+def eval_fundamental_spectral(params: SplineParams, x: float, tol: float = 1e-9) -> float:
+    """Oracle: L_k(x) = (2 pi)^{-1/2} int Lhat_k(xi) e^{i x xi} d xi by direct
+    Fourier quadrature over the whole line.
+
+    Away from the lattice frequencies (|x| >= 0.05) QUADPACK's infinite-range
+    Fourier rule extrapolates the cycle sums.  Near x = 0 the oscillation is
+    too slow for cycle extrapolation; there the mean of the reciprocal symbol
+    is split off, its kernel tail summed in closed form through E_k, and the
+    zero-mean periodic remainder tail is bounded by integration by parts.
+
+    Slow by design (~0.2 s per point); it arbitrates the normalization chain
+    against eval_fundamental.
+    """
+    ax = abs(float(x))  # L_k is even
+    if ax >= 0.05:
+        f = lambda xi: fundamental_hat(params, xi, 1e-13)
+        epsabs = max(tol / 10.0, 1e-12)
+        val, _ = quad(f, 0.0, np.inf, weight="cos", wvar=ax, epsabs=epsabs,
+                      limit=400, limlst=400, maxp1=80)
+        return 2.0 * INV_SQRT_2PI * val
+
+    # sigma mean by one-period trapezoid (independent of the table pipeline)
+    n = 4096
+    xi_grid = 2.0 * math.pi * np.arange(n) / n
+    sig = np.asarray(reciprocal_symbol(params, xi_grid, 1e-13))
+    c_mean = float(np.mean(sig))
+
+    # beyond T, Lhat = (2pi)^{-1/2} sigma Ehat splits into the mean part, whose
+    # cosine tail is exact through the closed-form kernel transform, and a
+    # zero-mean periodic remainder bounded by parts: |rem| <= max|B| (Ehat(T)
+    # + |x| int_T |Ehat|), B the (periodic) antiderivative of sigma - mean
+    T = 2.0 * math.pi * (160000 if params.k == 1 else 500)
+    finite = _cos_integral_panels(
+        lambda nodes: fundamental_hat(params, nodes, 1e-13), ax, T)
+    full_kernel_cos = math.sqrt(2.0 * math.pi) / 2.0 * float(eval_green(
+        build_green_kernel(params), ax))
+    kernel_head = _cos_integral_panels(
+        lambda nodes: eval_green_hat(params, nodes), ax, T)
+    tail_cos = INV_SQRT_2PI * c_mean * (full_kernel_cos - kernel_head)
+    return 2.0 * INV_SQRT_2PI * (finite + tail_cos)
 
 
 def periodized_spatial(params: SplineParams, xi, n_terms: int | None = None):
@@ -202,3 +274,16 @@ def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
     b = data.values(js)
     Lv = np.asarray(eval_fundamental(L, x - js.astype(float)))
     return float(np.dot(b, Lv))
+
+
+def refined_coefficients_fsum(vals: np.ndarray, j_max: int) -> np.ndarray:
+    """Trapezoid Fourier coefficients c_0..c_{j_max} of the sampled symbol,
+    one math.fsum over the n products per coefficient."""
+    n = len(vals)
+    cos_table = np.cos(2.0 * math.pi * np.arange(n) / n)
+    idx = np.arange(n)
+    out = np.empty(j_max + 1)
+    for j in range(j_max + 1):
+        prods = vals * cos_table[(j * idx) % n]
+        out[j] = math.fsum(prods.tolist()) / n
+    return out

@@ -25,7 +25,6 @@ from cardspline.bandlimited_analysis import (aliasing_envelope,
                                              sup_error_grid, target_gallery)
 from cardspline.cardinal_interpolation import (build_fundamental,
                                                eval_fundamental,
-                                               eval_fundamental_spectral,
                                                interpolate_at,
                                                interpolate_grid,
                                                sequence_from_rule,
@@ -33,8 +32,8 @@ from cardspline.cardinal_interpolation import (build_fundamental,
 from cardspline.greens_kernel import SplineParams
 from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
                                         periodized_green_hat)
-from oracles import (fundamental_k1_closed, periodized_k1_closed,
-                     periodized_spatial, sinc_time)
+from oracles import (eval_fundamental_spectral, fundamental_k1_closed,
+                     periodized_k1_closed, periodized_spatial, sinc_time)
 
 ALPHAS = [0.5, 1.0, 2.0]
 TARGETS = ["sinc", "triangle-spectrum", "bump-spectrum", "half-band"]

@@ -228,6 +228,22 @@ class TestDeviationIdentity:
             with pytest.raises(ToleranceUnreachableError):
                 replica_power(SplineParams(1.0, 2), 0.5, tol)
 
+    def test_nan_tolerance_raises_first(self, monkeypatch):
+        # NaN compares false with every bound: it must be refused, not read
+        # as "tail small enough" (4 replicas) or ground through 256 panels
+        replicas = []
+
+        def counting(params, xi):
+            replicas.append(np.size(xi))
+            return eval_green_hat(params, xi)
+
+        monkeypatch.setattr(ba, "eval_green_hat", counting)
+        with pytest.raises(ToleranceUnreachableError):
+            ba._ell_truncation(SplineParams(1.0, 2), math.nan)
+        with pytest.raises(ToleranceUnreachableError):
+            l2_error_spectral(SplineParams(1.0, 1), target_gallery("half-band"), math.nan)
+        assert replicas == []
+
 
 class TestL2Error:
     def test_zero_target(self):

@@ -10,7 +10,6 @@ import pytest
 from cardspline import cardinal_interpolation
 from cardspline.cardinal_interpolation import (build_fundamental,
                                                eval_fundamental,
-                                               eval_fundamental_spectral,
                                                interpolate_at,
                                                interpolate_grid, select_window,
                                                sequence_from_csv,
@@ -20,7 +19,8 @@ from cardspline.errors import (DataFormatError, MissingDataError,
                                ParameterDomainError, UnknownBasisError,
                                WindowOverflowError)
 from cardspline.greens_kernel import SplineParams
-from oracles import fundamental_k1_closed, interpolate_pointwise
+from oracles import (eval_fundamental_spectral, fundamental_k1_closed,
+                     interpolate_pointwise)
 
 ALPHAS = [0.5, 1.0, 2.0]
 

@@ -299,3 +299,12 @@ class TestEntryPoint:
                             capture_output=True, text=True, cwd=PACKAGE_ROOT)
         assert rc.returncode == 0
         assert "cardspline" in rc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy serves only the test oracles; the command line must start
+        # without it
+        code = "import sys, cardspline.cli; print('scipy' in sys.modules)"
+        rc = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, cwd=PACKAGE_ROOT)
+        assert rc.returncode == 0, rc.stderr
+        assert rc.stdout.strip() == "False"

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 import cardspline.spectral_symbol as ss
-from cardspline.errors import (DegenerateDecayError,
-                               QuadratureConvergenceError)
+from cardspline.errors import QuadratureConvergenceError
 from cardspline.greens_kernel import SplineParams, eval_green_hat
-from cardspline.spectral_symbol import (compute_coefficients, decay_estimate,
-                                        fundamental_hat, periodized_green_hat,
-                                        reciprocal_symbol)
+from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
+                                        periodized_green_hat, reciprocal_symbol)
 from oracles import (periodized_k1_closed, periodized_spatial,
-                     plain_tail_bound, reciprocal_k1_closed)
+                     plain_tail_bound, reciprocal_k1_closed,
+                     refined_coefficients_fsum)
 
 ALPHAS = [0.5, 1.0, 2.0]
 XI_GRID = np.linspace(-np.pi, np.pi, 41)
@@ -73,6 +72,11 @@ class TestPeriodizedGreenHat:
     def test_tolerance_cap_guard(self):
         with pytest.raises(ValueError):
             periodized_green_hat(SplineParams(1.0, 1), 0.0, -1.0)
+        # NaN compares false with every bound and must not pass as positive
+        with pytest.raises(ValueError):
+            periodized_green_hat(SplineParams(1.0, 1), 0.3, math.nan)
+        with pytest.raises(ValueError):
+            fundamental_hat(SplineParams(1.0, 1), 0.3, math.nan)
         from cardspline.spectral_symbol import _em_remainder_bound
         # the defensive unreachable branch exists; the bound must shrink in M
         assert _em_remainder_bound(200, 1.0, 1) < _em_remainder_bound(20, 1.0, 1)
@@ -211,23 +215,105 @@ class TestComputeCoefficients:
 
 
 class TestDecayEstimate:
+    """The table's own envelope fit (decay_rate, decay_amplitude)."""
+
     def test_k1_degenerate(self):
+        # three nonzero entries: the rate is the ratio of the two magnitudes
         table = compute_coefficients(SplineParams(1.0, 1), 1e-10)
-        with pytest.raises(DegenerateDecayError):
-            decay_estimate(table)
+        assert table.compact_support
+        assert table.decay_rate == pytest.approx(
+            math.log(abs(table.coeff(0)) / abs(table.coeff(1))), rel=1e-12)
+        js = np.abs(table.indices)
+        assert np.all(np.abs(table.coeffs)
+                      <= table.decay_amplitude * np.exp(-table.decay_rate * js) + 1e-300)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_positive_rate(self, k):
         table = compute_coefficients(SplineParams(1.0, k), 1e-10)
-        rate, amp = decay_estimate(table)
+        rate, amp = table.decay_rate, table.decay_amplitude
         assert rate > 0
         js = np.abs(table.indices)
         assert np.all(np.abs(table.coeffs) <= 1.05 * amp * np.exp(-rate * js) + 1e-300)
 
     def test_rate_increases_with_alpha(self):
-        r1, _ = decay_estimate(compute_coefficients(SplineParams(1.0, 3), 1e-10))
-        r2, _ = decay_estimate(compute_coefficients(SplineParams(2.0, 3), 1e-10))
+        r1 = compute_coefficients(SplineParams(1.0, 3), 1e-10).decay_rate
+        r2 = compute_coefficients(SplineParams(2.0, 3), 1e-10).decay_rate
         assert r2 >= r1
         # regression anchors for the symbol-zero heights (loose)
         assert r1 == pytest.approx(0.922, abs=0.05)
         assert r2 == pytest.approx(1.155, abs=0.06)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestRefinedCoefficients:
+    """The blocked exact refinement against the one-fsum-per-coefficient loop."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 10, 12])
+    def test_bitwise_fsum_oracle(self, alpha, k):
+        for n in (128, 256, 512, 1024, 2048):
+            vals = ss._sample_reciprocal(SplineParams(alpha, k), n)
+            j_max = min(n // 2 - 1, 768)
+            np.testing.assert_array_equal(
+                _bits(ss._refined_coefficients(vals, j_max)),
+                _bits(refined_coefficients_fsum(vals, j_max)))
+
+    def test_row_sums_adversarial(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            rows = int(rng.integers(1, 6))
+            width = int(rng.choice([1, 2, 3, 7, 100, 1000, 4099]))
+            kind = trial % 4
+            if kind == 0:     # magnitudes spread over e^-200 .. e^200
+                p = rng.choice([-1.0, 1.0], (rows, width)) * \
+                    np.exp(rng.uniform(-200.0, 200.0, (rows, width)))
+            elif kind == 1:   # exact cancellation down to a few small survivors
+                half = np.exp(rng.uniform(-200.0, 200.0, (rows, (width + 1) // 2)))
+                p = np.concatenate([half, -rng.permuted(half, axis=1)], axis=1)
+                p = p[:, :width]
+                p[:, rng.integers(width)] += rng.standard_normal(rows) * 1e-150
+            elif kind == 2:   # all-zero rows beside ordinary ones
+                p = rng.standard_normal((rows, width))
+                p[rng.integers(rows)] = 0.0
+            else:             # huge terms that cancel, leaving unit-sized ones
+                p = rng.standard_normal((rows, width))
+                p[:, 0] += 1e200
+                p[:, -1] -= 1e200
+            want = np.array([math.fsum(r) for r in p.tolist()])
+            got = ss._exact_row_sums(p.copy())
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"trial {trial}")
+
+    def test_row_sums_refuse_non_finite(self):
+        with pytest.raises(ValueError):
+            ss._exact_row_sums(np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError):
+            ss._exact_row_sums(np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("n", [0, 96, 100, 1000])
+    def test_non_power_of_two_refused(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            ss._refined_coefficients(np.ones(n), 10)
+
+    def test_build_eval_tables_match_fsum_oracle(self, monkeypatch):
+        # the 15 (alpha, k) cells of the build-eval benchmark, tol 1e-10
+        cells = [(a, k) for a in (0.25, 1.0, 2.0) for k in (1, 3, 6, 8, 10)]
+
+        def tables():
+            out = []
+            for a, k in cells:
+                t = compute_coefficients(SplineParams(a, k), 1e-10)
+                out.append((t.half_width, _bits(t.coeffs), t.tail_bound,
+                            t.decay_rate, t.decay_amplitude))
+            return out
+
+        fast = tables()
+        monkeypatch.setattr(ss, "_refined_coefficients", refined_coefficients_fsum)
+        slow = tables()
+        for (a, k), f, s in zip(cells, fast, slow):
+            assert f[0] == s[0], (a, k)
+            np.testing.assert_array_equal(f[1], s[1], err_msg=f"{(a, k)}")
+            assert f[2:] == s[2:], (a, k)
+
