@@ -8,6 +8,10 @@ exactly over one period (Plancherel plus periodization):
     S(xi) = 1 - sqrt(2 pi) Lhat_k(xi) = sum_{l != 0} sqrt(2 pi) Lhat_k(xi - 2 pi l),
     T(xi) = sum_{l != 0} 2 pi Lhat_k(xi - 2 pi l)^2.
 
+With P and S_2k the lattice sums of (u^2 + a^2)^{-m}, u = xi - 2 pi j, at
+orders m = k and 2k, and != 0 marking a sum without its j = 0 term, both are
+ratios with no subtraction: S = P^{!=0} / P and T = S_2k^{!=0} / P^2.
+
 Each spectral replica obeys the aliasing envelope
 
     sqrt(2 pi) Lhat_k(xi - 2 pi l) <= ((pi^2+a^2)/((2|l|-1)^2 pi^2 + a^2))^k,
@@ -32,10 +36,9 @@ from .cardinal_interpolation import (DataSequence, FundamentalFunction,
 from .errors import (QuadratureConvergenceError, ToleranceUnreachableError,
                      UnknownTargetError)
 from .greens_kernel import SplineParams, eval_green_hat
-from .spectral_symbol import fundamental_hat, periodized_green_hat
+from .spectral_symbol import lattice_sum
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -210,59 +213,37 @@ def aliasing_envelope(params: SplineParams, ell: int) -> float:
     return _INV_SQRT_2PI * base ** params.k
 
 
-def _ell_truncation(params: SplineParams, tol: float) -> int:
-    """Smallest L with the squared-envelope tail below tol (floor at 4).
-
-    Raises ToleranceUnreachableError at once when tol is not positive (NaN
-    included), and when 2^20 replicas per side still leave the tail at or
-    above tol (tol below ~2e-20 at k = 1).
-    """
-    if not tol > 0:
-        raise ToleranceUnreachableError(f"replica tolerance must be positive, got {tol:g}")
-    a2 = params.alpha * params.alpha
-    k = params.k
-    c = ((np.pi ** 2 + a2) / np.pi ** 2) ** (2 * k)
-    L = 4
-    while c * (2 * L + 1) ** (1 - 4 * k) / (2 * (4 * k - 1)) >= tol:
-        if L >= 10 ** 6:
-            raise ToleranceUnreachableError(
-                f"replica sum would need more than {L} replicas per side for "
-                f"tol={tol:g} at (alpha={params.alpha}, k={k})")
-        L *= 2
-    return L
-
-
 def interp_deviation(params: SplineParams, xi, tol: float = 1e-12):
-    """S(xi) = 1 - sqrt(2 pi) Lhat_k(xi), the in-band transform deficiency."""
-    return 1.0 - _SQRT_2PI * fundamental_hat(params, xi, tol)
+    """S(xi) = 1 - sqrt(2 pi) Lhat_k(xi) = P^{!=0}(xi) / P(xi) for xi in
+    [-pi, pi], to absolute accuracy tol.  P = P^{!=0} + the centre term adds
+    positive terms, so S keeps its relative accuracy where it is tiny."""
+    rest, _ = lattice_sum(xi, params.alpha, params.k,
+                          tol * abs(eval_green_hat(params, np.pi)), skip_center=True)
+    xs = np.asarray(xi, dtype=float)
+    out = rest / (rest + (xs * xs + params.alpha ** 2) ** (-params.k))
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
 def replica_power(params: SplineParams, xi, tol: float = 1e-12):
-    """T(xi) = sum_{l != 0} 2 pi Lhat_k(xi - 2 pi l)^2, truncated under the
-    squared aliasing envelope.
-
-    The symbol P is 2 pi periodic, so every replica shares the node's
-    denominator: Lhat_k(xi - 2 pi l) = (2 pi)^{-1/2} Ehat_k(xi - 2 pi l) / P(xi)
-    exactly.  Each node costs one P (2M+1 lattice shifts plus the corrected
-    tails, to fundamental_hat's tolerance tol |Ehat_k(pi)|) and 2L kernel
-    transforms.
+    """(T(xi), M) for xi in [-pi, pi]: T = sum_{l != 0} 2 pi Lhat_k(xi - 2 pi l)^2
+    = S_2k^{!=0}(xi) / P(xi)^2 to absolute accuracy tol, dividing by P twice
+    since P^2 overflows at small alpha and high k.  M is the replicas per side
+    that S_2k^{!=0} sums explicitly; its Euler-Maclaurin tail covers the rest.
     """
-    xs = np.atleast_1d(np.asarray(xi, dtype=float))
-    L = _ell_truncation(params, tol)
-    P = periodized_green_hat(params, xs, tol * abs(eval_green_hat(params, np.pi)))
-    out = np.zeros_like(xs)
-    ells = np.concatenate([np.arange(-L, 0), np.arange(1, L + 1)])
-    block = max(1, int(2e6 // max(1, len(xs))))
-    for s in range(0, len(ells), block):
-        sh = xs[None, :] - 2.0 * np.pi * ells[s:s + block, None]
-        lh = _INV_SQRT_2PI * eval_green_hat(params, sh) / P
-        out += 2.0 * np.pi * np.sum(lh * lh, axis=0)
-    return (float(out[0]), L) if np.ndim(xi) == 0 else (out, L)
+    if not tol > 0:
+        raise ToleranceUnreachableError(f"replica tolerance must be positive, got {tol:g}")
+    e_pi = abs(eval_green_hat(params, np.pi))
+    P, _ = lattice_sum(xi, params.alpha, params.k, 0.25 * tol * e_pi)
+    rest, M = lattice_sum(xi, params.alpha, 2 * params.k, 0.25 * tol * e_pi * e_pi,
+                          skip_center=True)
+    out = rest / P / P
+    return (float(out[0]), M) if np.ndim(xi) == 0 else (out, M)
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Interpolation error summary for one (params, target) cell."""
+    """Interpolation error summary for one (params, target) cell;
+    ell_truncation is replica_power's M."""
 
     params: SplineParams
     target: str
@@ -283,21 +264,24 @@ class ErrorReport:
 
 def _error_integrals(params: SplineParams, target: BandlimitedTarget,
                      tol: float) -> tuple[float, float, int, int]:
-    """(int |ghat|^2 (S^2+T), int |ghat|^2 S^2, quad resolution, ell truncation),
-    by doubling Gauss panels on the target's smooth pieces.
+    """(int |ghat|^2 (S^2+T), int |ghat|^2 S^2, quad resolution, M), by
+    doubling Gauss panels on the target's smooth pieces; M is replica_power's
+    explicit replicas per side.
 
-    Raises QuadratureConvergenceError when 256 panels per piece still do not
-    agree with 128.
+    Raises ToleranceUnreachableError at once when tol is not positive (NaN
+    included), and QuadratureConvergenceError when 256 panels per piece still
+    do not agree with 128.
     """
-    ell_tol = tol / max(target.l2_norm_sq, 1e-12)
+    if not tol > 0:
+        raise ToleranceUnreachableError(f"error tolerance must be positive, got {tol:g}")
+    t_tol = tol / max(target.l2_norm_sq, 1e-12)
     prev_exact = prev_s2 = None
     panels, order = 2, 24
-    L_used = 4
     while True:
         nodes, w = _panel_nodes(target.pieces, panels, order)
         gh2 = np.asarray(target.spectrum(nodes), dtype=float) ** 2
         S = np.asarray(interp_deviation(params, nodes))
-        T, L_used = replica_power(params, nodes, ell_tol)
+        T, M = replica_power(params, nodes, t_tol)
         exact = float(np.dot(w, gh2 * (S * S + T)))
         s2 = float(np.dot(w, gh2 * S * S))
         if prev_exact is not None:
@@ -312,7 +296,7 @@ def _error_integrals(params: SplineParams, target: BandlimitedTarget,
                     f"(last change {abs(exact - prev_exact):.3e})")
         prev_exact, prev_s2 = exact, s2
         panels *= 2
-    return exact, s2, panels * order * len(target.pieces), L_used
+    return exact, s2, panels * order * len(target.pieces), M
 
 
 def l2_error_spectral(params: SplineParams, target: BandlimitedTarget,

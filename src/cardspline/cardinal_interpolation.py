@@ -203,12 +203,15 @@ def sequence_from_table(values: dict, growth_beta: float | None = None,
                         zero_fill: bool = True, name: str = "table") -> DataSequence:
     table = {}
     for j, b in values.items():
+        bb = float(b)
+        if not (math.isfinite(j) and math.isfinite(bb)):
+            raise DataFormatError(f"{name}: non-finite entry {j!r}: {b!r}")
         jj = int(j)
         if jj != j:
-            raise DataFormatError(f"non-integer index {j!r}")
+            raise DataFormatError(f"{name}: non-integer index {j!r}")
         if jj in table:
-            raise DataFormatError(f"duplicate index {jj}")
-        table[jj] = float(b)
+            raise DataFormatError(f"{name}: duplicate index {jj}")
+        table[jj] = bb
     if growth_beta is not None:
         amp = growth_amplitude if growth_amplitude is not None else \
             max((abs(b) / (1.0 + abs(j)) ** growth_beta for j, b in table.items()),
@@ -236,15 +239,12 @@ def sequence_from_csv(path, **kw) -> DataSequence:
             if not row:
                 continue
             try:
-                jf = float(row[0])
+                j = float(row[0])
                 b = float(row[1])
-            except ValueError as exc:
+            except (ValueError, IndexError) as exc:
                 raise DataFormatError(f"{path}: bad row {row!r}") from exc
-            if jf != int(jf):
-                raise DataFormatError(f"{path}: non-integer index {row[0]!r}")
-            j = int(jf)
             if j in table:
-                raise DataFormatError(f"{path}: duplicate index {j}")
+                raise DataFormatError(f"{path}: duplicate index {row[0]!r}")
             table[j] = b
     return sequence_from_table(table, name=str(path), **kw)
 

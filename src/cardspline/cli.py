@@ -79,11 +79,13 @@ def _check_tol(tol: float) -> float:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # one format string for the whole table, from the first row's cell types
+    rows = list(rows)
+    line = ",".join("%s" if isinstance(c, str) else _FLOAT_FMT for c in rows[0]) + "\n" \
+        if rows else ""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [c if isinstance(c, str) else _FLOAT_FMT % c for c in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write(line * len(rows) % tuple(c for row in rows for c in row))
 
 
 def _write_sidecar(path: Path, params: dict, tol: float, data: dict,
@@ -95,8 +97,7 @@ def _write_sidecar(path: Path, params: dict, tol: float, data: dict,
         "manifest": {"version": __version__, "wall_ms": wall_ms},
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _write_manifest(stem: Path, config: dict, outputs: list[Path],
@@ -110,8 +111,7 @@ def _write_manifest(stem: Path, config: dict, outputs: list[Path],
         "wall_ms": wall_ms,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
     return path
 
 

@@ -103,27 +103,54 @@ def _em_remainder_bound(M: int, alpha: float, k: int) -> float:
 
 
 @lru_cache(maxsize=512)
-def _choose_shift_count(params: SplineParams, tol: float) -> int:
-    """Smallest M whose corrected tail is certified below tol."""
+def _choose_shift_count(alpha: float, order: int, tol: float) -> int:
+    """Smallest M whose corrected order-`order` tail is certified below tol."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol:g}")
-    a, k = params.alpha, params.k
-    M = max(8, int(math.ceil(a / math.pi)) + 4)
-    while _em_remainder_bound(M, a, k) >= tol / 2.0:
+    M = max(8, int(math.ceil(alpha / math.pi)) + 4)
+    while _em_remainder_bound(M, alpha, order) >= tol / 2.0:
         M = 2 * M
         if M > _M_CAP:
             raise ToleranceUnreachableError(
                 f"periodization would need more than {_M_CAP} lattice shifts "
-                f"for tol={tol:g} at (alpha={a}, k={k})")
+                f"for tol={tol:g} at (alpha={alpha}, order={order})")
     # shrink back to the smallest admissible M
     lo, hi = M // 2, M
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _em_remainder_bound(mid, a, k) < tol / 2.0:
+        if _em_remainder_bound(mid, alpha, order) < tol / 2.0:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def lattice_sum(xi, alpha: float, order: int, tol: float = 1e-12,
+                skip_center: bool = False) -> tuple[np.ndarray, int]:
+    """(sum_j ((xi - 2 pi j)^2 + a^2)^{-order}, M) to absolute accuracy tol,
+    xi reduced into [-pi, pi]: |j| <= M summed directly, both tails corrected.
+    skip_center leaves out the j = 0 term, the one at the reduced xi."""
+    M = _choose_shift_count(alpha, order, tol)
+    xi_a = np.atleast_1d(np.asarray(xi, dtype=float))
+    xr = xi_a - _TWO_PI * np.round(xi_a / _TWO_PI)   # reduce by periodicity
+
+    out = np.zeros_like(xr)
+    j = np.arange(-M, M + 1)
+    if skip_center:
+        j = j[j != 0]
+    # chunk the (points, shifts) outer sum to bound memory
+    block = max(1, int(4e6 // (2 * M + 1)))
+    a2 = alpha * alpha
+    for s in range(0, len(xr), block):
+        u = xr[s:s + block, None] - _TWO_PI * j[None, :]
+        out[s:s + block] = np.sum((u * u + a2) ** (-order), axis=1)
+
+    # both tails in one pass, from u = 2 pi (M + 1/2) -+ xr
+    u = _TWO_PI * (M + 0.5) + np.concatenate([-xr, xr])
+    ti, g1, g3 = (f(u, alpha, order).reshape(2, -1).sum(axis=0)
+                  for f in (_tail_integral, _g1, _g3))
+    out += ti / _TWO_PI + _TWO_PI * g1 / 24.0 - 7.0 * _TWO_PI ** 3 * g3 / 5760.0
+    return out, M
 
 
 def periodized_green_hat(params: SplineParams, xi, tol: float = 1e-12):
@@ -132,30 +159,8 @@ def periodized_green_hat(params: SplineParams, xi, tol: float = 1e-12):
     The sum has one sign, (-1)^k, and its magnitude dominates every single
     term |Ehat_k(xi - 2 pi j)|.  Accepts scalars or arrays.
     """
-    a, k = params.alpha, params.k
-    M = _choose_shift_count(params, tol)
-    xi_a = np.atleast_1d(np.asarray(xi, dtype=float))
-    xr = xi_a - _TWO_PI * np.round(xi_a / _TWO_PI)   # reduce by periodicity
-
-    out = np.zeros_like(xr)
-    j = np.arange(-M, M + 1)
-    # chunk the (points, shifts) outer sum to bound memory
-    block = max(1, int(4e6 // (2 * M + 1)))
-    a2 = a * a
-    for s in range(0, len(xr), block):
-        u = xr[s:s + block, None] - _TWO_PI * j[None, :]
-        out[s:s + block] = np.sum((u * u + a2) ** (-k), axis=1)
-
-    half = M + 0.5
-    up = _TWO_PI * half - xr
-    un = _TWO_PI * half + xr
-    tail = (_tail_integral(up, a, k) + _tail_integral(un, a, k)) / _TWO_PI
-    tail += _TWO_PI * (_g1(up, a, k) + _g1(un, a, k)) / 24.0
-    tail -= 7.0 * _TWO_PI ** 3 * (_g3(up, a, k) + _g3(un, a, k)) / 5760.0
-    out += tail
-
-    sign = -1.0 if k % 2 else 1.0
-    out = sign * out
+    total, _ = lattice_sum(xi, params.alpha, params.k, tol)
+    out = (-1.0 if params.k % 2 else 1.0) * total
     return float(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
 

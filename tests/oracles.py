@@ -3,19 +3,21 @@
 Everything here is deliberately built on different machinery than the shipped
 code paths: QUADPACK quadrature over the real line for transforms and for L_k
 itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
-summation) route for the periodized symbol, and the k = 1 hyperbolic closed
-forms.  The exceptions are two earlier loops kept as references for their
-batched replacements, interpolate_pointwise (one point at a time, for
+summation) route for the periodized symbol, the k = 1 hyperbolic closed
+forms, and direct mpmath lattice sums for the error split S, T.  The
+exceptions are two earlier loops kept as references for their batched
+replacements, interpolate_pointwise (one point at a time, for
 interpolate_grid) and refined_coefficients_fsum (one math.fsum per
 coefficient, for the exact row sums of the coefficient refinement), and two
 reference quantities that only the tests read: the exact one-sided knot
 derivatives of E_k and the plain (uncorrected) periodization tail bound.
 
-scipy is imported here only; the package itself does not need it.
+scipy and mpmath are imported here only; the package itself needs neither.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -164,6 +166,59 @@ def replica_power_k1_closed(alpha: float, xi):
     F = np.sinh(alpha) / (2.0 * alpha * d)
     G = F / (2.0 * alpha) * (1.0 / alpha + np.sinh(alpha) / d - 1.0 / np.tanh(alpha))
     return (G - (xi * xi + alpha * alpha) ** -2) / (F * F)
+
+
+def _lattice_rest_mp(xi, a, m: int, rel):
+    """sum_{j != 0} ((xi - 2 pi j)^2 + a^2)^{-m} for |xi| <= pi, summed term
+    by term until the rest is certified below rel times the sum: since
+    |xi -+ 2 pi t| >= 2 pi t - pi, the terms past j add at most
+    2 int_j^inf (2 pi t - pi)^{-2m} dt.  Practical for m >= 3."""
+    two_pi = 2 * mpmath.pi
+    a2 = a * a
+    total = mpmath.mpf(0)
+    j = 0
+    while True:
+        j += 1
+        total += ((xi - two_pi * j) ** 2 + a2) ** (-m) + ((xi + two_pi * j) ** 2 + a2) ** (-m)
+        if 2 * (two_pi * j - mpmath.pi) ** (1 - 2 * m) / (two_pi * (2 * m - 1)) <= rel * total:
+            return total
+
+
+def deviation_replica_mp(alpha: float, k: int, xis, dps: int = 40):
+    """[(S, T)] at each xi in [-pi, pi], as mpf values from direct lattice sums
+    at dps digits, each truncated at a relative 10^-(dps - 8):
+
+        S = sum_{j != 0} Ehat_k(xi - 2 pi j) / P,
+        T = sum_{j != 0} Ehat_k(xi - 2 pi j)^2 / P^2,
+
+    with P = sum_j Ehat_k(xi - 2 pi j) and Ehat_k = (-1)^k (u^2 + a^2)^{-k}
+    (the signs cancel in both ratios)."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        rel = mpmath.mpf(10) ** (8 - dps)
+        out = []
+        for xi in np.asarray(xis, dtype=float).tolist():
+            x = mpmath.mpf(xi)
+            P_rest = _lattice_rest_mp(x, a, k, rel)
+            P = (x * x + a * a) ** (-k) + P_rest
+            out.append((P_rest / P, _lattice_rest_mp(x, a, 2 * k, rel) / (P * P)))
+    return out
+
+
+def l2_error_and_bound_mp(alpha: float, k: int, nodes, weights, spectrum,
+                          dps: int = 40) -> tuple[float, float]:
+    """(sqrt(sum w ghat^2 (S^2 + T)), sqrt(2 sum w ghat^2 S^2)): the spectral
+    error and its bound by the quadrature rule (nodes, weights) with spectrum
+    values ghat there, accumulated at dps digits from deviation_replica_mp."""
+    with mpmath.workdps(dps):
+        exact = s2 = mpmath.mpf(0)
+        for (S, T), w, g in zip(deviation_replica_mp(alpha, k, nodes, dps),
+                                np.asarray(weights, dtype=float).tolist(),
+                                np.asarray(spectrum, dtype=float).tolist()):
+            wg2 = mpmath.mpf(w) * mpmath.mpf(g) ** 2
+            exact += wg2 * (S * S + T)
+            s2 += wg2 * S * S
+        return float(mpmath.sqrt(exact)), float(mpmath.sqrt(2 * s2))
 
 
 def plain_tail_bound(M: int, k: int) -> float:

@@ -16,8 +16,10 @@ from cardspline.bandlimited_analysis import (BandlimitedTarget, ErrorReport,
 from cardspline.errors import (QuadratureConvergenceError,
                                ToleranceUnreachableError, UnknownTargetError)
 from cardspline.greens_kernel import SplineParams, eval_green_hat
-from cardspline.spectral_symbol import fundamental_hat, periodized_green_hat
-from oracles import (half_band_time, replica_power_k1_closed, sinc_time,
+from cardspline.spectral_symbol import (fundamental_hat, lattice_sum,
+                                        periodized_green_hat)
+from oracles import (deviation_replica_mp, half_band_time,
+                     l2_error_and_bound_mp, replica_power_k1_closed, sinc_time,
                      triangle_time)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -193,56 +195,87 @@ class TestDeviationIdentity:
         assert np.max(np.abs(T - expected)) <= tol
 
     def test_replica_power_one_symbol_per_node(self, monkeypatch):
-        # the replicas share their node's periodized symbol: one P per node,
-        # counted at every module that binds periodized_green_hat
-        counted = []
+        # one P and one order-2k sum per node, counted at every module that
+        # binds lattice_sum; M is the order-2k sum's explicit replicas
+        calls = []
 
-        def counting(params, xi, tol=1e-12):
-            counted.append(np.size(xi))
-            return periodized_green_hat(params, xi, tol)
+        def counting(xi, alpha, order, tol=1e-12, skip_center=False):
+            calls.append((order, skip_center, np.size(xi)))
+            return lattice_sum(xi, alpha, order, tol, skip_center)
 
         for name, mod in list(sys.modules.items()):
             if name == "cardspline" or name.startswith("cardspline."):
                 for key, val in list(vars(mod).items()):
-                    if val is periodized_green_hat:
+                    if val is lattice_sum:
                         monkeypatch.setattr(mod, key, counting)
         nodes = np.linspace(-np.pi, np.pi, 48)
-        T, L = replica_power(SplineParams(1.0, 1), nodes, 1e-10)
-        assert L == 1024
-        assert sum(counted) == len(nodes)
+        T, M = replica_power(SplineParams(1.0, 1), nodes, 1e-10)
+        assert sorted(calls) == [(1, False, 48), (2, True, 48)]
+        assert 4 <= M < 32
 
     def test_unreachable_replica_tolerance_raises_first(self, monkeypatch):
-        # 2^20 replicas per side cannot bring the k = 1 tail below ~2e-20:
-        # refuse before a single replica transform is evaluated
-        replicas = []
+        # the Euler-Maclaurin tail reaches tol 1e-20 at k = 1 with a few
+        # hundred shifts; tolerances that are not positive are refused
+        # before a single lattice sum
+        xis = np.linspace(-np.pi, np.pi, 33)
+        T, M = replica_power(SplineParams(1.0, 1), xis, 1e-20)
+        assert np.max(np.abs(T - replica_power_k1_closed(1.0, xis))) < 1e-14
+        assert M < 1000
+        sums = []
 
-        def counting(params, xi):
-            replicas.append(np.size(xi))
-            return eval_green_hat(params, xi)
+        def counting(*args, **kwargs):
+            sums.append(args)
+            return lattice_sum(*args, **kwargs)
 
-        monkeypatch.setattr(ba, "eval_green_hat", counting)
-        with pytest.raises(ToleranceUnreachableError):
-            l2_error_spectral(SplineParams(1.0, 1), target_gallery("half-band"), 1e-20)
-        assert replicas == []
+        monkeypatch.setattr(ba, "lattice_sum", counting)
         for tol in (0.0, -1.0):
             with pytest.raises(ToleranceUnreachableError):
                 replica_power(SplineParams(1.0, 2), 0.5, tol)
+        assert sums == []
 
     def test_nan_tolerance_raises_first(self, monkeypatch):
-        # NaN compares false with every bound: it must be refused, not read
-        # as "tail small enough" (4 replicas) or ground through 256 panels
-        replicas = []
+        # NaN compares false with every bound: _error_integrals refuses it at
+        # the top, before any lattice sum or quadrature panel
+        sums = []
 
-        def counting(params, xi):
-            replicas.append(np.size(xi))
-            return eval_green_hat(params, xi)
+        def counting(*args, **kwargs):
+            sums.append(args)
+            return lattice_sum(*args, **kwargs)
 
-        monkeypatch.setattr(ba, "eval_green_hat", counting)
-        with pytest.raises(ToleranceUnreachableError):
-            ba._ell_truncation(SplineParams(1.0, 2), math.nan)
+        monkeypatch.setattr(ba, "lattice_sum", counting)
         with pytest.raises(ToleranceUnreachableError):
             l2_error_spectral(SplineParams(1.0, 1), target_gallery("half-band"), math.nan)
-        assert replicas == []
+        with pytest.raises(ToleranceUnreachableError):
+            replica_power(SplineParams(1.0, 2), 0.5, math.nan)
+        assert sums == []
+
+
+class TestMpmathReference:
+    """S, T and the error integrals against direct lattice sums at 40 digits."""
+
+    @pytest.mark.parametrize("alpha,k", [(1.0, 12), (0.25, 6)])
+    def test_deviation_and_replica_power_relative(self, alpha, k):
+        # S falls to ~1e-19 at xi = 0 here, where 1 - sqrt(2 pi) Lhat_k
+        # would keep none of its digits
+        p = SplineParams(alpha, k)
+        xis = np.linspace(-np.pi, np.pi, 33)
+        ref = deviation_replica_mp(alpha, k, xis)
+        S_ref = np.array([float(S) for S, _ in ref])
+        T_ref = np.array([float(T) for _, T in ref])
+        T, _ = replica_power(p, xis)
+        assert np.max(np.abs(interp_deviation(p, xis) / S_ref - 1.0)) < 1e-11
+        assert np.max(np.abs(T / T_ref - 1.0)) < 1e-11
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_half_band_error_and_bound(self, k):
+        # the reference evaluates the same Gauss rule the package converged on
+        p = SplineParams(1.0, k)
+        t = target_gallery("half-band")
+        exact, s2, quad_res, _ = ba._error_integrals(p, t, 1e-10)
+        nodes, w = ba._panel_nodes(t.pieces, quad_res // (24 * len(t.pieces)))
+        e_ref, b_ref = l2_error_and_bound_mp(1.0, k, nodes, w, t.spectrum(nodes))
+        assert math.sqrt(exact) == pytest.approx(e_ref, rel=1e-13, abs=0)
+        assert math.sqrt(2.0 * s2) == pytest.approx(b_ref, rel=1e-13, abs=0)
 
 
 class TestL2Error:

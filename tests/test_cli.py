@@ -140,6 +140,16 @@ class TestInterp:
                    "--grid", "0:1:3", "-o", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("row", ["inf,2", "nan,2", "1,nan", "1,-inf", "3"])
+    def test_non_finite_or_short_row_exit_2(self, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"j,b_j\n0,1.0\n{row}\n")
+        out = tmp_path / "x.csv"
+        rc = main(["interp", "--alpha", "1", "--k", "2", "--data", str(bad),
+                   "--grid", "0:1:3", "-o", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_duplicate_index_exit_2(self, tmp_path):
         bad = tmp_path / "dup.csv"
         bad.write_text("j,b_j\n1,1.0\n1,2.0\n")
@@ -266,6 +276,32 @@ class TestConverge:
         assert not out.exists()
         doc = json.loads(out.with_suffix(".json").read_text())
         assert len(doc["data"]["rows"]) == 2
+
+
+class TestWriters:
+    def test_csv_bytes_pinned(self, tmp_path):
+        # str cells pass through, floats (numpy included) print as %.9e
+        import numpy as np
+        from cardspline.cli import _write_csv
+        out = tmp_path / "t.csv"
+        _write_csv(out, ["alpha", "k", "target", "err"],
+                   [(1.0, "1", "half-band", 0.1118020563),
+                    (0.25, "12", "sinc", np.float64(-2.5e-300))])
+        assert out.read_bytes() == (b"alpha,k,target,err\n"
+                                    b"1.000000000e+00,1,half-band,1.118020563e-01\n"
+                                    b"2.500000000e-01,12,sinc,-2.500000000e-300\n")
+        _write_csv(out, ["x"], [])
+        assert out.read_bytes() == b"x\n"
+
+    def test_sidecar_and_manifest_are_one_json_line(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["coeffs", "--alpha", "1", "--k", "2", "-o", str(out)]) == 0
+        sidecar = out.with_suffix(".json").read_text()
+        manifest = out.with_suffix(".manifest.json").read_text()
+        for text in (sidecar, manifest):
+            assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(sidecar)["params"] == {"alpha": 1.0, "k": 2}
+        assert json.loads(manifest)["outputs"] == ["c.csv", "c.json"]
 
 
 class TestExitCodeMap:
