@@ -41,9 +41,16 @@ from .spectral_symbol import (CoefficientTable, compute_coefficients,
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_CAP = 10 ** 6
 _WINDOW_HORIZON = 4000
-# elements (points x window x table) per batched synthesis temporary: 64 KB
-# keeps the kernel's Horner passes in cache
+# kernel-matrix entries per synthesis product.  Both caps fix how the points
+# are partitioned into matrix-vector products, and with it the last bit of
+# each L_k value (dgemv sums the last N mod 4 rows of a call with another
+# kernel): eval_fundamental runs one product per _PRODUCT_ELEMS entries,
+# interpolate_grid one per _CHUNK_ELEMS
+_PRODUCT_ELEMS = 2_000_000
 _CHUNK_ELEMS = 8192
+# points whose kernel rows interpolate_grid builds at once: rows are shared
+# across the whole batch, and the batch bounds the grouping's memory
+_BATCH_POINTS = 2 ** 12
 # the envelope tail model ignores sign alternation and overstates real tails
 # by a small constant; refusals require missing the floor by this factor
 _MODEL_FLOOR_SLACK = 25.0
@@ -76,6 +83,52 @@ class FundamentalFunction:
         return self.table.compact_support
 
 
+def _green_rows(L: FundamentalFunction, xs):
+    """The kernel matrix E_k(|x| - j), |j| <= J, one row per point of xs, as
+    (windows, at): windows[at] is the matrix, and windows[at[a:b]] its rows
+    a..b-1, gathered without building the rest.
+
+    Each distinct kernel argument is evaluated once, not once per point.  The
+    points are sorted by their offset t = |x| - floor(|x|); points with equal
+    t form one run while their integer parts follow each other by at most the
+    row width 2J+1.  A run based at its smallest point |x_0| evaluates the one
+    row E_k(|x_0| - s) over every shift s its points need, and the point
+    |x| = |x_0| + r takes the contiguous window s = j - r of it.  Sharing is
+    exact: r is an integer formed without rounding, so fl(|x_0| - s) and
+    fl(|x| - j) round the same real number and give the same bits.  A run
+    costs its row width plus the spread of its integer parts, so a grid pays
+    about 2J+1 evaluations per distinct offset and no input pays more than
+    one per matrix entry.  NaN and infinite points run alone and keep their
+    NaN rows.
+    """
+    ax = np.abs(np.asarray(xs, dtype=float))
+    J = L.table.half_width
+    width = 2 * J + 1
+    if len(ax) == 0:
+        return np.empty((0, width)), np.empty(0, dtype=np.int64)
+    with np.errstate(invalid="ignore"):     # inf - inf: NaN runs alone
+        t = ax - np.floor(ax)
+        order = np.lexsort((ax, t))
+        a, t = ax[order], t[order]
+        start = np.ones(len(a), dtype=bool)
+        start[1:] = (t[1:] != t[:-1]) | (a[1:] - a[:-1] > width)
+        run = np.cumsum(start) - 1
+        heads = np.flatnonzero(start)
+        base = a[heads]
+        r = a - base[run]
+    r[heads] = 0.0
+    r = r.astype(np.int64)
+    spread = r[np.append(heads[1:], len(a)) - 1]
+    lens = width + spread
+    row0 = np.cumsum(lens) - lens
+    # run g holds E_k(base_g - s) for s = -J - spread_g .. J, in that order
+    s = np.arange(int(lens.sum())) - np.repeat(row0 + J + spread, lens)
+    E = eval_green(L.kernel, np.repeat(base, lens) - s)
+    at = np.empty(len(a), dtype=np.int64)
+    at[order] = row0[run] + spread[run] - r
+    return np.lib.stride_tricks.sliding_window_view(E, width), at
+
+
 def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
     """L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j).
 
@@ -83,16 +136,33 @@ def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
     Arguments are folded to |x| first, making evenness exact in floating
     point rather than merely up to summation-order noise.  Accepts scalars
     or arrays.
+
+    The kernel matrix comes from _green_rows, so the cost scales with the
+    distinct offsets |x| - floor(|x|) rather than with the points; its rows
+    are contracted with c in products of at most _PRODUCT_ELEMS entries.
     """
-    xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
-    js = L.table.indices.astype(float)
+    xs = np.asarray(x, dtype=float).ravel()
     out = np.empty_like(xs)
-    block = max(1, int(2e6 // max(1, len(js))))
+    block = _product_rows(L)
     for s in range(0, len(xs), block):
-        diff = xs[s:s + block, None] - js[None, :]
-        out[s:s + block] = np.asarray(eval_green(L.kernel, diff)) @ L.table.coeffs
+        out[s:s + block] = _synthesize(L, *_green_rows(L, xs[s:s + block]))
+    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+def _product_rows(L: FundamentalFunction) -> int:
+    """Points per synthesis product."""
+    return max(1, _PRODUCT_ELEMS // len(L.table.coeffs))
+
+
+def _synthesize(L: FundamentalFunction, windows, at) -> np.ndarray:
+    """(2 pi)^{-1/2} windows[at] @ c for kernel rows from _green_rows, one
+    product per _product_rows(L) points."""
+    block = _product_rows(L)
+    out = np.empty(len(at))
+    for s in range(0, len(at), block):
+        out[s:s + block] = windows[at[s:s + block]] @ L.table.coeffs
     out *= _INV_SQRT_2PI
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return out
 
 
 def _fit_fundamental_envelope(L_partial: FundamentalFunction):
@@ -424,8 +494,12 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     of the row; the cost scales with the number of distinct offsets, not
     points.  Sharing is exact: |t| <= 1/2 and m is an integer, so t = x - m
     carries no rounding, and fl(t - o) == fl(x - (m + o)) are the same kernel
-    arguments the point would form itself.  Rows are synthesized in chunks of
-    at most _CHUNK_ELEMS kernel evaluations.
+    arguments the point would form itself.  The kernel rows under these L_k
+    rows come from one _green_rows call per batch of _BATCH_POINTS window
+    points, so kernel values are shared across offsets as well (t and -t, and
+    the two sides of every row); each chunk of at most _CHUNK_ELEMS
+    kernel-matrix entries is then contracted in its own products, the
+    partition eval_fundamental gave it when called chunk by chunk.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
@@ -473,10 +547,15 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     order = np.argsort(row, kind="stable")
     todo, row = todo[order], row[order]
     offsets = np.arange(-Jmax, Jmax + 1)
-    step = max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.indices)))
+    step = max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.coeffs)))
+    batch = step * max(1, _BATCH_POINTS // (step * len(offsets)))
     for s in range(0, len(ts), step):
-        diff = ts[s:s + step, None] - offsets[None, :]
-        Lv = np.asarray(eval_fundamental(L, diff.ravel())).reshape(diff.shape)
+        if s % batch == 0:
+            windows, at = _green_rows(
+                L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
+        q = (s % batch) * len(offsets)
+        Lv = _synthesize(L, windows, at[q:q + step * len(offsets)])
+        Lv = Lv.reshape(-1, len(offsets))
         lo, hi = np.searchsorted(row, [s, s + step])
         pts = todo[lo:hi]
         # plain ints: numpy scalar arithmetic would cost more than the dots

@@ -55,7 +55,11 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DataFormatError(f"bad grid {spec!r}") from exc
     if count < 2:
         raise DataFormatError(f"grid count must be >= 2, got {count}")
-    return np.linspace(start, stop, count)
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = np.linspace(start, stop, count)
+    if not np.all(np.isfinite(grid)):
+        raise DataFormatError(f"grid points must be finite, got {spec!r}")
+    return grid
 
 
 def _parse_k_range(spec: str) -> list[int]:

@@ -5,12 +5,14 @@ code paths: QUADPACK quadrature over the real line for transforms and for L_k
 itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
 summation) route for the periodized symbol, the k = 1 hyperbolic closed
 forms, and direct mpmath lattice sums for the error split S, T.  The
-exceptions are two earlier loops kept as references for their batched
+exceptions are three earlier loops kept as references for their batched
 replacements, interpolate_pointwise (one point at a time, for
-interpolate_grid) and refined_coefficients_fsum (one math.fsum per
-coefficient, for the exact row sums of the coefficient refinement), and two
-reference quantities that only the tests read: the exact one-sided knot
-derivatives of E_k and the plain (uncorrected) periodization tail bound.
+interpolate_grid), eval_fundamental_direct (one kernel evaluation per point
+and table entry, for the shared kernel rows of eval_fundamental) and
+refined_coefficients_fsum (one math.fsum per coefficient, for the exact row
+sums of the coefficient refinement), and two reference quantities that only
+the tests read: the exact one-sided knot derivatives of E_k and the plain
+(uncorrected) periodization tail bound.
 
 scipy and mpmath are imported here only; the package itself needs neither.
 """
@@ -21,7 +23,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from cardspline.cardinal_interpolation import _solve_window, eval_fundamental
+from cardspline.cardinal_interpolation import _solve_window
 from cardspline.greens_kernel import (SplineParams, build_green_kernel, eval_green,
                                       eval_green_hat)
 from cardspline.spectral_symbol import fundamental_hat, reciprocal_symbol
@@ -327,8 +329,27 @@ def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
         if len(js) == 0:
             return 0.0
     b = data.values(js)
-    Lv = np.asarray(eval_fundamental(L, x - js.astype(float)))
+    Lv = np.asarray(eval_fundamental_direct(L, x - js.astype(float)))
     return float(np.dot(b, Lv))
+
+
+def eval_fundamental_direct(L, x) -> float | np.ndarray:
+    """L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j).
+
+    Truncation error is bounded by tail_bound * max|E_k| * (2 pi)^{-1/2}.
+    Arguments are folded to |x| first, making evenness exact in floating
+    point rather than merely up to summation-order noise.  Accepts scalars
+    or arrays.
+    """
+    xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    js = L.table.indices.astype(float)
+    out = np.empty_like(xs)
+    block = max(1, int(2e6 // max(1, len(js))))
+    for s in range(0, len(xs), block):
+        diff = xs[s:s + block, None] - js[None, :]
+        out[s:s + block] = np.asarray(eval_green(L.kernel, diff)) @ L.table.coeffs
+    out *= INV_SQRT_2PI
+    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def refined_coefficients_fsum(vals: np.ndarray, j_max: int) -> np.ndarray:

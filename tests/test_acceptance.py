@@ -92,6 +92,7 @@ class TestCriterion02K1ClosedForm:
 
 
 class TestCriterion03NormalizationArbitration:
+    @pytest.mark.slow
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_dual_construction(self, k):
         # 20 seeded points per order, 100 in total across k <= 5

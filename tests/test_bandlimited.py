@@ -81,13 +81,13 @@ class TestGallery:
         from cardspline.bandlimited_analysis import _panel_nodes
         nodes, w = _panel_nodes(t.pieces, 16)
         direct = float(np.dot(w, t.spectrum(nodes))) / SQRT_2PI
-        assert t.time_eval(0.0) == pytest.approx(direct, rel=1e-12)
+        assert t.time_eval(0.0) == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_l2_norms(self):
-        assert target_gallery("sinc").l2_norm_sq == pytest.approx(1.0, rel=1e-12)
+        assert target_gallery("sinc").l2_norm_sq == pytest.approx(1.0, rel=1e-12, abs=0)
         assert target_gallery("triangle-spectrum").l2_norm_sq == \
-            pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert target_gallery("half-band").l2_norm_sq == pytest.approx(0.5, rel=1e-12)
+            pytest.approx(1.0 / 3.0, rel=1e-12, abs=0)
+        assert target_gallery("half-band").l2_norm_sq == pytest.approx(0.5, rel=1e-12, abs=0)
 
 
 class TestSampleIntegers:

@@ -19,8 +19,8 @@ from cardspline.errors import (DataFormatError, MissingDataError,
                                ParameterDomainError, UnknownBasisError,
                                WindowOverflowError)
 from cardspline.greens_kernel import SplineParams
-from oracles import (eval_fundamental_spectral, fundamental_k1_closed,
-                     interpolate_pointwise)
+from oracles import (eval_fundamental_direct, eval_fundamental_spectral,
+                     fundamental_k1_closed, interpolate_pointwise)
 
 ALPHAS = [0.5, 1.0, 2.0]
 
@@ -74,6 +74,7 @@ class TestBuildFundamental:
         assert np.all(vals <= env * (1 + 1e-9))
 
 
+@pytest.mark.slow
 class TestSpectralOracle:
     def test_delta_at_origin(self):
         assert eval_fundamental_spectral(SplineParams(1.0, 1), 0.0) == \
@@ -278,6 +279,88 @@ def first_error(fn, *args):
     return type(info.value), str(info.value)
 
 
+# the (alpha, k) cells of the build-eval benchmark that build_fundamental
+# accepts at tol 1e-10; (0.25, 8) and (0.25, 10) are refused
+EVAL_CELLS = [(a, k) for a in (0.25, 1.0, 2.0) for k in (1, 3, 6, 8, 10)
+              if (a, k) not in ((0.25, 8), (0.25, 10))]
+
+
+def assert_bitwise(got, want):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestSharedKernelRows:
+    """eval_fundamental shares kernel rows between points with one offset;
+    it must give the bits of the direct per-point synthesis."""
+
+    @pytest.fixture
+    def kernel_points(self, monkeypatch):
+        points = []
+        green = cardinal_interpolation.eval_green
+
+        def counting(kernel, x):
+            points.append(np.size(x))
+            return green(kernel, x)
+
+        monkeypatch.setattr(cardinal_interpolation, "eval_green", counting)
+        return points
+
+    @pytest.mark.parametrize("alpha,k", EVAL_CELLS)
+    def test_eval_grids_bitwise(self, alpha, k):
+        L = L_of(alpha, k)
+        for s in (-0.37, 0.0, 0.41):
+            xs = np.linspace(-20.0 + s, 20.0 + s, 4001)
+            assert_bitwise(eval_fundamental(L, xs), eval_fundamental_direct(L, xs))
+
+    @pytest.mark.parametrize("alpha,k", [(0.25, 6), (1.0, 3), (1.0, 10), (2.0, 8)])
+    def test_scattered_points_bitwise(self, alpha, k):
+        L = L_of(alpha, k)
+        rng = np.random.default_rng(int(10 * alpha) + k)
+        for xs in (rng.uniform(-50.0, 50.0, 3000), rng.uniform(-1e4, 1e4, 50)):
+            assert_bitwise(eval_fundamental(L, xs), eval_fundamental_direct(L, xs))
+
+    @pytest.mark.parametrize("alpha,k", [(1.0, 1), (1.0, 2), (0.25, 6), (1.0, 10)])
+    def test_huge_and_non_finite_points(self, alpha, k):
+        # beyond 2^53 every double is an integer and an integer-part key
+        # would overflow int64; NaN and inf give NaN
+        L = L_of(alpha, k)
+        xs = np.array([2.0 ** 53, -2.0 ** 53 - 2.0, 2.0 ** 60 + 2.0 ** 8, 1e300,
+                       -1e300, 2.0 ** 52 + 0.5, np.nan, np.inf, -np.inf, 0.5,
+                       np.nan, 3.25, 1e19, -2.0 ** 64])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = eval_fundamental(L, xs)
+            assert_bitwise(got, eval_fundamental_direct(L, xs))
+        assert np.all(np.isnan(got[6:9])) and np.isnan(got[10])
+
+    def test_empty_and_scalar(self):
+        L = L_of(1.0, 3)
+        got = eval_fundamental(L, np.array([]))
+        assert got.shape == (0,)
+        v = eval_fundamental(L, -2.75)
+        assert isinstance(v, float)
+        assert_bitwise(np.float64(v), np.float64(eval_fundamental_direct(L, -2.75)))
+
+    def test_grid_shares_kernel_rows(self, kernel_points):
+        # 4001 points x 353 table entries evaluated point by point before
+        L = L_of(1.0, 10)
+        width = len(L.table.coeffs)
+        assert width == 353
+        xs = np.linspace(-20.27, 19.73, 4001)
+        eval_fundamental(L, xs)
+        assert 0 < sum(kernel_points) <= len(xs) * width / 5
+
+    def test_distinct_offsets_cost_at_most_twice_direct(self, kernel_points):
+        L = L_of(1.0, 3)
+        xs = np.random.default_rng(8).uniform(-40.0, 40.0, 20000)
+        ax = np.abs(xs)
+        assert len(np.unique(ax - np.floor(ax))) == len(xs)
+        got = eval_fundamental(L, xs)
+        assert sum(kernel_points) <= 2 * len(xs) * len(L.table.coeffs)
+        assert_bitwise(got, eval_fundamental_direct(L, xs))
+
+
 class TestInterpolateGrid:
     """The batched evaluator against the one-point-at-a-time reference."""
 
@@ -347,15 +430,23 @@ class TestInterpolateGrid:
         Jmax = max(cardinal_interpolation._solve_window(L, int(m), data.growth, 1e-9)
                    for m in np.unique(np.abs(ms)))
         points = []
-        synth = cardinal_interpolation.eval_fundamental
+        rows = cardinal_interpolation._green_rows
 
         def counting(fundamental, x):
             points.append(np.size(x))
-            return synth(fundamental, x)
+            return rows(fundamental, x)
 
-        monkeypatch.setattr(cardinal_interpolation, "eval_fundamental", counting)
+        monkeypatch.setattr(cardinal_interpolation, "_green_rows", counting)
         interpolate_grid(L, data, xs, 1e-9)
         assert sum(points) == len(offsets) * (2 * Jmax + 1)
+
+    def test_batch_size_does_not_change_bits(self, monkeypatch):
+        L = L_of(1.0, 3, 1e-9)
+        data = seeded_table(2)
+        xs = np.linspace(-30.35, 29.65, 1201)
+        want = interpolate_grid(L, data, xs, 1e-9)
+        monkeypatch.setattr(cardinal_interpolation, "_BATCH_POINTS", 97)
+        assert_bitwise(interpolate_grid(L, data, xs, 1e-9), want)
 
     def test_permuted_grid_with_repeats(self):
         L = L_of(1.0, 3, 1e-9)

@@ -17,6 +17,10 @@ from cardspline.errors import (DataFormatError, MissingDataError,
 from cardspline.cli import exit_code_for
 
 
+# non-finite endpoints, and finite ones whose spacing overflows
+NON_FINITE_GRIDS = ["0:inf:5", "nan:1:3", "-inf:0:3", "-1e308:1e308:5"]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -101,6 +105,14 @@ class TestEvalL:
                    "-o", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+    def test_non_finite_grid_exit_2(self, tmp_path, grid):
+        out = tmp_path / "L.csv"
+        rc = main(["eval-L", "--alpha", "1", "--k", "2", "--grid", grid,
+                   "-o", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_float_format(self, tmp_path):
         out = tmp_path / "L.csv"
         main(["eval-L", "--alpha", "1", "--k", "1", "--grid", "0:1:3",
@@ -157,6 +169,16 @@ class TestInterp:
                    "--grid", "0:1:3", "-o", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+    def test_non_finite_grid_exit_2(self, tmp_path, grid):
+        data = tmp_path / "d.csv"
+        data.write_text("j,b_j\n0,1.0\n1,2.0\n")
+        out = tmp_path / "x.csv"
+        rc = main(["interp", "--alpha", "1", "--k", "2", "--data", str(data),
+                   "--grid", grid, "-o", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["interp", "--alpha", "1", "--k", "2", "--data",
                    str(tmp_path / "none.csv"), "--grid", "0:1:3",
@@ -193,6 +215,14 @@ class TestReproduce:
         rc = main(["reproduce", "--alpha", "1", "--k", "1", "--basis", "xexp+",
                    "--grid", "-2:2:5", "-o", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("grid", NON_FINITE_GRIDS)
+    def test_non_finite_grid_exit_2(self, tmp_path, grid):
+        out = tmp_path / "x.csv"
+        rc = main(["reproduce", "--alpha", "0.25", "--k", "2", "--basis", "cosh",
+                   "--grid", grid, "-o", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_unknown_basis_exit_2(self, tmp_path):
         rc = main(["reproduce", "--alpha", "1", "--k", "2", "--basis", "nosuch",

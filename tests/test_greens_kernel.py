@@ -40,7 +40,7 @@ class TestBuildGreenKernel:
         kern = build_green_kernel(SplineParams(1.0, 1))
         assert eval_green(kern, 0.0) == pytest.approx(-1.2533141, abs=1e-7)
         # exact value is -sqrt(pi/2)
-        assert eval_green(kern, 0.0) == pytest.approx(-math.sqrt(math.pi / 2), rel=1e-14)
+        assert eval_green(kern, 0.0) == pytest.approx(-math.sqrt(math.pi / 2), rel=1e-14, abs=0)
 
     def test_k2_at_origin(self):
         kern = build_green_kernel(SplineParams(1.0, 2))
@@ -113,7 +113,7 @@ class TestEvalGreenHat:
         assert eval_green_hat(SplineParams(1.0, 2), math.pi) == \
             pytest.approx(0.0084640, abs=1e-7)
         assert eval_green_hat(SplineParams(1.0, 2), math.pi) == \
-            pytest.approx((math.pi ** 2 + 1) ** -2, rel=1e-14)
+            pytest.approx((math.pi ** 2 + 1) ** -2, rel=1e-14, abs=0)
 
     def test_evenness_and_array(self):
         p = SplineParams(0.8, 3)
@@ -131,7 +131,7 @@ class TestConvolutionConsistency:
             for x in [0.0, 0.3, 1.7]:
                 want = eval_green(kern, x)
                 got = green_convolution_quad(alpha, m, k, x)
-                assert got == pytest.approx(want, rel=1e-8)
+                assert got == pytest.approx(want, rel=1e-8, abs=0)
 
 
 class TestOdeResidual:

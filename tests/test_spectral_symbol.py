@@ -24,7 +24,7 @@ class TestPeriodizedGreenHat:
         assert periodized_green_hat(p, 0.0, 1e-12) == pytest.approx(-1.0819768, abs=1e-7)
         want_pi = -math.sinh(1.0) / (2.0 * (math.cosh(1.0) + 1.0))
         assert periodized_green_hat(p, math.pi, 1e-12) == \
-            pytest.approx(want_pi, rel=1e-12)
+            pytest.approx(want_pi, rel=1e-12, abs=0)
         assert want_pi == pytest.approx(-0.2310586, abs=1e-7)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -98,7 +98,7 @@ class TestFundamentalHat:
         p = SplineParams(1.0, 1)
         want = 1.0 / math.sqrt(2 * math.pi) / abs(float(periodized_k1_closed(1.0, 0.0)))
         assert want == pytest.approx(0.3687161, abs=1e-7)
-        assert fundamental_hat(p, 0.0) == pytest.approx(want, rel=1e-12)
+        assert fundamental_hat(p, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -142,7 +142,7 @@ class TestReciprocalSymbol:
         for (a, k) in [(0.5, 1), (1.0, 3), (2.0, 5)]:
             p = SplineParams(a, k)
             prod = reciprocal_symbol(p, 0.0) * periodized_green_hat(p, 0.0, 1e-13)
-            assert prod == pytest.approx(1.0, rel=1e-12)
+            assert prod == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 class TestComputeCoefficients:
@@ -222,7 +222,7 @@ class TestDecayEstimate:
         table = compute_coefficients(SplineParams(1.0, 1), 1e-10)
         assert table.compact_support
         assert table.decay_rate == pytest.approx(
-            math.log(abs(table.coeff(0)) / abs(table.coeff(1))), rel=1e-12)
+            math.log(abs(table.coeff(0)) / abs(table.coeff(1))), rel=1e-12, abs=0)
         js = np.abs(table.indices)
         assert np.all(np.abs(table.coeffs)
                       <= table.decay_amplitude * np.exp(-table.decay_rate * js) + 1e-300)
