@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                    aliasing_envelope, error_report,
-                                   gallery_names, l2_error_bound,
+                                   error_sweep, gallery_names, l2_error_bound,
                                    l2_error_spectral, sample_integers,
                                    sup_error_grid, target_gallery)
 from .cardinal_interpolation import (DataSequence, FundamentalFunction,
@@ -38,7 +38,7 @@ __all__ = [
     "ToleranceUnreachableError", "UnknownBasisError", "UnknownTargetError",
     "WindowOverflowError", "aliasing_envelope", "build_fundamental",
     "build_green_kernel", "compute_coefficients",
-    "error_report", "eval_fundamental",
+    "error_report", "error_sweep", "eval_fundamental",
     "eval_green", "eval_green_hat", "fundamental_hat", "gallery_names",
     "interpolate_at", "interpolate_grid", "l2_error_bound", "l2_error_spectral",
     "periodized_green_hat", "reciprocal_symbol", "sample_integers",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,11 +57,10 @@ def _panel_nodes(pieces: Sequence[tuple], panels_per_piece: int, order: int = 24
     nodes, weights = [], []
     for (a, b) in pieces:
         edges = np.linspace(a, b, panels_per_piece + 1)
-        for i in range(panels_per_piece):
-            mid = 0.5 * (edges[i] + edges[i + 1])
-            half = 0.5 * (edges[i + 1] - edges[i])
-            nodes.append(mid + half * gx)
-            weights.append(half * gw)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes.append((mid[:, None] + half[:, None] * gx).ravel())
+        weights.append((half[:, None] * gw).ravel())
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -87,6 +86,11 @@ class BandlimitedTarget:
         """g(x) = (2 pi)^{-1/2} int ghat(xi) e^{i x xi} d xi by panel quadrature.
 
         The spectrum is even, so the transform reduces to a cosine integral.
+        When the points are antisymmetric (x reversed is -x, as for the
+        integer samples -J..J), the cosine rows of the first half are copied
+        from their mirror rows: (-x) xi = -(x xi) exactly and cos is even, so
+        the copies are bit for bit the rows they replace, and the product keeps
+        its full shape.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         span = sum(b - a for (a, b) in self.pieces)
@@ -94,7 +98,12 @@ class BandlimitedTarget:
         panels = max(16, int(math.ceil(span * max(1.0, xmax) / 10.0)))
         nodes, w = _panel_nodes(self.pieces, panels)
         gh = np.asarray(self.spectrum(nodes), dtype=float)
-        out = _INV_SQRT_2PI * (np.cos(np.outer(xs, nodes)) @ (w * gh))
+        h = len(xs) // 2 if np.array_equal(xs, -xs[::-1]) else 0
+        C = np.empty((len(xs), len(nodes)))
+        np.multiply.outer(xs[h:], nodes, out=C[h:])
+        np.cos(C[h:], out=C[h:])
+        C[:h] = C[::-1][:h]
+        out = _INV_SQRT_2PI * (C @ (w * gh))
         return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
     @property
@@ -313,34 +322,64 @@ def l2_error_bound(params: SplineParams, target: BandlimitedTarget,
     return math.sqrt(max(2.0 * s2, 0.0))
 
 
+def _sup_grid(grid_half_width: float, n: int) -> np.ndarray:
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    W = float(grid_half_width)
+    return np.linspace(-W, W, n)
+
+
 def sup_error_grid(params: SplineParams, target: BandlimitedTarget,
                    grid_half_width: float = 5.0, n: int = 101,
                    L: FundamentalFunction | None = None,
-                   tol: float = 1e-9) -> float:
+                   tol: float = 1e-9, g: np.ndarray | None = None) -> float:
     """max over n equispaced points in [-W, W] of |g(x) - I_k[g](x)|, where
-    I_k[g] is interpolate_grid on the integer samples in best-effort mode."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    I_k[g] is interpolate_grid on the integer samples in best-effort mode.
+
+    g, when given, holds the target's values at those points; error_sweep
+    computes them once for all the orders of a sweep.
+    """
+    xs = _sup_grid(grid_half_width, n)
     if L is None:
         L = build_fundamental(params, 1e-10)
     W = float(grid_half_width)
     J_win = 1 if L.compact else _solve_window(L, int(round(W)), GrowthModel(), tol,
                                               clip_to_knee=True)
     data = sample_integers(target, int(math.ceil(W)) + J_win + 2)
-    xs = np.linspace(-W, W, n)
-    g = np.asarray(target.time_eval(xs))
+    if g is None:
+        g = target.time_eval(xs)
     fb = interpolate_grid(L, data, xs, tol, best_effort=True)
     return float(np.max(np.abs(fb - g)))
+
+
+def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFunction],
+                tol: float = 1e-10, grid_half_width: float = 5.0,
+                n: int = 101) -> list[ErrorReport]:
+    """The ErrorReport of each fundamental function L, at L.params, in turn.
+
+    The sup-error grid and the target's values on it are the same for every
+    order, so they are computed once per sweep.
+    """
+    g = target.time_eval(_sup_grid(grid_half_width, n))
+    reports = []
+    for L in fundamentals:
+        exact, s2, quad_res, ell = _error_integrals(L.params, target, tol)
+        sup = sup_error_grid(L.params, target, grid_half_width, n, L=L, g=g)
+        reports.append(ErrorReport(params=L.params, target=target.name,
+                                   l2_error=math.sqrt(max(exact, 0.0)),
+                                   l2_bound=math.sqrt(max(2.0 * s2, 0.0)),
+                                   sup_error_grid=sup,
+                                   quadrature_resolution=quad_res,
+                                   ell_truncation=ell))
+    return reports
 
 
 def error_report(params: SplineParams, target: BandlimitedTarget,
                  tol: float = 1e-10, grid_half_width: float = 5.0,
                  n: int = 101, L: FundamentalFunction | None = None) -> ErrorReport:
-    exact, s2, quad_res, ell = _error_integrals(params, target, tol)
-    sup = sup_error_grid(params, target, grid_half_width, n, L=L)
-    return ErrorReport(params=params, target=target.name,
-                       l2_error=math.sqrt(max(exact, 0.0)),
-                       l2_bound=math.sqrt(max(2.0 * s2, 0.0)),
-                       sup_error_grid=sup,
-                       quadrature_resolution=quad_res,
-                       ell_truncation=ell)
+    """error_sweep of one order; L, when given, must be built for params."""
+    if L is None:
+        L = build_fundamental(params, 1e-10)
+    elif L.params != params:
+        raise ValueError(f"L is built for {L.params}, not {params}")
+    return error_sweep(target, [L], tol, grid_half_width, n)[0]

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandlimited_analysis import error_report, target_gallery
+from .bandlimited_analysis import error_sweep, target_gallery
 from .cardinal_interpolation import (_basis_rule, build_fundamental,
                                      interpolate_grid, eval_fundamental,
                                      sequence_from_csv, sequence_from_rule)
@@ -238,11 +238,8 @@ def cmd_converge(args) -> int:
     tol = _check_tol(args.tol)
     target = target_gallery(args.target)
     t0 = time.perf_counter()
-    reports = []
-    for k in ks:
-        params = SplineParams(alpha=alpha, k=k)
-        L = build_fundamental(params, tol)
-        reports.append(error_report(params, target, tol=max(tol, 1e-12), L=L))
+    reports = error_sweep(target, (build_fundamental(SplineParams(alpha=alpha, k=k), tol)
+                                   for k in ks), tol=max(tol, 1e-12))
     wall = (time.perf_counter() - t0) * 1e3
 
     csv_path, json_path = _outputs(args, f"converge_{args.target}_a{alpha:g}.csv")

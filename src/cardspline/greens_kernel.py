@@ -121,13 +121,21 @@ def build_green_kernel(params: SplineParams) -> GreenKernel:
 
 
 def eval_green(kernel: GreenKernel, x) -> float | np.ndarray:
-    """Evaluate E_k(x).  Even in x by construction; accepts scalars or arrays."""
-    ax = np.abs(np.asarray(x, dtype=float))
+    """Evaluate E_k(x).  Even in x by construction; accepts scalars or arrays.
+
+    Every step works in place on its own copy of |x| (a 0-d array for scalar
+    input, since ufuncs return scalars for 0-d operands without out=).
+    """
+    ax = np.array(x, dtype=float)
+    np.abs(ax, out=ax)
     p = np.zeros_like(ax)
     for cm in kernel.poly_coeffs[::-1]:
-        p = p * ax + cm
-    out = np.exp(-kernel.params.alpha * ax) * p
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        p *= ax
+        p += cm
+    np.multiply(-kernel.params.alpha, ax, out=ax)
+    np.exp(ax, out=ax)
+    ax *= p
+    return float(ax) if np.isscalar(x) or np.ndim(x) == 0 else ax
 
 
 def eval_green_hat(params: SplineParams, xi) -> float | np.ndarray:

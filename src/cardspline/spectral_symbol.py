@@ -143,7 +143,10 @@ def lattice_sum(xi, alpha: float, order: int, tol: float = 1e-12,
     a2 = alpha * alpha
     for s in range(0, len(xr), block):
         u = xr[s:s + block, None] - _TWO_PI * j[None, :]
-        out[s:s + block] = np.sum((u * u + a2) ** (-order), axis=1)
+        np.multiply(u, u, out=u)
+        u += a2
+        u **= -order
+        out[s:s + block] = np.sum(u, axis=1)
 
     # both tails in one pass, from u = 2 pi (M + 1/2) -+ xr
     u = _TWO_PI * (M + 0.5) + np.concatenate([-xr, xr])
@@ -237,9 +240,24 @@ class CoefficientTable:
         return self.nonzero_count <= 3
 
 
-def _sample_reciprocal(params: SplineParams, n: int) -> np.ndarray:
-    xi = _TWO_PI * np.arange(n) / n
+def _sample_reciprocal(params: SplineParams, n: int, odd: bool = False) -> np.ndarray:
+    """sigma at xi = 2 pi i / n for i = 0..n-1, or for the odd i only."""
+    xi = _TWO_PI * np.arange(1 if odd else 0, n, 2 if odd else 1) / n
     return np.asarray(reciprocal_symbol(params, xi, 1e-13))
+
+
+def _doubled_samples(params: SplineParams, vals: np.ndarray) -> np.ndarray:
+    """The samples of sigma on the grid twice as fine as that of vals.
+
+    Its even samples are vals, bit for bit: fl(2 pi 2i) / 2n = fl(2 pi i) / n
+    exactly, and each sample of sigma depends on its own xi alone.  Only the
+    odd ones are new.
+    """
+    n = 2 * len(vals)
+    out = np.empty(n)
+    out[0::2] = vals
+    out[1::2] = _sample_reciprocal(params, n, odd=True)
+    return out
 
 
 def _exact_row_sums(p: np.ndarray) -> np.ndarray:
@@ -329,7 +347,7 @@ def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> Coefficien
             raise QuadratureConvergenceError(
                 f"coefficient quadrature did not converge below {tol:g} within "
                 f"2^20 samples for (alpha={params.alpha}, k={params.k})")
-        vals = _sample_reciprocal(params, n)
+        vals = _doubled_samples(params, vals)
         cur = np.real(np.fft.fft(vals)) / n
         m = len(prev) // 2
         scale = max(1.0, float(np.max(np.abs(cur))))

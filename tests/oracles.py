@@ -5,12 +5,16 @@ code paths: QUADPACK quadrature over the real line for transforms and for L_k
 itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
 summation) route for the periodized symbol, the k = 1 hyperbolic closed
 forms, and direct mpmath lattice sums for the error split S, T.  The
-exceptions are three earlier loops kept as references for their batched
-replacements, interpolate_pointwise (one point at a time, for
+exceptions are earlier forms kept as bitwise references for their faster
+replacements: interpolate_pointwise (one point at a time, for
 interpolate_grid), eval_fundamental_direct (one kernel evaluation per point
-and table entry, for the shared kernel rows of eval_fundamental) and
+and table entry, for the shared kernel rows of eval_fundamental),
 refined_coefficients_fsum (one math.fsum per coefficient, for the exact row
-sums of the coefficient refinement), and two reference quantities that only
+sums of the coefficient refinement), eval_green_out_of_place (for the in-place
+eval_green), sample_reciprocal_full (every sample of every doubling level,
+for the reuse of the even ones), panel_nodes_loop (one panel at a time, for
+_panel_nodes) and time_eval_full (the whole cosine matrix, for the mirrored
+rows of BandlimitedTarget.time_eval); and two reference quantities that only
 the tests read: the exact one-sided knot derivatives of E_k and the plain
 (uncorrected) periodization tail bound.
 
@@ -23,6 +27,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
+from cardspline.bandlimited_analysis import _panel_nodes
 from cardspline.cardinal_interpolation import _solve_window
 from cardspline.greens_kernel import (SplineParams, build_green_kernel, eval_green,
                                       eval_green_hat)
@@ -363,3 +368,51 @@ def refined_coefficients_fsum(vals: np.ndarray, j_max: int) -> np.ndarray:
         prods = vals * cos_table[(j * idx) % n]
         out[j] = math.fsum(prods.tolist()) / n
     return out
+
+
+def bits(a) -> np.ndarray:
+    """The IEEE bit patterns of a, for comparisons that tell -0.0 from 0.0
+    and one NaN from another."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def eval_green_out_of_place(kernel, x) -> float | np.ndarray:
+    """E_k(x) with a fresh array for every step of the Horner loop."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    p = np.zeros_like(ax)
+    for cm in kernel.poly_coeffs[::-1]:
+        p = p * ax + cm
+    out = np.exp(-kernel.params.alpha * ax) * p
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def sample_reciprocal_full(params: SplineParams, n: int) -> np.ndarray:
+    """sigma at all n points 2 pi i / n, sampled afresh."""
+    xi = 2.0 * math.pi * np.arange(n) / n
+    return np.asarray(reciprocal_symbol(params, xi, 1e-13))
+
+
+def panel_nodes_loop(pieces, panels_per_piece: int, order: int = 24):
+    """Gauss nodes and weights, one panel of one piece at a time."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for (a, b) in pieces:
+        edges = np.linspace(a, b, panels_per_piece + 1)
+        for i in range(panels_per_piece):
+            mid = 0.5 * (edges[i] + edges[i + 1])
+            half = 0.5 * (edges[i + 1] - edges[i])
+            nodes.append(mid + half * gx)
+            weights.append(half * gw)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def time_eval_full(target, x) -> float | np.ndarray:
+    """target.time_eval with the cosine of every point and node computed."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    span = sum(b - a for (a, b) in target.pieces)
+    xmax = float(np.max(np.abs(xs))) if len(xs) else 1.0
+    panels = max(16, int(math.ceil(span * max(1.0, xmax) / 10.0)))
+    nodes, w = _panel_nodes(target.pieces, panels)
+    gh = np.asarray(target.spectrum(nodes), dtype=float)
+    out = INV_SQRT_2PI * (np.cos(np.outer(xs, nodes)) @ (w * gh))
+    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out

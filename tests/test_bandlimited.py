@@ -9,17 +9,20 @@ import pytest
 import cardspline.bandlimited_analysis as ba
 from cardspline.bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                              aliasing_envelope, error_report,
+                                             error_sweep,
                                              gallery_names, interp_deviation,
                                              l2_error_bound, l2_error_spectral,
                                              replica_power, sample_integers,
                                              sup_error_grid, target_gallery)
+from cardspline.cardinal_interpolation import build_fundamental
 from cardspline.errors import (QuadratureConvergenceError,
                                ToleranceUnreachableError, UnknownTargetError)
 from cardspline.greens_kernel import SplineParams, eval_green_hat
 from cardspline.spectral_symbol import (fundamental_hat, lattice_sum,
                                         periodized_green_hat)
-from oracles import (deviation_replica_mp, half_band_time,
-                     l2_error_and_bound_mp, replica_power_k1_closed, sinc_time,
+from oracles import (bits, deviation_replica_mp, half_band_time,
+                     l2_error_and_bound_mp, panel_nodes_loop,
+                     replica_power_k1_closed, sinc_time, time_eval_full,
                      triangle_time)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -82,6 +85,32 @@ class TestGallery:
         nodes, w = _panel_nodes(t.pieces, 16)
         direct = float(np.dot(w, t.spectrum(nodes))) / SQRT_2PI
         assert t.time_eval(0.0) == pytest.approx(direct, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ["sinc", "triangle-spectrum", "bump-spectrum",
+                                      "half-band"])
+    def test_time_eval_bitwise_full_matrix(self, name):
+        t = target_gallery(name)
+        rng = np.random.default_rng(3)
+        half = np.sort(rng.uniform(0.0, 30.0, 37))
+        antisymmetric = [np.arange(-J, J + 1.0) for J in (0, 1, 7, 40)] + [
+            np.concatenate([-half[::-1], half]),
+            np.concatenate([-half[::-1], [0.0], half])]
+        assert all(np.array_equal(xs, -xs[::-1]) for xs in antisymmetric)
+        others = [np.linspace(-5.0, 5.0, 101), np.arange(-3.0, 9.0),
+                  rng.uniform(-12.0, 12.0, 50), np.array([2.5]), np.array([])]
+        for xs in antisymmetric + others:
+            np.testing.assert_array_equal(bits(t.time_eval(xs)), bits(time_eval_full(t, xs)))
+        for x in (0.0, 2.5, -7.0, 31):
+            assert bits(t.time_eval(x)) == bits(time_eval_full(t, x))
+
+    @pytest.mark.parametrize("pieces", [((-np.pi, np.pi),), ((-np.pi, 0.0), (0.0, np.pi)),
+                                        ((-np.pi / 2, np.pi / 2),), ((-3.0, -1.0), (0.5, 2.5))])
+    def test_panel_nodes_bitwise_loop(self, pieces):
+        for panels in (1, 2, 16, 100, 256):
+            for order in (8, 24):
+                for got, want in zip(ba._panel_nodes(pieces, panels, order),
+                                     panel_nodes_loop(pieces, panels, order)):
+                    np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_l2_norms(self):
         assert target_gallery("sinc").l2_norm_sq == pytest.approx(1.0, rel=1e-12, abs=0)
@@ -331,6 +360,28 @@ class TestL2Error:
             ErrorReport(params=SplineParams(1.0, 1), target="x", l2_error=2.0,
                         l2_bound=1.0, sup_error_grid=0.0,
                         quadrature_resolution=1, ell_truncation=4)
+
+
+class TestErrorSweep:
+    def test_matches_one_order_at_a_time(self):
+        # the target values the sweep computes once give every order the sup
+        # error its own sup_error_grid call computes, bit for bit
+        t = target_gallery("half-band")
+        Ls = [build_fundamental(SplineParams(1.0, k), 1e-10) for k in (1, 2, 4)]
+        reports = error_sweep(t, iter(Ls), 1e-10, 4.0, 41)
+        assert [r.params for r in reports] == [L.params for L in Ls]
+        for L, rep in zip(Ls, reports):
+            assert rep == error_report(L.params, t, 1e-10, 4.0, 41, L=L)
+            assert rep.sup_error_grid == sup_error_grid(L.params, t, 4.0, 41, L=L)
+
+    def test_rejects_small_grid_before_any_order(self):
+        with pytest.raises(ValueError):
+            error_sweep(target_gallery("sinc"), iter(()), n=1)
+
+    def test_error_report_rejects_other_params(self):
+        L = build_fundamental(SplineParams(1.0, 2), 1e-10)
+        with pytest.raises(ValueError, match="built for"):
+            error_report(SplineParams(1.0, 3), target_gallery("sinc"), L=L)
 
 
 class TestSupError:

@@ -9,8 +9,9 @@ from cardspline.errors import ParameterDomainError
 from cardspline.greens_kernel import (GreenKernel, K_MAX, SplineParams,
                                       build_green_kernel, eval_green,
                                       eval_green_hat)
-from oracles import (fd_weights, green_convolution_quad, green_transform_quad,
-                     hyperbolic_operator_residual, one_sided_derivatives)
+from oracles import (bits, eval_green_out_of_place, fd_weights, green_convolution_quad,
+                     green_transform_quad, hyperbolic_operator_residual,
+                     one_sided_derivatives)
 
 
 class TestSplineParams:
@@ -96,6 +97,24 @@ class TestEvalGreen:
         for x in [0.0, 0.3, 1.1, 2.7]:
             assert green_transform_quad(alpha, k, x) == \
                 pytest.approx(eval_green(kern, x), abs=1e-8)
+
+    @pytest.mark.parametrize("alpha,k", [(0.25, 1), (1.0, 1), (1.0, 3), (2.0, 6),
+                                         (1.0, 12), (0.5, K_MAX)])
+    def test_bitwise_out_of_place_reference(self, alpha, k):
+        kern = build_green_kernel(SplineParams(alpha, k))
+        rng = np.random.default_rng(k)
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e308, -1e-300, 5e-324]
+        x = np.concatenate([rng.uniform(-60.0, 60.0, 992), special])
+        x_before = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):   # 0 * inf, huge |x|^m
+            for arg in (x, x.reshape(77, 13)[:, ::-1], x.tolist()):
+                np.testing.assert_array_equal(bits(eval_green(kern, arg)),
+                                              bits(eval_green_out_of_place(kern, arg)))
+            for v in [*special, 1.5, -2, np.float64(3.0), np.array(0.7)]:
+                got, want = eval_green(kern, v), eval_green_out_of_place(kern, v)
+                assert type(got) is float and type(want) is float
+                assert bits(got) == bits(want)
+        np.testing.assert_array_equal(bits(x), bits(x_before))   # input untouched
 
     def test_peak_is_at_origin(self):
         for (a, k) in [(0.5, 3), (1.0, 5), (2.0, 2)]:

@@ -10,9 +10,9 @@ from cardspline.errors import QuadratureConvergenceError
 from cardspline.greens_kernel import SplineParams, eval_green_hat
 from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
                                         periodized_green_hat, reciprocal_symbol)
-from oracles import (periodized_k1_closed, periodized_spatial,
+from oracles import (bits, periodized_k1_closed, periodized_spatial,
                      plain_tail_bound, reciprocal_k1_closed,
-                     refined_coefficients_fsum)
+                     refined_coefficients_fsum, sample_reciprocal_full)
 
 ALPHAS = [0.5, 1.0, 2.0]
 XI_GRID = np.linspace(-np.pi, np.pi, 41)
@@ -207,9 +207,11 @@ class TestComputeCoefficients:
             compute_coefficients(SplineParams(1.0, 2), 0.5)
 
     def test_doubling_cap_raises(self, monkeypatch):
+        # every level is noise: the first one whole, then each level's fresh
+        # odd samples beside the previous level's noise
         rng = np.random.default_rng(0)
         monkeypatch.setattr(ss, "_sample_reciprocal",
-                            lambda params, n: rng.standard_normal(n))
+                            lambda params, n, odd=False: rng.standard_normal(n // 2 if odd else n))
         with pytest.raises(QuadratureConvergenceError):
             compute_coefficients(SplineParams(1.0, 2), 1e-10)
 
@@ -244,8 +246,18 @@ class TestDecayEstimate:
         assert r2 == pytest.approx(1.155, abs=0.06)
 
 
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+class TestDoubledSamples:
+    """Each doubling level reuses the previous one's samples as its even ones."""
+
+    @pytest.mark.parametrize("alpha,k", [(0.25, 10), (1.0, 6), (2.0, 3)])
+    def test_bitwise_full_resampling(self, alpha, k):
+        params = SplineParams(alpha, k)
+        vals = ss._sample_reciprocal(params, 64)
+        np.testing.assert_array_equal(bits(vals), bits(sample_reciprocal_full(params, 64)))
+        for n in (128, 256, 512, 1024, 2048):
+            vals = ss._doubled_samples(params, vals)
+            np.testing.assert_array_equal(bits(vals),
+                                          bits(sample_reciprocal_full(params, n)))
 
 
 class TestRefinedCoefficients:
@@ -258,8 +270,8 @@ class TestRefinedCoefficients:
             vals = ss._sample_reciprocal(SplineParams(alpha, k), n)
             j_max = min(n // 2 - 1, 768)
             np.testing.assert_array_equal(
-                _bits(ss._refined_coefficients(vals, j_max)),
-                _bits(refined_coefficients_fsum(vals, j_max)))
+                bits(ss._refined_coefficients(vals, j_max)),
+                bits(refined_coefficients_fsum(vals, j_max)))
 
     def test_row_sums_adversarial(self):
         rng = np.random.default_rng(11)
@@ -284,7 +296,7 @@ class TestRefinedCoefficients:
                 p[:, -1] -= 1e200
             want = np.array([math.fsum(r) for r in p.tolist()])
             got = ss._exact_row_sums(p.copy())
-            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"trial {trial}")
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"trial {trial}")
 
     def test_row_sums_refuse_non_finite(self):
         with pytest.raises(ValueError):
@@ -305,7 +317,7 @@ class TestRefinedCoefficients:
             out = []
             for a, k in cells:
                 t = compute_coefficients(SplineParams(a, k), 1e-10)
-                out.append((t.half_width, _bits(t.coeffs), t.tail_bound,
+                out.append((t.half_width, bits(t.coeffs), t.tail_bound,
                             t.decay_rate, t.decay_amplitude))
             return out
 
