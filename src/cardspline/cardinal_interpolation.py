@@ -51,6 +51,9 @@ _CHUNK_ELEMS = 8192
 # points whose kernel rows interpolate_grid builds at once: rows are shared
 # across the whole batch, and the batch bounds the grouping's memory
 _BATCH_POINTS = 2 ** 12
+# window entries interpolate_grid gathers for one contraction, which bounds
+# its memory on grids with many points per offset
+_GATHER_ELEMS = 2 ** 16
 # the envelope tail model ignores sign alternation and overstates real tails
 # by a small constant; refusals require missing the floor by this factor
 _MODEL_FLOOR_SLACK = 25.0
@@ -481,12 +484,15 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     at every point of xs.
 
     The window is solved once per distinct |m|, m = round(x) (half to even, as
-    Python's round); the solved width depends on the center only through its
-    magnitude.  At integers the cardinality property short-circuits the
-    sum to b_m.  Finite zero-filled tables sum over their stored indices only;
-    strict tables raise MissingDataError at the first absent index.  With
-    best_effort, tolerances below the double-precision floor degrade to the
-    noise-capped window instead of raising (divergent data still raises).
+    Python's round); the solved width depends on the center only through
+    growth.log_bound(|m| + d), so data with flat growth (beta = rate = 0,
+    as tables without a declared growth get) solve one window for all
+    points: their bound is the constant log(amplitude), bit for bit.  At integers the cardinality
+    property short-circuits the sum to b_m.  Finite zero-filled tables sum
+    over their stored indices only; strict tables raise MissingDataError at
+    the first absent index.  With best_effort, tolerances below the
+    double-precision floor degrade to the noise-capped window instead of
+    raising (divergent data still raises).
 
     The samples are gathered once, over the union of the windows.  L_k is
     synthesized once per distinct offset t = x - m, as the row L_k(t - o) for
@@ -499,7 +505,8 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     points, so kernel values are shared across offsets as well (t and -t, and
     the two sides of every row); each chunk of at most _CHUNK_ELEMS
     kernel-matrix entries is then contracted in its own products, the
-    partition eval_fundamental gave it when called chunk by chunk.
+    partition eval_fundamental gave it when called chunk by chunk.  Each
+    point's window sum stays one BLAS ddot, batched by _contract.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
@@ -510,8 +517,11 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     ms = np.rint(xs).astype(np.int64)
     exact = (np.abs(xs - ms) < 1e-12) & L.cardinality_ok
     Js = np.zeros(len(xs), dtype=np.int64)
-    # the window depends on its center only through |center|
+    # the window depends on its center only through |center|, and not at all
+    # under flat growth
     centers, which = np.unique(np.abs(ms[~exact]), return_inverse=True)
+    if data.growth.beta == 0 and data.growth.rate == 0:
+        centers, which = centers[:1], np.zeros_like(which)
     Js[~exact] = np.array([_solve_window(L, int(m), data.growth, tol,
                                          clip_to_knee=best_effort)
                            for m in centers], dtype=np.int64)[which]
@@ -527,46 +537,69 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
                          for a, z in zip(cu[starts], cu[ends])])
     first = np.searchsorted(js, ms - Js)
     b, present = _gather_samples(data, js)
-    if not data.zero_fill:
-        for f, J in zip(first, Js):
-            gap = ~present[f:f + 2 * J + 1]
-            if gap.any():
-                j = js[f + int(np.argmax(gap))]
-                raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
-    # zero-filled tables sum over their stored indices only
-    filtered = not np.all(present)
+    # stored indices per window: zero-filled tables sum over these only
+    width = 2 * Js + 1
+    stored = np.concatenate([[0], np.cumsum(present)])
+    kept = stored[first + width] - stored[first]
+    if not data.zero_fill and np.any(kept < width):
+        f = first[np.argmax(kept < width)]
+        j = js[f + int(np.argmax(~present[f:]))]
+        raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
     out[exact] = b[first[exact]]
 
     todo = np.nonzero(~exact)[0]
     if len(todo) == 0:
         return out
     # one row L_k(t - o), |o| <= Jmax, per distinct offset t = x - m; the
-    # points are grouped by row so that each chunk's rows are consumed
-    # before the next chunk is synthesized
+    # points are grouped by row so that each batch's rows are consumed
+    # before the next batch is synthesized
     ts, row = np.unique(xs[todo] - ms[todo], return_inverse=True)
     order = np.argsort(row, kind="stable")
     todo, row = todo[order], row[order]
     offsets = np.arange(-Jmax, Jmax + 1)
-    step = max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.coeffs)))
-    batch = step * max(1, _BATCH_POINTS // (step * len(offsets)))
-    for s in range(0, len(ts), step):
-        if s % batch == 0:
-            windows, at = _green_rows(
-                L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
-        q = (s % batch) * len(offsets)
-        Lv = _synthesize(L, windows, at[q:q + step * len(offsets)])
+    chunk = len(offsets) * max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.coeffs)))
+    batch = chunk // len(offsets) * max(1, _BATCH_POINTS // chunk)
+    # points per contraction: the gathered windows take at most
+    # _GATHER_ELEMS entries
+    step = max(1, _GATHER_ELEMS // len(offsets))
+    for s in range(0, len(ts), batch):
+        windows, at = _green_rows(
+            L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
+        Lv = np.concatenate([_synthesize(L, windows, at[q:q + chunk])
+                             for q in range(0, len(at), chunk)])
         Lv = Lv.reshape(-1, len(offsets))
-        lo, hi = np.searchsorted(row, [s, s + step])
-        pts = todo[lo:hi]
-        # plain ints: numpy scalar arithmetic would cost more than the dots
-        for i, r, f, J in zip(pts.tolist(), (row[lo:hi] - s).tolist(),
-                              first[pts].tolist(), Js[pts].tolist()):
-            win = slice(f, f + 2 * J + 1)
-            bi, Li = b[win], Lv[r, Jmax - J:Jmax + J + 1]
-            if filtered:
-                keep = present[win]
-                bi, Li = bi[keep], Li[keep]
-            # one dot per point over its own window: a padded contraction sums
-            # in another order and moves results at the synthesis noise floor
-            out[i] = np.dot(bi, Li)
+        lo, hi = np.searchsorted(row, [s, s + batch])
+        for p in range(lo, hi, step):
+            pts = todo[p:min(hi, p + step)]
+            out[pts] = _contract(Lv, row[p:p + len(pts)] - s, Jmax - Js[pts],
+                                 b, present, first[pts], width[pts], kept[pts])
+    return out
+
+
+def _contract(Lv, rows, lead, b, present, first, width, kept) -> np.ndarray:
+    """sum_j b_j L_k(x - j) over each point's window, b[first:first+width]
+    against Lv[row, lead:lead+width], over its present entries where it
+    keeps fewer than width of them.
+
+    Every point still gets the BLAS ddot np.dot would give it: the points
+    with one width and kept count are gathered into contiguous (m, kept)
+    arrays, kept entries in window order, and np.matmul sends each
+    (1 x kept) @ (kept x 1) slice of the stack to ddot.  Padding to a common
+    width, or einsum, sums in another order and moves results at the
+    synthesis noise floor.
+    """
+    key = width * (int(np.max(width)) + 1) + kept
+    by = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[by], prepend=-1))
+    out = np.empty(len(width))
+    for a, z in zip(heads.tolist(), np.append(heads[1:], len(by)).tolist()):
+        sel = by[a:z]
+        w, n = int(width[sel[0]]), int(kept[sel[0]])
+        span = np.arange(w)
+        win = first[sel, None] + span
+        B, Lw = b[win], Lv[rows[sel, None], lead[sel, None] + span]
+        if n < w:
+            keep = present[win]
+            B, Lw = B[keep].reshape(len(sel), n), Lw[keep].reshape(len(sel), n)
+        out[sel] = np.matmul(B[:, None, :], Lw[:, :, None])[:, 0, 0]
     return out

@@ -135,17 +135,17 @@ def cmd_coeffs(args) -> int:
     table = compute_coefficients(params, tol)
     wall = (time.perf_counter() - t0) * 1e3
     csv_path, json_path = _outputs(args, f"coeffs_a{args.alpha:g}_k{params.k}.csv")
-    rows = [("%d" % j, c) for j, c in zip(table.indices, table.coeffs)]
+    keys, coeffs = [str(j) for j in table.indices.tolist()], table.coeffs.tolist()
     meta = {
         "half_width": table.half_width,
         "tail_bound": table.tail_bound,
         "decay_rate": table.decay_rate,
         "decay_amplitude": table.decay_amplitude,
-        "coeffs": {str(j): c for j, c in zip(table.indices.tolist(), table.coeffs.tolist())},
+        "coeffs": dict(zip(keys, coeffs)),
     }
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["j", "c_j"], rows)
+        _write_csv(csv_path, ["j", "c_j"], zip(keys, coeffs))
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol, meta, wall)
     outs.append(json_path)
@@ -163,12 +163,13 @@ def cmd_eval_L(args) -> int:
     vals = np.asarray(eval_fundamental(L, grid))
     wall = (time.perf_counter() - t0) * 1e3
     csv_path, json_path = _outputs(args, f"evalL_a{args.alpha:g}_k{params.k}.csv")
+    xs, vals = grid.tolist(), vals.tolist()
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["x", "L_k"], zip(grid, vals))
+        _write_csv(csv_path, ["x", "L_k"], zip(xs, vals))
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"x": grid.tolist(), "L_k": vals.tolist()}, wall)
+                   {"x": xs, "L_k": vals}, wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs,
                     {"table_tail_bound": L.table.tail_bound}, wall)
@@ -185,12 +186,13 @@ def cmd_interp(args) -> int:
     vals = interpolate_grid(L, data, grid, max(tol, 1e-12))
     wall = (time.perf_counter() - t0) * 1e3
     csv_path, json_path = _outputs(args, f"interp_a{args.alpha:g}_k{params.k}.csv")
+    xs, vals = grid.tolist(), vals.tolist()
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["x", "f_b"], zip(grid, vals))
+        _write_csv(csv_path, ["x", "f_b"], zip(xs, vals))
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"x": grid.tolist(), "f_b": vals.tolist(), "data": str(args.data)}, wall)
+                   {"x": xs, "f_b": vals, "data": str(args.data)}, wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs, {}, wall)
     return 0
@@ -220,7 +222,8 @@ def cmd_reproduce(args) -> int:
     csv_path, json_path = _outputs(args, f"reproduce_{args.basis}_a{args.alpha:g}_k{params.k}.csv")
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["x", "g", "f_b", "abs_err"], zip(grid, g, fb, abs_err))
+        _write_csv(csv_path, ["x", "g", "f_b", "abs_err"],
+                   zip(grid.tolist(), g.tolist(), fb.tolist(), abs_err.tolist()))
         outs.append(csv_path)
     max_err = float(np.max(abs_err))
     gate = gate_tol * max(1.0, float(np.max(np.abs(g))))

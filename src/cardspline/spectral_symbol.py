@@ -65,15 +65,21 @@ def _tail_integral(u0, alpha: float, k: int):
     the series converge geometrically with every digit intact.
     """
     u0 = np.asarray(u0, dtype=float)
-    q = (alpha / u0) ** 2
+    if u0.size == 0:
+        return np.zeros_like(u0)
+    neg_q = -(alpha / u0) ** 2
+    # the whole-array test passes only once every element does; the one with
+    # the largest q converges slowest, so it is tested alone first
+    slow = int(np.argmin(neg_q))
     term = np.ones_like(u0)
     total = np.zeros_like(u0)
     for m in range(120):
         contrib = term / (2 * k + 2 * m - 1)
         total += contrib
-        if np.all(np.abs(contrib) <= 1e-17 * np.abs(total)):
+        if abs(contrib.flat[slow]) <= 1e-17 * abs(total.flat[slow]) and \
+                np.all(np.abs(contrib) <= 1e-17 * np.abs(total)):
             break
-        term *= -q * (k + m) / (m + 1.0)
+        term *= neg_q * (k + m) / (m + 1.0)
     return total * u0 ** (1 - 2 * k)
 
 

@@ -13,10 +13,13 @@ refined_coefficients_fsum (one math.fsum per coefficient, for the exact row
 sums of the coefficient refinement), eval_green_out_of_place (for the in-place
 eval_green), sample_reciprocal_full (every sample of every doubling level,
 for the reuse of the even ones), panel_nodes_loop (one panel at a time, for
-_panel_nodes) and time_eval_full (the whole cosine matrix, for the mirrored
-rows of BandlimitedTarget.time_eval); and two reference quantities that only
-the tests read: the exact one-sided knot derivatives of E_k and the plain
-(uncorrected) periodization tail bound.
+_panel_nodes), time_eval_full (the whole cosine matrix, for the mirrored
+rows of BandlimitedTarget.time_eval), tail_integral_loop (the whole-array
+convergence test in every term, for _tail_integral) and
+interpolate_grid_loop (one window solve per center and one np.dot per
+point, for the grouped contraction of interpolate_grid); and two reference
+quantities that only the tests read: the exact one-sided knot derivatives of
+E_k and the plain (uncorrected) periodization tail bound.
 
 scipy and mpmath are imported here only; the package itself needs neither.
 """
@@ -27,8 +30,10 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
+from cardspline import cardinal_interpolation as ci
 from cardspline.bandlimited_analysis import _panel_nodes
 from cardspline.cardinal_interpolation import _solve_window
+from cardspline.errors import MissingDataError
 from cardspline.greens_kernel import (SplineParams, build_green_kernel, eval_green,
                                       eval_green_hat)
 from cardspline.spectral_symbol import fundamental_hat, reciprocal_symbol
@@ -416,3 +421,82 @@ def time_eval_full(target, x) -> float | np.ndarray:
     gh = np.asarray(target.spectrum(nodes), dtype=float)
     out = INV_SQRT_2PI * (np.cos(np.outer(xs, nodes)) @ (w * gh))
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def tail_integral_loop(u0, alpha: float, k: int):
+    """spectral_symbol._tail_integral with the whole-array convergence test
+    in every iteration."""
+    u0 = np.asarray(u0, dtype=float)
+    q = (alpha / u0) ** 2
+    term = np.ones_like(u0)
+    total = np.zeros_like(u0)
+    for m in range(120):
+        contrib = term / (2 * k + 2 * m - 1)
+        total += contrib
+        if np.all(np.abs(contrib) <= 1e-17 * np.abs(total)):
+            break
+        term *= -q * (k + m) / (m + 1.0)
+    return total * u0 ** (1 - 2 * k)
+
+
+def interpolate_grid_loop(L, data, xs, tol: float = 1e-8,
+                          best_effort: bool = False) -> np.ndarray:
+    """cardinal_interpolation.interpolate_grid with one window solve per
+    distinct |round(x)| and one np.dot per point over the L_k rows of each
+    _CHUNK_ELEMS chunk."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    out = np.empty(len(xs))
+    if len(xs) == 0:
+        return out
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("interpolation points must be finite")
+    ms = np.rint(xs).astype(np.int64)
+    exact = (np.abs(xs - ms) < 1e-12) & L.cardinality_ok
+    Js = np.zeros(len(xs), dtype=np.int64)
+    centers, which = np.unique(np.abs(ms[~exact]), return_inverse=True)
+    Js[~exact] = np.array([ci._solve_window(L, int(m), data.growth, tol,
+                                            clip_to_knee=best_effort)
+                           for m in centers], dtype=np.int64)[which]
+    Jmax = int(np.max(Js))
+    cu = np.unique(ms)
+    starts = np.concatenate([[True], np.diff(cu) > 2 * Jmax + 1])
+    ends = np.concatenate([starts[1:], [True]])
+    js = np.concatenate([np.arange(a - Jmax, z + Jmax + 1)
+                         for a, z in zip(cu[starts], cu[ends])])
+    first = np.searchsorted(js, ms - Js)
+    b, present = ci._gather_samples(data, js)
+    if not data.zero_fill:
+        for f, J in zip(first, Js):
+            gap = ~present[f:f + 2 * J + 1]
+            if gap.any():
+                j = js[f + int(np.argmax(gap))]
+                raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
+    filtered = not np.all(present)
+    out[exact] = b[first[exact]]
+    todo = np.nonzero(~exact)[0]
+    if len(todo) == 0:
+        return out
+    ts, row = np.unique(xs[todo] - ms[todo], return_inverse=True)
+    order = np.argsort(row, kind="stable")
+    todo, row = todo[order], row[order]
+    offsets = np.arange(-Jmax, Jmax + 1)
+    step = max(1, ci._CHUNK_ELEMS // (len(offsets) * len(L.table.coeffs)))
+    batch = step * max(1, ci._BATCH_POINTS // (step * len(offsets)))
+    for s in range(0, len(ts), step):
+        if s % batch == 0:
+            windows, at = ci._green_rows(
+                L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
+        q = (s % batch) * len(offsets)
+        Lv = ci._synthesize(L, windows, at[q:q + step * len(offsets)])
+        Lv = Lv.reshape(-1, len(offsets))
+        lo, hi = np.searchsorted(row, [s, s + step])
+        pts = todo[lo:hi]
+        for i, r, f, J in zip(pts.tolist(), (row[lo:hi] - s).tolist(),
+                              first[pts].tolist(), Js[pts].tolist()):
+            win = slice(f, f + 2 * J + 1)
+            bi, Li = b[win], Lv[r, Jmax - J:Jmax + J + 1]
+            if filtered:
+                keep = present[win]
+                bi, Li = bi[keep], Li[keep]
+            out[i] = np.dot(bi, Li)
+    return out

@@ -20,7 +20,8 @@ from cardspline.errors import (DataFormatError, MissingDataError,
                                WindowOverflowError)
 from cardspline.greens_kernel import SplineParams
 from oracles import (eval_fundamental_direct, eval_fundamental_spectral,
-                     fundamental_k1_closed, interpolate_pointwise)
+                     fundamental_k1_closed, interpolate_grid_loop,
+                     interpolate_pointwise)
 
 ALPHAS = [0.5, 1.0, 2.0]
 
@@ -475,6 +476,49 @@ class TestInterpolateGrid:
         # a points x window matrix of L_k values alone would take the full bound
         assert peak < len(xs) * (2 * Jmax + 1) * 8 / 2
 
+    def test_flat_growth_solves_one_window(self, solved_centers):
+        # tables carry a flat growth bound, whose log_bound is the same
+        # constant at every center: one solve serves every point
+        L = L_of(1.0, 3, 1e-9)
+        data = seeded_table(2)
+        assert (data.growth.beta, data.growth.rate) == (0.0, 0.0)
+        xs = np.linspace(-30.35, 29.65, 1201)
+        got = interpolate_grid(L, data, xs, 1e-9)
+        assert solved_centers == [0]
+        del solved_centers[:]
+        delta = sequence_from_rule("delta", 1.0)
+        interpolate_grid(L, delta, np.array([-7.5, 12.25, 3.0, 40.4]), 1e-9)
+        assert solved_centers == [8]   # the smallest |round(x)|, as before
+        del solved_centers[:]
+        # the per-center solves give the same widths and bits
+        assert_bitwise(got, interpolate_grid_loop(L, data, xs, 1e-9))
+        assert len(solved_centers) == 31
+
+    def test_flat_growth_refuses_as_before(self):
+        # a tolerance below the floor: the one solve raises what the first
+        # of the per-center solves raised
+        L = L_of(1.0, 3)
+        data = sequence_from_table({0: 1e12, 3: -2.0})
+        xs = np.array([40.5, 0.25, -3.75])
+        want = first_error(interpolate_grid_loop, L, data, xs, 1e-14)
+        assert want[0] is WindowOverflowError
+        assert first_error(interpolate_grid, L, data, xs, 1e-14) == want
+
+    def test_gather_memory_does_not_grow_with_the_points(self):
+        # 48,060 points on 8 non-integer offsets: the windows are gathered a
+        # slice of points at a time, not as one points x window matrix
+        L = L_of(1.0, 2)
+        data = seeded_table(6)
+        xs = np.tile(np.arange(-400, 401) / 8.0, 60)
+        J = cardinal_interpolation._solve_window(L, 0, data.growth, 1e-10)
+        tracemalloc.start()
+        try:
+            interpolate_grid(L, data, xs, 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(xs) * (2 * J + 1) * 8 / 2
+
     def test_integer_points_use_cardinality(self, solved_centers):
         L = L_of(1.0, 3)
         assert L.cardinality_ok
@@ -550,6 +594,94 @@ class TestInterpolateGrid:
             got, pointwise(L, data, xs, 1e-10, best_effort=True))
         # the clipped window at center 100 is the one 1e-9 certifies
         assert got[2] == interpolate_at(L, data, 100.5, 1e-9)
+
+
+class TestGroupedContraction:
+    """interpolate_grid contracts the points of one window width (and kept
+    count) in one stacked np.matmul; every point must keep the bits of its
+    own np.dot."""
+
+    def test_stacked_matmul_is_the_per_row_dot(self):
+        rng = np.random.default_rng(600)
+        for w in range(601):
+            B = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-12, 12, (3, w))
+            Lw = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-16, 0, (3, w))
+            got = np.matmul(B[:, None, :], Lw[:, :, None])[:, 0, 0]
+            assert_bitwise(got, [np.dot(b, l) for b, l in zip(B, Lw)])
+
+    @pytest.mark.parametrize("k,basis,tol", [(3, "cosh", 1e-6), (3, "sinh", 1e-6),
+                                             (2, "cosh", 1e-8), (2, "xexp+", 1e-6),
+                                             (2, "xexp-", 1e-6)])
+    def test_mixed_widths_bitwise(self, k, basis, tol):
+        # growing rule data on a jittered reproduce grid: widths differ from
+        # center to center, and each batch holds several of them
+        L = L_of(0.25, k)
+        data = sequence_from_rule(basis, 0.25)
+        xs = np.linspace(-5.3127, 5.3127, 101)
+        widths = {cardinal_interpolation._solve_window(L, m, data.growth, tol)
+                  for m in range(6)}
+        assert len(widths) > 1
+        got = interpolate_grid(L, data, xs, tol)
+        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol))
+        # a window narrower than the widest takes its L_k values from the
+        # middle of a longer synthesized row, at other dgemv positions than
+        # interpolate_pointwise's own: agreement to the synthesis noise
+        bmax = float(np.max(np.abs(data.rule(np.arange(-40.0, 41.0)))))
+        np.testing.assert_allclose(got, pointwise(L, data, xs, tol),
+                                   rtol=0, atol=L.noise_floor * bmax)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("basis", ["cosh", "sinh", "xexp+", "xexp-"])
+    def test_reproduce_bases_bitwise(self, k, basis):
+        # the reproduce path: best effort at the gate-scaled tolerance
+        L = L_of(0.25, k)
+        data = sequence_from_rule(basis, 0.25)
+        u = float(np.random.default_rng(k).uniform(0.0, 0.5))
+        xs = np.linspace(-5.0 - u, 5.0 + u, 101)
+        tol = 0.05e-8 * max(1.0, float(np.max(np.abs(data.rule(xs)))))
+        got = interpolate_grid(L, data, xs, tol, best_effort=True)
+        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol, best_effort=True))
+        if k > 2:   # one width, clipped at the knee
+            assert_bitwise(got, pointwise(L, data, xs, tol, best_effort=True))
+
+    @pytest.mark.parametrize("alpha,k,tol", [(1.0, 2, 1e-10), (1.0, 3, 1e-9),
+                                             (0.5, 3, 1e-9), (2.0, 3, 1e-10)])
+    def test_zero_filled_kept_counts_bitwise(self, alpha, k, tol):
+        # stored indices dense on -60..0, sparse on 1..30, none beyond: the
+        # kept counts of one batch run from 0 to 2J + 1
+        L = L_of(alpha, k)
+        rng = np.random.default_rng(7)
+        keys = list(range(-60, 1)) + sorted(rng.choice(np.arange(1, 31), 12,
+                                                       replace=False).tolist())
+        data = sequence_from_table({j: float(rng.uniform(-2.0, 2.0)) for j in keys})
+        J = cardinal_interpolation._solve_window(L, 0, data.growth, tol)
+        xs = np.linspace(-80.0, 80.0, 641) + 0.0371
+        ms = np.rint(xs).astype(int)
+        kept = {sum(j in data.table for j in range(m - J, m + J + 1)) for m in ms}
+        assert kept >= {0, 1, 2 * J + 1}
+        got = interpolate_grid(L, data, xs, tol)
+        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol))
+        empty = np.array([m - J > 30 or m + J < -60 for m in ms])
+        assert empty.any() and got[empty].tolist() == [0.0] * int(empty.sum())
+        # interpolate_pointwise synthesizes L_k over the kept indices alone,
+        # whose dgemv shapes differ: agreement to the synthesis noise
+        np.testing.assert_allclose(got, pointwise(L, data, xs, tol),
+                                   rtol=0, atol=10 * L.noise_floor * 2.0)
+
+    def test_strict_table_first_missing_index(self):
+        # windows of several points run off the table on both sides; the
+        # refusal names the first absent index of the first such point
+        L = L_of(1.0, 3)
+        data = sequence_from_table({j: float(j % 7) for j in range(-45, 46)},
+                                   zero_fill=False)
+        xs = np.linspace(-40.3, 40.3, 323)
+        want = first_error(lambda: [interpolate_pointwise(L, data, float(x), 1e-9)
+                                    for x in xs])
+        assert want[0] is MissingDataError
+        assert first_error(interpolate_grid, L, data, xs, 1e-9) == want
+        inside = xs[np.abs(xs) < 10.0]
+        assert_bitwise(interpolate_grid(L, data, inside, 1e-9),
+                       pointwise(L, data, inside, 1e-9))
 
 
 class TestReproductionSuite:

@@ -12,7 +12,8 @@ from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
                                         periodized_green_hat, reciprocal_symbol)
 from oracles import (bits, periodized_k1_closed, periodized_spatial,
                      plain_tail_bound, reciprocal_k1_closed,
-                     refined_coefficients_fsum, sample_reciprocal_full)
+                     refined_coefficients_fsum, sample_reciprocal_full,
+                     tail_integral_loop)
 
 ALPHAS = [0.5, 1.0, 2.0]
 XI_GRID = np.linspace(-np.pi, np.pi, 41)
@@ -258,6 +259,32 @@ class TestDoubledSamples:
             vals = ss._doubled_samples(params, vals)
             np.testing.assert_array_equal(bits(vals),
                                           bits(sample_reciprocal_full(params, n)))
+
+
+class TestTailIntegral:
+    """The tail series stops at the same term as with the whole-array test in
+    every iteration."""
+
+    def test_bitwise_whole_array_loop(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            alpha = float(rng.choice([0.25, 0.5, 1.0, 2.0, rng.uniform(0.01, 8.0)]))
+            k = int(rng.integers(1, 31))
+            n = int(rng.choice([0, 1, 2, 5, 64, 257]))
+            # lattice_sum's arguments, 2 pi (M + 1/2) -+ xr, and a few near
+            # alpha, where the series converges slowly
+            u0 = ss._TWO_PI * (rng.integers(8, 40) + 0.5) + rng.uniform(-np.pi, np.pi, n)
+            if trial % 5 == 0:
+                u0 = rng.uniform(1.02, 3.0, n) * alpha
+            np.testing.assert_array_equal(
+                bits(ss._tail_integral(u0, alpha, k)),
+                bits(tail_integral_loop(u0, alpha, k)),
+                err_msg=f"trial {trial}")
+
+    def test_empty_and_scalar(self):
+        assert ss._tail_integral(np.array([]), 1.0, 3).shape == (0,)
+        got = ss._tail_integral(np.float64(60.0), 1.0, 3)
+        np.testing.assert_array_equal(bits(got), bits(tail_integral_loop(60.0, 1.0, 3)))
 
 
 class TestRefinedCoefficients:
