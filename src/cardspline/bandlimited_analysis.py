@@ -252,7 +252,8 @@ def replica_power(params: SplineParams, xi, tol: float = 1e-12):
 @dataclass(frozen=True)
 class ErrorReport:
     """Interpolation error summary for one (params, target) cell;
-    ell_truncation is replica_power's M."""
+    ell_truncation is replica_power's M, cardinality_error that of the L_k
+    the sup error was interpolated with."""
 
     params: SplineParams
     target: str
@@ -261,6 +262,7 @@ class ErrorReport:
     sup_error_grid: float
     quadrature_resolution: int
     ell_truncation: int
+    cardinality_error: float = 0.0
 
     def __post_init__(self):
         vals = (self.l2_error, self.l2_bound, self.sup_error_grid)
@@ -370,7 +372,8 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
                                    l2_bound=math.sqrt(max(2.0 * s2, 0.0)),
                                    sup_error_grid=sup,
                                    quadrature_resolution=quad_res,
-                                   ell_truncation=ell))
+                                   ell_truncation=ell,
+                                   cardinality_error=L.cardinality_error))
     return reports
 
 

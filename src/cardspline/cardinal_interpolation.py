@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +40,6 @@ from .spectral_symbol import (CoefficientTable, compute_coefficients,
                               fit_decay_envelope)
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_WINDOW_CAP = 10 ** 6
 _WINDOW_HORIZON = 4000
 # kernel-matrix entries per synthesis product.  Both caps fix how the points
 # are partitioned into matrix-vector products, and with it the last bit of
@@ -51,9 +51,12 @@ _CHUNK_ELEMS = 8192
 # points whose kernel rows interpolate_grid builds at once: rows are shared
 # across the whole batch, and the batch bounds the grouping's memory
 _BATCH_POINTS = 2 ** 12
-# window entries interpolate_grid gathers for one contraction, which bounds
-# its memory on grids with many points per offset
-_GATHER_ELEMS = 2 ** 16
+# entries one array pass gathers at most: kernel-matrix entries of a stack
+# of synthesis products, window entries of one contraction, and
+# _WINDOW_HORIZON-term tail rows of the window solver's centers.  128 KiB
+# of float64: glibc serves larger blocks by mmap, and then page-faults every
+# temporary afresh (2.0 * x took 34 us at 16,000 entries, 206 us at 24,000)
+_GATHER_ELEMS = 2 ** 14
 # the envelope tail model ignores sign alternation and overstates real tails
 # by a small constant; refusals require missing the floor by this factor
 _MODEL_FLOOR_SLACK = 25.0
@@ -81,7 +84,7 @@ class FundamentalFunction:
     cardinality_ok: bool
     cardinality_error: float = 0.0
 
-    @property
+    @cached_property
     def compact(self) -> bool:
         return self.table.compact_support
 
@@ -124,12 +127,19 @@ def _green_rows(L: FundamentalFunction, xs):
     spread = r[np.append(heads[1:], len(a)) - 1]
     lens = width + spread
     row0 = np.cumsum(lens) - lens
-    # run g holds E_k(base_g - s) for s = -J - spread_g .. J, in that order
-    s = np.arange(int(lens.sum())) - np.repeat(row0 + J + spread, lens)
-    E = eval_green(L.kernel, np.repeat(base, lens) - s)
+    # run g holds E_k(base_g - s) for s = -J - spread_g .. J, in that order;
+    # the arguments are formed in place, as the rows can outgrow the heap's
+    # free space and then cost page faults for every temporary
+    s = np.arange(int(lens.sum()))
+    s -= np.repeat(row0 + J + spread, lens)
+    arg = np.repeat(base, lens)
+    arg -= s
+    E = eval_green(L.kernel, arg)
     at = np.empty(len(a), dtype=np.int64)
     at[order] = row0[run] + spread[run] - r
-    return np.lib.stride_tricks.sliding_window_view(E, width), at
+    windows = np.lib.stride_tricks.as_strided(E, (len(E) - width + 1, width),
+                                              E.strides * 2, writeable=False)
+    return windows, at
 
 
 def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
@@ -148,40 +158,56 @@ def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
     out = np.empty_like(xs)
     block = _product_rows(L)
     for s in range(0, len(xs), block):
-        out[s:s + block] = _synthesize(L, *_green_rows(L, xs[s:s + block]))
+        out[s:s + block] = _synthesize(L, *_green_rows(L, xs[s:s + block]), block)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def _product_rows(L: FundamentalFunction) -> int:
-    """Points per synthesis product."""
+    """Points per synthesis product in eval_fundamental."""
     return max(1, _PRODUCT_ELEMS // len(L.table.coeffs))
 
 
-def _synthesize(L: FundamentalFunction, windows, at) -> np.ndarray:
+def _synthesize(L: FundamentalFunction, windows, at, chunk: int) -> np.ndarray:
     """(2 pi)^{-1/2} windows[at] @ c for kernel rows from _green_rows, one
-    product per _product_rows(L) points."""
-    block = _product_rows(L)
+    matrix-vector product per chunk of rows of at.
+
+    The chunks fix the last bits (see _PRODUCT_ELEMS), so they are only
+    stacked, not merged: the full chunks are gathered into (m, chunk, 2J+1)
+    stacks of at most _GATHER_ELEMS entries (one chunk at least), and
+    np.matmul sends each matrix of a stack to the dgemv a lone chunk gets.
+    The partial last chunk is contracted alone.
+    """
+    c = L.table.coeffs
+    full = len(at) - len(at) % chunk
+    step = chunk * max(1, _GATHER_ELEMS // (chunk * len(c)))
     out = np.empty(len(at))
-    for s in range(0, len(at), block):
-        out[s:s + block] = windows[at[s:s + block]] @ L.table.coeffs
+    for s in range(0, full, step):
+        idx = at[s:min(full, s + step)].reshape(-1, chunk)
+        out[s:s + idx.size] = (windows[idx] @ c).ravel()
+    if full < len(at):
+        out[full:] = windows[at[full:]] @ c
     out *= _INV_SQRT_2PI
     return out
 
 
-def _fit_fundamental_envelope(L_partial: FundamentalFunction):
-    """Fit |L_k| <= C e^{-c x} on per-unit-interval maxima over [2, 15]."""
-    xs = np.arange(2.0, 15.0, 0.05)
-    vals = np.abs(np.asarray(eval_fundamental(L_partial, xs)))
-    ns = np.arange(2, 14)
-    mx = np.array([vals[(xs >= n) & (xs < n + 1)].max() for n in ns])
+def _fit_fundamental_envelope(xs, vals):
+    """Fit |L_k| <= C e^{-c x} on the maxima of |L_k| over the unit intervals
+    [n, n+1), n = 2..13, of the sorted grid xs."""
+    edges = np.searchsorted(xs, np.arange(2.0, 15.0))
+    mx = np.maximum.reduceat(np.abs(vals[:edges[-1]]), edges[:-1])
     keep = mx > 0
-    rate, amp = fit_decay_envelope(ns[keep] + 0.5, mx[keep])
-    return rate, amp
+    return fit_decay_envelope(np.arange(2, 14)[keep] + 0.5, mx[keep])
 
 
 def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFunction:
     """Compose the kernel and coefficient table and certify the two defining
-    invariants (delta property on the integers, evenness)."""
+    invariants (delta property on the integers, evenness).
+
+    The envelope-fit grid (2 <= x < 15 in steps of 0.05), the integers
+    -20..20 and the evenness grids +-x share one _green_rows call, whose
+    sharing is exact; each grid is contracted in its own products, so its
+    values are the bits eval_fundamental gives it.
+    """
     if tol < 1e-14:
         raise ParameterDomainError(f"tol must be >= 1e-14, got {tol:g}")
     kernel = build_green_kernel(params)
@@ -195,19 +221,23 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     # scale nothing survives
     noise = 1e-16 * table.max_abs_coeff * (4.0 * kernel.peak + 1.0) * _INV_SQRT_2PI
 
-    partial = FundamentalFunction(params=params, kernel=kernel, table=table,
-                                  env_rate=None, env_amplitude=None,
-                                  noise_floor=noise, cardinality_ok=False)
-    rate, amp = (None, None) if table.compact_support else \
-        _fit_fundamental_envelope(partial)
-    L = replace(partial, env_rate=rate, env_amplitude=amp)
-
+    L = FundamentalFunction(params=params, kernel=kernel, table=table,
+                            env_rate=None, env_amplitude=None,
+                            noise_floor=noise, cardinality_ok=False)
+    env_xs = np.empty(0) if L.compact else np.arange(2.0, 15.0, 0.05)
     js = np.arange(-20, 21)
-    delta = (js == 0).astype(float)
-    card_err = float(np.max(np.abs(eval_fundamental(L, js.astype(float)) - delta)))
     xs = np.linspace(0.1, 5.0, 23)
-    even_err = float(np.max(np.abs(np.asarray(eval_fundamental(L, xs))
-                                   - np.asarray(eval_fundamental(L, -xs)))))
+    grids = (env_xs, js.astype(float), xs, -xs)
+    windows, at = _green_rows(L, np.concatenate(grids))
+    ends = np.cumsum([len(g) for g in grids])
+    env_vals, card_vals, even_vals, odd_vals = (
+        _synthesize(L, windows, at[e - len(g):e], _product_rows(L))
+        for g, e in zip(grids, ends))
+    rate, amp = (None, None) if L.compact else \
+        _fit_fundamental_envelope(env_xs, env_vals)
+
+    card_err = float(np.max(np.abs(card_vals - (js == 0))))
+    even_err = float(np.max(np.abs(even_vals - odd_vals)))
     # the synthesis rounds each product c_j E(x-j) at eps * |term|, so for
     # extreme (alpha, k) the delta property cannot reach 1e-8 in double
     # precision; record the residual and flag instead of refusing, and only
@@ -217,7 +247,8 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
             f"cardinality check failed: max |L(j) - delta| = {card_err:.3e}")
     if even_err > 0.0:
         raise ParameterDomainError(f"evenness must be exact, got {even_err:.3e}")
-    return replace(L, cardinality_ok=card_err < 1e-8, cardinality_error=card_err)
+    return replace(L, env_rate=rate, env_amplitude=amp,
+                   cardinality_ok=card_err < 1e-8, cardinality_error=card_err)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +268,14 @@ class GrowthModel:
         return self.amplitude * (1.0 + aj) ** self.beta * np.exp(self.rate * aj)
 
     def log_bound(self, j) -> np.ndarray:
+        """log(amplitude) + beta log1p(|j|) + rate |j|, summed in place."""
         aj = np.abs(np.asarray(j, dtype=float))
-        return math.log(self.amplitude) + self.beta * np.log1p(aj) + self.rate * aj
+        out = np.log1p(aj)
+        out *= self.beta
+        out += math.log(self.amplitude)
+        aj *= self.rate
+        out += aj
+        return out
 
 
 @dataclass(frozen=True)
@@ -390,21 +427,33 @@ def _noise_knee(L: FundamentalFunction) -> float:
     return (lg - a * j_edge) / (c - a)
 
 
-def _solve_window(L: FundamentalFunction, center: int, growth: GrowthModel,
-                  tol: float, clip_to_knee: bool = False) -> int:
-    """Smallest half width J with sum_{|j-center|>J} bound(b_j) env(|x-j|) < tol,
-    where env is the fitted exponential envelope of |L_k|.
+def _solve_windows(L: FundamentalFunction, centers, growth: GrowthModel,
+                   tol: float, clip_to_knee: bool = False) -> np.ndarray:
+    """The smallest half width J at each center: the first J with
+    sum_{|j-center|>J} bound(b_j) env(|x-j|) < tol, where env is the fitted
+    exponential envelope of |L_k|.
 
     Raises WindowOverflowError when no window can reach tol: either the data
     growth rate meets the envelope decay rate (the interpolation series
     diverges), or the window would have to extend past the noise knee, where
     double precision has no signal left to add.  With clip_to_knee the window
-    is capped at the knee instead (best-effort diagnostics).
+    is capped at the knee instead (best-effort diagnostics).  A refusal
+    names the first center in the order given that fails.
+
+    The centers are solved in passes of _GATHER_ELEMS // _WINDOW_HORIZON,
+    one (centers x _WINDOW_HORIZON) array of tail terms per pass; each row
+    takes the elementwise operations, and the sequential cumulative sum, of
+    a center solved alone.
     """
+    centers = np.abs(np.asarray(centers, dtype=float))
+    Js = np.empty(len(centers), dtype=np.int64)
+    if len(centers) == 0:
+        return Js
     if tol <= 0:
         raise ValueError("tol must be positive")
     if L.compact:
-        return 1
+        Js[:] = 1
+        return Js
     if growth.rate >= L.env_rate:
         raise WindowOverflowError(
             f"data growth rate {growth.rate:g} >= fundamental-function decay rate "
@@ -412,37 +461,54 @@ def _solve_window(L: FundamentalFunction, center: int, growth: GrowthModel,
             "interpolation series diverges")
 
     d = np.arange(1, _WINDOW_HORIZON + 1, dtype=float)
-    # assembled in log space: the growth factor alone overflows long before
-    # the envelope pulls the product back down
-    log_terms = math.log(2.0) + growth.log_bound(abs(center) + d) \
-        + math.log(L.env_amplitude) - L.env_rate * (d - 0.5)
-    # terms at or below the underflow edge equal exp(-745); they are filled in
-    # rather than computed, because subnormal results make exp ~50x slower
-    terms = np.full(len(d), np.exp(-745.0))
-    live = log_terms > -745.0
-    terms[live] = np.exp(np.minimum(log_terms[live], 700.0))
+    decay = L.env_rate * (d - 0.5)
     ratio = math.exp(growth.rate - L.env_rate)
-    beyond = terms[-1] * ratio / (1.0 - ratio)
-    tails = np.cumsum(terms[::-1])[::-1] + beyond
-
     knee = _noise_knee(L)
-    achievable = float(tails[min(int(knee), len(tails)) - 1])
-    ok = np.nonzero(tails < tol)[0]
-    J = int(ok[0]) + 1 if len(ok) else _WINDOW_HORIZON + 1
-    if J > knee:
+    step = _GATHER_ELEMS // _WINDOW_HORIZON
+    for s in range(0, len(centers), step):
+        # assembled in log space: the growth factor alone overflows long
+        # before the envelope pulls the product back down.  Every step runs
+        # in place (the sums commute), so a pass makes few temporaries of at
+        # most _GATHER_ELEMS entries
+        log_terms = growth.log_bound(centers[s:s + step, None] + d)
+        log_terms += math.log(2.0)
+        log_terms += math.log(L.env_amplitude)
+        log_terms -= decay
+        # terms at or below the underflow edge equal exp(-745); they are
+        # filled in rather than computed, because subnormal results make exp
+        # ~50x slower
+        live = log_terms > -745.0
+        terms = np.full(log_terms.shape, np.exp(-745.0))
+        np.exp(np.minimum(log_terms, 700.0, out=log_terms), out=terms, where=live)
+        tails = log_terms
+        np.cumsum(terms[:, ::-1], axis=1, out=tails[:, ::-1])
+        tails += (terms[:, -1] * ratio / (1.0 - ratio))[:, None]
+
+        achievable = tails[:, min(int(knee), _WINDOW_HORIZON) - 1]
+        below = tails < tol
+        J = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1,
+                     _WINDOW_HORIZON + 1)
         # the envelope model overstates alternating tails by a constant; only
         # refuse when the request is clearly below the noise-limited floor,
         # otherwise hand back the knee-capped best-effort window
-        if clip_to_knee or tol >= achievable / _MODEL_FLOOR_SLACK:
-            return max(1, int(min(knee, _WINDOW_HORIZON)))
-        raise WindowOverflowError(
-            f"window tolerance {tol:g} lies below the double-precision floor "
-            f"~{achievable:.3e} for (alpha={L.params.alpha}, k={L.params.k}): "
-            f"the window would need {J} terms but the synthesis loses signal "
-            f"past {knee:.0f}")
-    if J > _WINDOW_CAP:
-        raise WindowOverflowError(f"window {J} exceeds cap {_WINDOW_CAP}")
-    return J
+        past = J > knee
+        refused = past & ~(clip_to_knee | (tol >= achievable / _MODEL_FLOOR_SLACK))
+        if refused.any():
+            i = int(np.argmax(refused))
+            raise WindowOverflowError(
+                f"window tolerance {tol:g} lies below the double-precision floor "
+                f"~{achievable[i]:.3e} for (alpha={L.params.alpha}, k={L.params.k}): "
+                f"the window would need {J[i]} terms but the synthesis loses "
+                f"signal past {knee:.0f}")
+        J[past] = max(1, int(min(knee, _WINDOW_HORIZON)))
+        Js[s:s + step] = J
+    return Js
+
+
+def _solve_window(L: FundamentalFunction, center: int, growth: GrowthModel,
+                  tol: float, clip_to_knee: bool = False) -> int:
+    """_solve_windows at one center."""
+    return int(_solve_windows(L, [center], growth, tol, clip_to_knee)[0])
 
 
 def select_window(L: FundamentalFunction, x: float, beta: float, tol: float) -> int:
@@ -483,11 +549,12 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     """f_b(x) = sum over a certified window around round(x) of b_j L_k(x - j),
     at every point of xs.
 
-    The window is solved once per distinct |m|, m = round(x) (half to even, as
-    Python's round); the solved width depends on the center only through
-    growth.log_bound(|m| + d), so data with flat growth (beta = rate = 0,
-    as tables without a declared growth get) solve one window for all
-    points: their bound is the constant log(amplitude), bit for bit.  At integers the cardinality
+    The windows of all points come from one _solve_windows call over the
+    distinct |m|, m = round(x) (half to even, as Python's round): the solved
+    width depends on the center only through growth.log_bound(|m| + d), so
+    data with flat growth (beta = rate = 0, as tables without a declared
+    growth get) pass one center for all points, since their bound is the
+    constant log(amplitude), bit for bit.  At integers the cardinality
     property short-circuits the sum to b_m.  Finite zero-filled tables sum
     over their stored indices only; strict tables raise MissingDataError at
     the first absent index.  With best_effort, tolerances below the
@@ -503,10 +570,11 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     arguments the point would form itself.  The kernel rows under these L_k
     rows come from one _green_rows call per batch of _BATCH_POINTS window
     points, so kernel values are shared across offsets as well (t and -t, and
-    the two sides of every row); each chunk of at most _CHUNK_ELEMS
-    kernel-matrix entries is then contracted in its own products, the
-    partition eval_fundamental gave it when called chunk by chunk.  Each
-    point's window sum stays one BLAS ddot, batched by _contract.
+    the two sides of every row).  The batch's rows are contracted with c in
+    one product per chunk of at most _CHUNK_ELEMS kernel-matrix entries,
+    which _synthesize stacks into a few np.matmul calls without moving a
+    product boundary.  Each point's window sum stays one BLAS ddot, batched
+    by _contract.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
@@ -522,9 +590,8 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     centers, which = np.unique(np.abs(ms[~exact]), return_inverse=True)
     if data.growth.beta == 0 and data.growth.rate == 0:
         centers, which = centers[:1], np.zeros_like(which)
-    Js[~exact] = np.array([_solve_window(L, int(m), data.growth, tol,
-                                         clip_to_knee=best_effort)
-                           for m in centers], dtype=np.int64)[which]
+    Js[~exact] = _solve_windows(L, centers, data.growth, tol,
+                                clip_to_knee=best_effort)[which]
 
     # every index within Jmax of a center, sorted: the union of runs of
     # overlapping windows, so far-apart points allocate no gap between them;
@@ -559,15 +626,17 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     offsets = np.arange(-Jmax, Jmax + 1)
     chunk = len(offsets) * max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.coeffs)))
     batch = chunk // len(offsets) * max(1, _BATCH_POINTS // chunk)
+    if chunk > _product_rows(L):
+        # a row longer than an eval_fundamental product is split as that
+        # splits it: one row per batch, in products of _product_rows(L)
+        batch, chunk = 1, _product_rows(L)
     # points per contraction: the gathered windows take at most
     # _GATHER_ELEMS entries
     step = max(1, _GATHER_ELEMS // len(offsets))
     for s in range(0, len(ts), batch):
         windows, at = _green_rows(
             L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
-        Lv = np.concatenate([_synthesize(L, windows, at[q:q + chunk])
-                             for q in range(0, len(at), chunk)])
-        Lv = Lv.reshape(-1, len(offsets))
+        Lv = _synthesize(L, windows, at, chunk).reshape(-1, len(offsets))
         lo, hi = np.searchsorted(row, [s, s + batch])
         for p in range(lo, hi, step):
             pts = todo[p:min(hi, p + step)]

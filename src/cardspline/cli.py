@@ -169,7 +169,8 @@ def cmd_eval_L(args) -> int:
         _write_csv(csv_path, ["x", "L_k"], zip(xs, vals))
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"x": xs, "L_k": vals}, wall)
+                   {"x": xs, "L_k": vals, "cardinality_error": L.cardinality_error},
+                   wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs,
                     {"table_tail_bound": L.table.tail_bound}, wall)
@@ -192,7 +193,8 @@ def cmd_interp(args) -> int:
         _write_csv(csv_path, ["x", "f_b"], zip(xs, vals))
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"x": xs, "f_b": vals, "data": str(args.data)}, wall)
+                   {"x": xs, "f_b": vals, "data": str(args.data),
+                    "cardinality_error": L.cardinality_error}, wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs, {}, wall)
     return 0
@@ -228,7 +230,8 @@ def cmd_reproduce(args) -> int:
     max_err = float(np.max(abs_err))
     gate = gate_tol * max(1.0, float(np.max(np.abs(g))))
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, gate_tol,
-                   {"basis": args.basis, "max_abs_err": max_err, "gate": gate}, wall)
+                   {"basis": args.basis, "max_abs_err": max_err, "gate": gate,
+                    "cardinality_error": L.cardinality_error}, wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs,
                     {"max_abs_err": max_err, "gate": gate}, wall)
@@ -261,7 +264,8 @@ def cmd_converge(args) -> int:
                     "rows": [{"k": r.params.k, "l2_error": r.l2_error,
                               "l2_bound": r.l2_bound, "sup_error": r.sup_error_grid,
                               "ell_trunc": r.ell_truncation,
-                              "quad_res": r.quadrature_resolution}
+                              "quad_res": r.quadrature_resolution,
+                              "cardinality_error": r.cardinality_error}
                              for r in reports]},
                    wall)
     outs.append(json_path)

@@ -16,8 +16,12 @@ for the reuse of the even ones), panel_nodes_loop (one panel at a time, for
 _panel_nodes), time_eval_full (the whole cosine matrix, for the mirrored
 rows of BandlimitedTarget.time_eval), tail_integral_loop (the whole-array
 convergence test in every term, for _tail_integral) and
-interpolate_grid_loop (one window solve per center and one np.dot per
-point, for the grouped contraction of interpolate_grid); and two reference
+interpolate_grid_loop (one window solve per center, one synthesis product
+call per chunk and one np.dot per point, for the stacked products, the
+window solve over all centers and the grouped contraction of
+interpolate_grid), solve_window_loop (one center at a time, for
+_solve_windows) and fundamental_checks_four_calls (one eval_fundamental call
+per check, for the one kernel pass of build_fundamental); and two reference
 quantities that only the tests read: the exact one-sided knot derivatives of
 E_k and the plain (uncorrected) periodization tail bound.
 
@@ -32,11 +36,12 @@ from scipy.integrate import quad
 
 from cardspline import cardinal_interpolation as ci
 from cardspline.bandlimited_analysis import _panel_nodes
-from cardspline.cardinal_interpolation import _solve_window
-from cardspline.errors import MissingDataError
+from cardspline.cardinal_interpolation import _solve_window, eval_fundamental
+from cardspline.errors import MissingDataError, WindowOverflowError
 from cardspline.greens_kernel import (SplineParams, build_green_kernel, eval_green,
                                       eval_green_hat)
-from cardspline.spectral_symbol import fundamental_hat, reciprocal_symbol
+from cardspline.spectral_symbol import (compute_coefficients, fit_decay_envelope,
+                                        fundamental_hat, reciprocal_symbol)
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -439,11 +444,22 @@ def tail_integral_loop(u0, alpha: float, k: int):
     return total * u0 ** (1 - 2 * k)
 
 
+def synthesize_blocks(L, windows, at) -> np.ndarray:
+    """(2 pi)^{-1/2} windows[at] @ c, one product call per _product_rows(L)
+    rows."""
+    block = ci._product_rows(L)
+    out = np.empty(len(at))
+    for s in range(0, len(at), block):
+        out[s:s + block] = windows[at[s:s + block]] @ L.table.coeffs
+    out *= INV_SQRT_2PI
+    return out
+
+
 def interpolate_grid_loop(L, data, xs, tol: float = 1e-8,
                           best_effort: bool = False) -> np.ndarray:
     """cardinal_interpolation.interpolate_grid with one window solve per
-    distinct |round(x)| and one np.dot per point over the L_k rows of each
-    _CHUNK_ELEMS chunk."""
+    distinct |round(x)|, one synthesize_blocks call per _CHUNK_ELEMS chunk
+    and one np.dot per point over the L_k rows of the chunk."""
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
     if len(xs) == 0:
@@ -487,7 +503,7 @@ def interpolate_grid_loop(L, data, xs, tol: float = 1e-8,
             windows, at = ci._green_rows(
                 L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
         q = (s % batch) * len(offsets)
-        Lv = ci._synthesize(L, windows, at[q:q + step * len(offsets)])
+        Lv = synthesize_blocks(L, windows, at[q:q + step * len(offsets)])
         Lv = Lv.reshape(-1, len(offsets))
         lo, hi = np.searchsorted(row, [s, s + step])
         pts = todo[lo:hi]
@@ -500,3 +516,70 @@ def interpolate_grid_loop(L, data, xs, tol: float = 1e-8,
                 bi, Li = bi[keep], Li[keep]
             out[i] = np.dot(bi, Li)
     return out
+
+
+def solve_window_loop(L, center: int, growth, tol: float,
+                      clip_to_knee: bool = False) -> int:
+    """cardinal_interpolation._solve_windows at one center, on 1-d arrays
+    and with GrowthModel.log_bound's sums written out of place."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if L.compact:
+        return 1
+    if growth.rate >= L.env_rate:
+        raise WindowOverflowError(
+            f"data growth rate {growth.rate:g} >= fundamental-function decay rate "
+            f"{L.env_rate:g} for (alpha={L.params.alpha}, k={L.params.k}); the "
+            "interpolation series diverges")
+    d = np.arange(1, ci._WINDOW_HORIZON + 1, dtype=float)
+    aj = np.abs(abs(center) + d)
+    log_bound = math.log(growth.amplitude) + growth.beta * np.log1p(aj) + growth.rate * aj
+    log_terms = math.log(2.0) + log_bound + math.log(L.env_amplitude) - L.env_rate * (d - 0.5)
+    terms = np.full(len(d), np.exp(-745.0))
+    live = log_terms > -745.0
+    terms[live] = np.exp(np.minimum(log_terms[live], 700.0))
+    ratio = math.exp(growth.rate - L.env_rate)
+    beyond = terms[-1] * ratio / (1.0 - ratio)
+    tails = np.cumsum(terms[::-1])[::-1] + beyond
+    knee = ci._noise_knee(L)
+    achievable = float(tails[min(int(knee), len(tails)) - 1])
+    ok = np.nonzero(tails < tol)[0]
+    J = int(ok[0]) + 1 if len(ok) else ci._WINDOW_HORIZON + 1
+    if J > knee:
+        if clip_to_knee or tol >= achievable / ci._MODEL_FLOOR_SLACK:
+            return max(1, int(min(knee, ci._WINDOW_HORIZON)))
+        raise WindowOverflowError(
+            f"window tolerance {tol:g} lies below the double-precision floor "
+            f"~{achievable:.3e} for (alpha={L.params.alpha}, k={L.params.k}): "
+            f"the window would need {J} terms but the synthesis loses signal "
+            f"past {knee:.0f}")
+    return J
+
+
+def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
+    """(env_rate, env_amplitude, noise_floor, cardinality_error, evenness
+    error) of build_fundamental, from one eval_fundamental call for the
+    envelope fit, one for the integers -20..20 and one for each side of the
+    evenness grid."""
+    kernel = build_green_kernel(params)
+    table_tol = max(1e-14, tol / max(1.0, kernel.peak * INV_SQRT_2PI))
+    table = compute_coefficients(params, table_tol)
+    noise = 1e-16 * table.max_abs_coeff * (4.0 * kernel.peak + 1.0) * INV_SQRT_2PI
+    L = ci.FundamentalFunction(params=params, kernel=kernel, table=table,
+                               env_rate=None, env_amplitude=None,
+                               noise_floor=noise, cardinality_ok=False)
+    rate = amp = None
+    if not table.compact_support:
+        xs = np.arange(2.0, 15.0, 0.05)
+        vals = np.abs(np.asarray(eval_fundamental(L, xs)))
+        ns = np.arange(2, 14)
+        mx = np.array([vals[(xs >= n) & (xs < n + 1)].max() for n in ns])
+        keep = mx > 0
+        rate, amp = fit_decay_envelope(ns[keep] + 0.5, mx[keep])
+    js = np.arange(-20, 21)
+    delta = (js == 0).astype(float)
+    card = float(np.max(np.abs(eval_fundamental(L, js.astype(float)) - delta)))
+    xs = np.linspace(0.1, 5.0, 23)
+    even = float(np.max(np.abs(np.asarray(eval_fundamental(L, xs))
+                               - np.asarray(eval_fundamental(L, -xs)))))
+    return rate, amp, noise, card, even

@@ -19,9 +19,11 @@ from cardspline.errors import (DataFormatError, MissingDataError,
                                ParameterDomainError, UnknownBasisError,
                                WindowOverflowError)
 from cardspline.greens_kernel import SplineParams
+from cardspline.spectral_symbol import CoefficientTable
 from oracles import (eval_fundamental_direct, eval_fundamental_spectral,
-                     fundamental_k1_closed, interpolate_grid_loop,
-                     interpolate_pointwise)
+                     fundamental_checks_four_calls, fundamental_k1_closed,
+                     interpolate_grid_loop, interpolate_pointwise,
+                     solve_window_loop, synthesize_blocks)
 
 ALPHAS = [0.5, 1.0, 2.0]
 
@@ -367,14 +369,15 @@ class TestInterpolateGrid:
 
     @pytest.fixture
     def solved_centers(self, monkeypatch):
+        # every center handed to the window solver, one-center solves included
         centers = []
-        solve = cardinal_interpolation._solve_window
+        solve = cardinal_interpolation._solve_windows
 
-        def recording(L, center, *args, **kwargs):
-            centers.append(center)
-            return solve(L, center, *args, **kwargs)
+        def recording(L, given, *args, **kwargs):
+            centers.extend(np.asarray(given).tolist())
+            return solve(L, given, *args, **kwargs)
 
-        monkeypatch.setattr(cardinal_interpolation, "_solve_window", recording)
+        monkeypatch.setattr(cardinal_interpolation, "_solve_windows", recording)
         return centers
 
     def test_readme_interp_config_bitwise(self):
@@ -682,6 +685,194 @@ class TestGroupedContraction:
         inside = xs[np.abs(xs) < 10.0]
         assert_bitwise(interpolate_grid(L, data, inside, 1e-9),
                        pointwise(L, data, inside, 1e-9))
+
+
+def chunk_rows(L, Jmax):
+    """L_k rows per synthesis product of interpolate_grid at window Jmax."""
+    width = 2 * Jmax + 1
+    return max(1, cardinal_interpolation._CHUNK_ELEMS // (width * len(L.table.coeffs)))
+
+
+class TestStackedSynthesis:
+    """_synthesize stacks the chunk products of a batch; every chunk must
+    keep the bits of its own product call."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_stacks_are_the_per_chunk_products(self, chunk):
+        L = L_of(1.0, 3)
+        xs = np.random.default_rng(chunk).uniform(-30.0, 30.0, 1500)
+        windows, at = cardinal_interpolation._green_rows(L, xs)
+        # stacks of several chunks, and a partial chunk after them
+        assert cardinal_interpolation._GATHER_ELEMS // (chunk * len(L.table.coeffs)) > 1
+        for n in (0, 1, chunk, 5 * chunk, 5 * chunk + 1, len(at)):
+            got = cardinal_interpolation._synthesize(L, windows, at[:n], chunk)
+            want = [synthesize_blocks(L, windows, at[q:min(n, q + chunk)])
+                    for q in range(0, n, chunk)]
+            assert_bitwise(got, np.concatenate([np.empty(0)] + want))
+
+    @pytest.mark.parametrize("alpha,k,basis,tol", [
+        (0.25, 2, "cosh", 1e-8), (0.25, 3, "sinh", 1e-8), (0.25, 4, "xexp+", 1e-6),
+        (1.0, 3, "power-beta", 1e-8), (1.0, 10, "power-beta", 1e-5)])
+    def test_jittered_grids_bitwise(self, alpha, k, basis, tol):
+        L = L_of(alpha, k)
+        data = sequence_from_rule(basis, alpha, beta=1.0)
+        rng = np.random.default_rng(k)
+        xs = np.sort(rng.uniform(-8.0, 8.0, 301))
+        got = interpolate_grid(L, data, xs, tol, best_effort=True)
+        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol, best_effort=True))
+
+    @pytest.mark.parametrize("alpha,k,tol", [(1.0, 3, 1e-6), (2.0, 3, 1e-9),
+                                             (2.0, 2, 1e-10)])
+    def test_partial_last_chunk_bitwise(self, alpha, k, tol):
+        # two or more L_k rows per product, and a row count no chunk divides
+        L = L_of(alpha, k)
+        data = seeded_table(2)
+        xs = np.linspace(-20.0, 20.0, 303) + np.random.default_rng(9).uniform(0, 0.1)
+        rows = len(np.unique(xs - np.rint(xs)))
+        J = cardinal_interpolation._solve_window(L, 0, data.growth, tol)
+        per = chunk_rows(L, J)
+        assert per > 1 and rows % per != 0
+        assert_bitwise(interpolate_grid(L, data, xs, tol),
+                       interpolate_grid_loop(L, data, xs, tol))
+
+    def test_row_longer_than_a_product(self, monkeypatch):
+        # one L_k row spans several eval_fundamental products: it is split
+        # as the per-chunk synthesis splits it
+        L = L_of(1.0, 3, 1e-9)
+        data = seeded_table(2)
+        xs = np.linspace(-10.35, 9.65, 301)
+        monkeypatch.setattr(cardinal_interpolation, "_PRODUCT_ELEMS",
+                            7 * len(L.table.coeffs))
+        assert cardinal_interpolation._product_rows(L) == 7
+        assert_bitwise(interpolate_grid(L, data, xs, 1e-9),
+                       interpolate_grid_loop(L, data, xs, 1e-9))
+
+
+class TestWindowSolver:
+    """_solve_windows against one-center solves: the same widths, and the
+    refusal of the first failing center, message and all."""
+
+    @staticmethod
+    def loop(L, centers, growth, tol, clip=False):
+        return [solve_window_loop(L, int(c), growth, tol, clip) for c in centers]
+
+    @pytest.mark.parametrize("alpha,k,beta,tol,clip", [
+        (1.0, 3, 2.0, 1e-8, False), (1.0, 3, 0.5, 1e-9, False),
+        (0.25, 3, 1.0, 1e-6, False), (1.0, 10, 1.5, 1e-3, False),
+        (1.0, 10, 1.0, 1e-4, True), (2.0, 3, 2.0, 1e-9, False)])
+    def test_many_centers(self, alpha, k, beta, tol, clip):
+        L = L_of(alpha, k)
+        growth = sequence_from_rule("power-beta", alpha, beta=beta).growth
+        centers = np.arange(0, 53)   # three passes of 16 and a short one
+        got = cardinal_interpolation._solve_windows(L, centers, growth, tol, clip)
+        want = self.loop(L, centers, growth, tol, clip)
+        assert got.tolist() == want
+        assert len(set(want)) > 1
+        assert [cardinal_interpolation._solve_window(L, int(c), growth, tol, clip)
+                for c in centers[::7]] == want[::7]
+
+    @pytest.mark.parametrize("basis", ["cosh", "sinh", "exp+", "xexp-", "x2exp+"])
+    def test_growing_bases_clip_at_the_knee(self, basis):
+        L = L_of(0.25, 4)
+        growth = sequence_from_rule(basis, 0.25).growth
+        centers = np.arange(-30, 31)[::-1]
+        got = cardinal_interpolation._solve_windows(L, centers, growth, 1e-12, True)
+        want = self.loop(L, centers, growth, 1e-12, True)
+        assert got.tolist() == want
+        knee = cardinal_interpolation._noise_knee(L)
+        assert int(knee) in want
+
+    def test_below_floor_refusal_names_the_first_failing_center(self):
+        L = L_of(1.0, 3)
+        growth = sequence_from_rule("power-beta", 1.0, beta=2.0).growth
+        centers = np.array([0, 5, 40, 70, 100, 3, 250])
+        got = first_error(cardinal_interpolation._solve_windows, L, centers, growth, 1e-10)
+        assert got[0] is WindowOverflowError
+
+        def loop():
+            self.loop(L, centers, growth, 1e-10)
+        assert got == first_error(loop)
+
+    def test_divergent_growth(self):
+        L = L_of(1.0, 3)
+        growth = sequence_from_rule("cosh", 1.0).growth
+        assert growth.rate >= L.env_rate
+        want = first_error(solve_window_loop, L, 2, growth, 1e-8)
+        assert want[0] is WindowOverflowError
+        got = first_error(cardinal_interpolation._solve_windows, L, [2, 0, 9], growth, 1e-8)
+        assert got == want
+        # no centers, nothing to refuse: all points were integers
+        assert cardinal_interpolation._solve_windows(L, [], growth, 1e-8).tolist() == []
+
+    def test_k1_and_bad_tol(self):
+        L = L_of(1.0, 1, 1e-12)
+        growth = sequence_from_rule("power-beta", 1.0, beta=2.0).growth
+        centers = np.arange(40)
+        got = cardinal_interpolation._solve_windows(L, centers, growth, 1e-12)
+        assert got.tolist() == self.loop(L, centers, growth, 1e-12) == [1] * 40
+        with pytest.raises(ValueError):
+            cardinal_interpolation._solve_windows(L, centers, growth, 0.0)
+
+    @pytest.mark.parametrize("basis", ["cosh", "x2exp-", "power-beta", "delta"])
+    def test_log_bound_in_place(self, basis):
+        # the in-place sums of GrowthModel.log_bound, against the expression
+        growth = sequence_from_rule(basis, 0.25, beta=1.5).growth
+        for j in (np.arange(5.0)[:, None] + np.arange(1.0, 4001.0), -7.0, 2.0 ** 60):
+            aj = np.abs(np.asarray(j, dtype=float))
+            want = (math.log(growth.amplitude) + growth.beta * np.log1p(aj)
+                    + growth.rate * aj)
+            assert_bitwise(growth.log_bound(j), want)
+
+    def test_huge_centers(self):
+        L = L_of(0.5, 3)
+        growth = sequence_from_rule("power-beta", 0.5, beta=1.0).growth
+        centers = [2 ** 53 + 1, 10 ** 15, -(10 ** 12)]
+        got = cardinal_interpolation._solve_windows(L, centers, growth, 1e-2, True)
+        assert got.tolist() == self.loop(L, centers, growth, 1e-2, True)
+
+
+class TestBuildChecks:
+    """build_fundamental's checks share one kernel pass; the envelope, noise
+    floor and cardinality residual keep the bits of one eval_fundamental call
+    per check."""
+
+    @pytest.mark.parametrize("alpha,k,tol", [
+        (1.0, 1, 1e-12), (1.0, 3, 1e-10), (1.0, 10, 1e-10), (0.5, 6, 1e-10),
+        (0.25, 6, 1e-10), (0.25, 4, 1e-9), (2.0, 8, 1e-10), (1.0, 12, 1e-10)])
+    def test_checks_bitwise(self, alpha, k, tol):
+        L = build_fundamental(SplineParams(alpha, k), tol)
+        rate, amp, noise, card, even = fundamental_checks_four_calls(
+            SplineParams(alpha, k), tol)
+        if k == 1:
+            assert L.env_rate is None and L.env_amplitude is None and rate is None
+        else:
+            assert_bitwise([L.env_rate, L.env_amplitude], [rate, amp])
+        assert_bitwise([L.noise_floor, L.cardinality_error], [noise, card])
+        assert even == 0.0
+        assert L.cardinality_ok == (card < 1e-8)
+
+    def test_one_kernel_pass(self, monkeypatch):
+        calls = []
+        rows = cardinal_interpolation._green_rows
+
+        def counting(L, xs):
+            calls.append(np.size(xs))
+            return rows(L, xs)
+
+        monkeypatch.setattr(cardinal_interpolation, "_green_rows", counting)
+        build_fundamental(SplineParams(1.0, 6), 1e-10)
+        assert calls == [260 + 41 + 23 + 23]
+        del calls[:]
+        build_fundamental(SplineParams(1.0, 1), 1e-10)
+        assert calls == [41 + 23 + 23]
+
+    def test_compact_read_once(self, monkeypatch):
+        L = build_fundamental(SplineParams(1.0, 3), 1e-10)
+        reads = []
+        monkeypatch.setattr(CoefficientTable, "compact_support",
+                            property(lambda t: reads.append(1) or False))
+        assert [L.compact for _ in range(5)] == [False] * 5
+        assert len(reads) == 1
 
 
 class TestReproductionSuite:

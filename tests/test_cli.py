@@ -308,6 +308,48 @@ class TestConverge:
         assert len(doc["data"]["rows"]) == 2
 
 
+class TestCardinalityReport:
+    """Each sidecar that uses L_k reports its cardinality residual; flagged
+    builds (residual above 1e-8) are no longer silent.  CSVs and params are
+    as before."""
+
+    def test_eval_L_interp_and_reproduce(self, tmp_path):
+        from cardspline import SplineParams, build_fundamental
+        data = tmp_path / "d.csv"
+        data.write_text("j,b_j\n0,1.0\n1,-2.0\n")
+        runs = [
+            (["eval-L", "--alpha", "1", "--k", "10", "--grid", "-3:3:13"],
+             (1.0, 10, 1e-10), ["x", "L_k"]),
+            (["interp", "--alpha", "1", "--k", "2", "--data", str(data),
+              "--grid", "-3:3:13"], (1.0, 2, 1e-10), ["x", "f_b"]),
+            (["reproduce", "--alpha", "0.25", "--k", "3", "--basis", "cosh"],
+             (0.25, 3, 1e-10), ["x", "g", "f_b", "abs_err"]),
+        ]
+        for i, (argv, (alpha, k, tol), header) in enumerate(runs):
+            out = tmp_path / f"o{i}.csv"
+            assert main(argv + ["-o", str(out)]) == 0
+            assert read_csv(out)[0] == header
+            doc = json.loads(out.with_suffix(".json").read_text())
+            assert doc["params"] == {"alpha": alpha, "k": k}
+            want = build_fundamental(SplineParams(alpha, k), tol).cardinality_error
+            assert doc["data"]["cardinality_error"] == want
+        flagged = json.loads((tmp_path / "o0.json").read_text())["data"]
+        assert flagged["cardinality_error"] > 1e-8
+
+    def test_converge_rows(self, tmp_path):
+        from cardspline import SplineParams, build_fundamental
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--alpha", "2", "--k", "1..3", "--target", "sinc",
+                     "-o", str(out)]) == 0
+        assert read_csv(out)[0] == ["alpha", "k", "target", "l2_error", "l2_bound",
+                                    "sup_error", "ell_trunc", "quad_res"]
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["params"] == {"alpha": 2.0, "k": [1, 2, 3]}
+        for row in doc["data"]["rows"]:
+            L = build_fundamental(SplineParams(2.0, row["k"]), 1e-10)
+            assert row["cardinality_error"] == L.cardinality_error
+
+
 class TestWriters:
     def test_csv_bytes_pinned(self, tmp_path):
         # str cells pass through, floats (numpy included) print as %.9e

@@ -1,0 +1,162 @@
+"""Byte-compare the CLI outputs of two source trees on seeded benchmark rounds.
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC [--seeds 1 2] [--rounds 2]
+
+OLD_SRC and NEW_SRC are checkouts, or their `src` directories.  For each
+tree one subprocess imports that tree's `cardspline` and runs, for every
+seed and every workload, the given number of rounds of the op mix that
+`bench/workloads.py` draws (the module is imported, not changed).  Both
+subprocesses write under the same relative paths, so the data CSV and
+output paths echoed in sidecars and manifests agree.
+
+Then every file is compared: CSVs and data files byte for byte, JSON
+sidecars and manifests as documents without their `wall_ms`, and each op's
+exit code.  A sidecar key that only NEW writes is listed as added, not as a
+difference; a key that NEW drops or a value that moves is a difference.
+Prints `ops N files N differ N` and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CODES = "exit_codes.json"
+
+
+def run_rounds(seeds: list[int], rounds: int) -> None:
+    """Run the seeded rounds in the current directory with the cardspline on
+    sys.path, and record each op's exit code."""
+    import workloads
+    from cardspline import cli
+
+    codes = {}
+    for seed in seeds:
+        for name in sorted(workloads.WORKLOADS):
+            work = Path(f"s{seed}_{name}")
+            work.mkdir()
+            mix = workloads.Mix(name, seed, work)
+            for r in range(rounds):
+                for i, op in enumerate(mix.next_round()):
+                    out = work / f"r{r}_op{i:02d}.csv"
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        try:
+                            rc = cli.main(op.argv + ["-o", str(out)])
+                        except Exception as exc:   # noqa: BLE001 - compared, not raised
+                            rc = f"untyped {type(exc).__name__}: {exc}"
+                    codes[str(out)] = rc
+    Path(CODES).write_text(json.dumps(codes, sort_keys=True))
+
+
+def source_dir(path: str) -> Path:
+    p = Path(path).resolve()
+    if (p / "src" / "cardspline").is_dir():
+        p = p / "src"
+    if not (p / "cardspline").is_dir():
+        sys.exit(f"compare_outputs: no cardspline package in {path}")
+    return p
+
+
+def run_tree(src: Path, out: Path, seeds: list[int], rounds: int) -> None:
+    out.mkdir()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(map(str, (src, ROOT / "bench", ROOT / "tools"))))
+    code = (f"import sys, compare_outputs, cardspline\n"
+            f"if not cardspline.__file__.startswith({str(src)!r}):\n"
+            f"    sys.exit('cardspline imported from ' + cardspline.__file__)\n"
+            f"compare_outputs.run_rounds({seeds!r}, {rounds!r})\n")
+    subprocess.run([sys.executable, "-c", code], cwd=out, env=env, check=True)
+
+
+def without_wall_ms(doc):
+    if isinstance(doc, dict):
+        return {k: without_wall_ms(v) for k, v in doc.items() if k != "wall_ms"}
+    if isinstance(doc, list):
+        return [without_wall_ms(v) for v in doc]
+    return doc
+
+
+def compare_docs(old, new, path: str, added: list[str]) -> str | None:
+    """The first path where new differs from old; keys only new has are
+    appended to added."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in old:
+            if key not in new:
+                return f"{path}{key} dropped"
+            bad = compare_docs(old[key], new[key], f"{path}{key}.", added)
+            if bad:
+                return bad
+        added += [f"{path}{key}" for key in new if key not in old]
+        return None
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return f"{path[:-1]} has {len(new)} entries, not {len(old)}"
+        for a, b in zip(old, new):
+            bad = compare_docs(a, b, f"{path[:-1]}[].", added)
+            if bad:
+                return bad
+        return None
+    # repr tells -0.0 from 0.0 and matches NaN with NaN
+    if type(old) is not type(new) or repr(old) != repr(new):
+        return f"{path[:-1]}: {old!r} -> {new!r}"
+    return None
+
+
+def compare_trees(old: Path, new: Path) -> tuple[int, int, list[str], Counter]:
+    """(ops, files, differences, added keys) of two run directories."""
+    diffs, added = [], Counter()
+    codes_old = json.loads((old / CODES).read_text())
+    codes_new = json.loads((new / CODES).read_text())
+    for op in sorted(set(codes_old) | set(codes_new)):
+        if codes_old.get(op) != codes_new.get(op):
+            diffs.append(f"{op}: exit {codes_old.get(op)!r} -> {codes_new.get(op)!r}")
+    names = {p.relative_to(root) for root in (old, new) for p in root.rglob("*")
+             if p.is_file() and p.name != CODES}
+    for name in sorted(names):
+        a, b = old / name, new / name
+        if not (a.exists() and b.exists()):
+            diffs.append(f"{name}: only in {'old' if a.exists() else 'new'}")
+        elif name.suffix == ".json":
+            keys: list[str] = []
+            bad = compare_docs(without_wall_ms(json.loads(a.read_text())),
+                               without_wall_ms(json.loads(b.read_text())), "", keys)
+            if bad:
+                diffs.append(f"{name}: {bad}")
+            added.update(set(keys))
+        elif a.read_bytes() != b.read_bytes():
+            diffs.append(f"{name}: bytes differ")
+    return len(codes_old), len(names), diffs, added
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("old", help="the reference checkout or its src directory")
+    p.add_argument("new", help="the checkout under test or its src directory")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    p.add_argument("--rounds", type=int, default=2)
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        runs = []
+        for label, tree in (("old", args.old), ("new", args.new)):
+            run_tree(source_dir(tree), Path(tmp) / label, args.seeds, args.rounds)
+            runs.append(Path(tmp) / label)
+        ops, files, diffs, added = compare_trees(*runs)
+    for line in diffs[:20]:
+        print(line)
+    for key, n in sorted(added.items()):
+        print(f"added {key} in {n} files")
+    print(f"ops {ops} files {files} differ {len(diffs)}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
