@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,9 +36,18 @@ from .cardinal_interpolation import (DataSequence, FundamentalFunction,
 from .errors import (QuadratureConvergenceError, ToleranceUnreachableError,
                      UnknownTargetError)
 from .greens_kernel import SplineParams, eval_green_hat
-from .spectral_symbol import lattice_sum
+from .spectral_symbol import _choose_shift_count, _em_tails
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+# shifted terms one block of the lattice pass forms at once
+_PASS_ELEMS = 2 ** 14
+# the tolerance of the sup-error window solve
+_SUP_TOL = 1e-9
+# S's absolute tolerance in the error integrals, relative to |Ehat_k(pi)|:
+# at 1e-12 its truncated tail still showed as 1e-13 relative in l2_error
+# and l2_bound against 40-digit references
+_S_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +82,9 @@ class BandlimitedTarget:
     """A band-limited function given by its (even, real) spectrum on [-pi, pi].
 
     `pieces` lists the smooth closed sub-intervals of the spectrum's support so
-    that quadrature never straddles a kink or jump.  `sample_tail_l2` estimates
-    sum_{|j|>J} g(j)^2 from the target's decay class.
+    that quadrature never straddles a kink or jump.  `sample_tail_l2(J, g(J))`
+    estimates sum_{|j|>J} g(j)^2 from the target's decay class and its sample
+    at J.
     """
 
     name: str
@@ -83,30 +93,31 @@ class BandlimitedTarget:
     sample_tail_l2: Callable
 
     def time_eval(self, x) -> float | np.ndarray:
-        """g(x) = (2 pi)^{-1/2} int ghat(xi) e^{i x xi} d xi by panel quadrature.
+        """g(x) = (2 pi)^{-1/2} int ghat(xi) cos(x xi) d xi by panel quadrature
+        (the spectrum is even).
 
-        The spectrum is even, so the transform reduces to a cosine integral.
-        When the points are antisymmetric (x reversed is -x, as for the
-        integer samples -J..J), the cosine rows of the first half are copied
-        from their mirror rows: (-x) xi = -(x xi) exactly and cos is even, so
-        the copies are bit for bit the rows they replace, and the product keeps
-        its full shape.
+        A value depends on |x| alone, not on the batch it is evaluated in.
+        Each point gets the panel count of its power-of-two class,
+        max(16, ceil(span 2^c / 10)) with 2^c the least power of two at or
+        above max(1, |x|), and its row of cosines is contracted on its own:
+        a stacked ddot, since one dgemv over the batch sums its last N mod 4
+        rows with another kernel.  Each distinct |x| is evaluated once.
         """
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        ax, inv = np.unique(np.abs(np.atleast_1d(np.asarray(x, dtype=float))),
+                            return_inverse=True)
         span = sum(b - a for (a, b) in self.pieces)
-        xmax = float(np.max(np.abs(xs))) if len(xs) else 1.0
-        panels = max(16, int(math.ceil(span * max(1.0, xmax) / 10.0)))
-        nodes, w = _panel_nodes(self.pieces, panels)
-        gh = np.asarray(self.spectrum(nodes), dtype=float)
-        h = len(xs) // 2 if np.array_equal(xs, -xs[::-1]) else 0
-        C = np.empty((len(xs), len(nodes)))
-        np.multiply.outer(xs[h:], nodes, out=C[h:])
-        np.cos(C[h:], out=C[h:])
-        C[:h] = C[::-1][:h]
-        out = _INV_SQRT_2PI * (C @ (w * gh))
+        mant, e = np.frexp(np.maximum(ax, 1.0))
+        panels = np.maximum(16.0, np.ceil(span * np.ldexp(1.0, e - (mant == 0.5)) / 10.0))
+        vals = np.empty(len(ax))
+        for p in np.unique(panels).tolist():
+            sel = panels == p
+            nodes, w = _panel_nodes(self.pieces, int(p))
+            C = np.cos(np.multiply.outer(ax[sel], nodes))
+            vals[sel] = np.matmul(C[:, None, :], w * self.spectrum(nodes))[:, 0]
+        out = _INV_SQRT_2PI * vals[inv]
         return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
-    @property
+    @cached_property
     def l2_norm_sq(self) -> float:
         """int |ghat|^2 over the support (= ||g||^2 by Plancherel)."""
         nodes, w = _panel_nodes(self.pieces, 8)
@@ -120,7 +131,7 @@ def _sinc_target() -> BandlimitedTarget:
         name="sinc",
         spectrum=lambda xi: np.full_like(np.asarray(xi, dtype=float), c),
         pieces=((-np.pi, np.pi),),
-        sample_tail_l2=lambda J: 0.0,          # samples are exactly the delta
+        sample_tail_l2=lambda J, gJ: 0.0,      # samples are exactly the delta
     )
 
 
@@ -131,7 +142,7 @@ def _triangle_target() -> BandlimitedTarget:
         name="triangle-spectrum",
         spectrum=lambda xi: _INV_SQRT_2PI * (1.0 - np.abs(xi) / np.pi),
         pieces=((-np.pi, 0.0), (0.0, np.pi)),
-        sample_tail_l2=lambda J: 8.0 / (3.0 * np.pi ** 4 * max(J, 1) ** 3),
+        sample_tail_l2=lambda J, gJ: 8.0 / (3.0 * np.pi ** 4 * max(J, 1) ** 3),
     )
 
 
@@ -145,20 +156,11 @@ def _bump_target() -> BandlimitedTarget:
         out[inside] = np.exp(-1.0 / v[inside])
         return out
 
-    def tail(J):
-        # samples decay faster than any polynomial; crude geometric cap from
-        # the last couple of computed magnitudes
-        t = _bump_cached()
-        g1 = abs(t.time_eval(float(J)))
-        return 40.0 * g1 * g1
-
+    # samples decay faster than any polynomial; crude geometric cap from the
+    # last sample
     return BandlimitedTarget(name="bump-spectrum", spectrum=spectrum,
-                             pieces=((-np.pi, np.pi),), sample_tail_l2=tail)
-
-
-@lru_cache(maxsize=1)
-def _bump_cached() -> BandlimitedTarget:
-    return _bump_target()
+                             pieces=((-np.pi, np.pi),),
+                             sample_tail_l2=lambda J, gJ: 40.0 * gJ * gJ)
 
 
 def _half_band_target() -> BandlimitedTarget:
@@ -169,14 +171,14 @@ def _half_band_target() -> BandlimitedTarget:
         name="half-band",
         spectrum=lambda xi: np.where(np.abs(np.asarray(xi, dtype=float)) <= np.pi / 2, c, 0.0),
         pieces=((-np.pi / 2, np.pi / 2),),
-        sample_tail_l2=lambda J: 1.0 / (np.pi ** 2 * max(J, 1)),
+        sample_tail_l2=lambda J, gJ: 1.0 / (np.pi ** 2 * max(J, 1)),
     )
 
 
 _GALLERY = {
     "sinc": _sinc_target,
     "triangle-spectrum": _triangle_target,
-    "bump-spectrum": _bump_cached,
+    "bump-spectrum": _bump_target,
     "half-band": _half_band_target,
 }
 
@@ -198,14 +200,18 @@ def sample_integers(target: BandlimitedTarget, J: int) -> DataSequence:
     growth beta = 0 and the target's l2 tail estimate attached."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    js = np.arange(-J, J + 1)
-    vals = np.asarray(target.time_eval(js.astype(float)))
-    table = {int(j): float(v) for j, v in zip(js, vals)}
+    return _sample_sequence(target, np.asarray(target.time_eval(np.arange(-J, J + 1.0))))
+
+
+def _sample_sequence(target: BandlimitedTarget, vals: np.ndarray) -> DataSequence:
+    """sample_integers from its values g(-J..J)."""
+    J = len(vals) // 2
+    table = {j: float(v) for j, v in zip(range(-J, J + 1), vals.tolist())}
     amp = max(1.0, float(np.max(np.abs(vals))))
     return DataSequence(name=f"{target.name}-samples", table=table,
                         growth=GrowthModel(beta=0.0, amplitude=amp),
                         zero_fill=True,
-                        l2_tail=float(target.sample_tail_l2(J)))
+                        l2_tail=float(target.sample_tail_l2(J, abs(table[J]))))
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +228,69 @@ def aliasing_envelope(params: SplineParams, ell: int) -> float:
     return _INV_SQRT_2PI * base ** params.k
 
 
+def _deviation_split(params: SplineParams, xi, s_tol: float, t_tol: float):
+    """(S, T, M) at xi in [-pi, pi] from one lattice pass: w = (u^2 + a^2)^{-k},
+    u = xi - 2 pi j, formed once over 0 < |j| <= M, gives P^{!=0} = sum w and
+    S_2k^{!=0} = sum w^2, each with its order's Euler-Maclaurin tail from M.
+
+    S = P^{!=0} / P to absolute accuracy s_tol, and T = S_2k^{!=0} / P^2 to
+    t_tol, dividing by P twice since P^2 overflows at small alpha and high k.
+    P = P^{!=0} + the centre term adds positive terms, so S keeps its relative
+    accuracy where it is tiny.  M is the largest of the shift counts that
+    certify P^{!=0} (for S), P and S_2k^{!=0} (for T) on their own, so no sum
+    gets fewer terms; the count returned is the order-2k one.
+
+    Raises ToleranceUnreachableError at once when a tolerance is not positive
+    (NaN included).
+    """
+    if not (s_tol > 0 and t_tol > 0):
+        raise ToleranceUnreachableError(
+            f"lattice tolerances must be positive, got {s_tol:g} and {t_tol:g}")
+    a, k = params.alpha, params.k
+    e_pi = abs(eval_green_hat(params, np.pi))
+    M2k = _choose_shift_count(a, 2 * k, 0.25 * t_tol * e_pi * e_pi)
+    M = max(M2k, _choose_shift_count(a, k, min(s_tol, 0.25 * t_tol) * e_pi))
+    xi_a = np.atleast_1d(np.asarray(xi, dtype=float))
+    xr = xi_a - _TWO_PI * np.round(xi_a / _TWO_PI)
+    j = np.arange(-M, M + 1)
+    shifts = _TWO_PI * j[j != 0]
+    rest, rest2 = np.empty_like(xr), np.empty_like(xr)
+    block = max(1, _PASS_ELEMS // len(shifts))
+    for s in range(0, len(xr), block):
+        w = xr[s:s + block, None] - shifts
+        np.multiply(w, w, out=w)
+        w += a * a
+        w **= -k
+        rest[s:s + block] = np.sum(w, axis=1)
+        np.multiply(w, w, out=w)
+        rest2[s:s + block] = np.sum(w, axis=1)
+    rest += _em_tails(xr, a, k, M)
+    rest2 += _em_tails(xr, a, 2 * k, M)
+    P = rest + (xr * xr + a * a) ** (-k)
+    return rest / P, rest2 / P / P, M2k
+
+
 def interp_deviation(params: SplineParams, xi, tol: float = 1e-12):
     """S(xi) = 1 - sqrt(2 pi) Lhat_k(xi) = P^{!=0}(xi) / P(xi) for xi in
-    [-pi, pi], to absolute accuracy tol.  P = P^{!=0} + the centre term adds
-    positive terms, so S keeps its relative accuracy where it is tiny."""
-    rest, _ = lattice_sum(xi, params.alpha, params.k,
-                          tol * abs(eval_green_hat(params, np.pi)), skip_center=True)
-    xs = np.asarray(xi, dtype=float)
-    out = rest / (rest + (xs * xs + params.alpha ** 2) ** (-params.k))
-    return float(out[0]) if np.ndim(xi) == 0 else out
+    [-pi, pi], to absolute accuracy tol (_deviation_split)."""
+    S, _, _ = _deviation_split(params, xi, tol, tol)
+    return float(S[0]) if np.ndim(xi) == 0 else S
 
 
 def replica_power(params: SplineParams, xi, tol: float = 1e-12):
     """(T(xi), M) for xi in [-pi, pi]: T = sum_{l != 0} 2 pi Lhat_k(xi - 2 pi l)^2
-    = S_2k^{!=0}(xi) / P(xi)^2 to absolute accuracy tol, dividing by P twice
-    since P^2 overflows at small alpha and high k.  M is the replicas per side
-    that S_2k^{!=0} sums explicitly; its Euler-Maclaurin tail covers the rest.
-    """
-    if not tol > 0:
-        raise ToleranceUnreachableError(f"replica tolerance must be positive, got {tol:g}")
-    e_pi = abs(eval_green_hat(params, np.pi))
-    P, _ = lattice_sum(xi, params.alpha, params.k, 0.25 * tol * e_pi)
-    rest, M = lattice_sum(xi, params.alpha, 2 * params.k, 0.25 * tol * e_pi * e_pi,
-                          skip_center=True)
-    out = rest / P / P
-    return (float(out[0]), M) if np.ndim(xi) == 0 else (out, M)
+    = S_2k^{!=0}(xi) / P(xi)^2 to absolute accuracy tol, and M the replicas
+    per side that certify S_2k^{!=0} (_deviation_split)."""
+    _, T, M = _deviation_split(params, xi, tol, tol)
+    return (float(T[0]), M) if np.ndim(xi) == 0 else (T, M)
 
 
 @dataclass(frozen=True)
 class ErrorReport:
     """Interpolation error summary for one (params, target) cell;
     ell_truncation is replica_power's M, cardinality_error that of the L_k
-    the sup error was interpolated with."""
+    the sup error was interpolated with, and sup_window that L_k's window J
+    on the sup-error grid."""
 
     params: SplineParams
     target: str
@@ -263,6 +300,7 @@ class ErrorReport:
     quadrature_resolution: int
     ell_truncation: int
     cardinality_error: float = 0.0
+    sup_window: int = 0
 
     def __post_init__(self):
         vals = (self.l2_error, self.l2_bound, self.sup_error_grid)
@@ -273,11 +311,24 @@ class ErrorReport:
                 f"exact error {self.l2_error} exceeds its bound {self.l2_bound}")
 
 
+def _gauss_levels(target: BandlimitedTarget):
+    """panels per piece -> (nodes, weights, |ghat|^2 at the nodes) of the
+    target's Gauss rule, each level formed once; error_sweep keeps one for
+    all the orders of a sweep."""
+    @cache
+    def level(panels: int):
+        nodes, w = _panel_nodes(target.pieces, panels)
+        gh = np.asarray(target.spectrum(nodes), dtype=float)
+        return nodes, w, gh * gh
+    return level
+
+
 def _error_integrals(params: SplineParams, target: BandlimitedTarget,
-                     tol: float) -> tuple[float, float, int, int]:
+                     tol: float, levels: Callable | None = None
+                     ) -> tuple[float, float, int, int]:
     """(int |ghat|^2 (S^2+T), int |ghat|^2 S^2, quad resolution, M), by
-    doubling Gauss panels on the target's smooth pieces; M is replica_power's
-    explicit replicas per side.
+    doubling Gauss panels on the target's smooth pieces, with one lattice pass
+    per node set; M is replica_power's explicit replicas per side.
 
     Raises ToleranceUnreachableError at once when tol is not positive (NaN
     included), and QuadratureConvergenceError when 256 panels per piece still
@@ -285,14 +336,13 @@ def _error_integrals(params: SplineParams, target: BandlimitedTarget,
     """
     if not tol > 0:
         raise ToleranceUnreachableError(f"error tolerance must be positive, got {tol:g}")
+    levels = levels or _gauss_levels(target)
     t_tol = tol / max(target.l2_norm_sq, 1e-12)
     prev_exact = prev_s2 = None
     panels, order = 2, 24
     while True:
-        nodes, w = _panel_nodes(target.pieces, panels, order)
-        gh2 = np.asarray(target.spectrum(nodes), dtype=float) ** 2
-        S = np.asarray(interp_deviation(params, nodes))
-        T, M = replica_power(params, nodes, t_tol)
+        nodes, w, gh2 = levels(panels)
+        S, T, M = _deviation_split(params, nodes, _S_TOL, t_tol)
         exact = float(np.dot(w, gh2 * (S * S + T)))
         s2 = float(np.dot(w, gh2 * S * S))
         if prev_exact is not None:
@@ -331,23 +381,33 @@ def _sup_grid(grid_half_width: float, n: int) -> np.ndarray:
     return np.linspace(-W, W, n)
 
 
+def _sup_window(L: FundamentalFunction, grid_half_width: float, tol: float) -> int:
+    """L's window J at the sup-error grid's edge."""
+    if L.compact:
+        return 1
+    return _solve_window(L, int(round(float(grid_half_width))), GrowthModel(), tol,
+                         clip_to_knee=True)
+
+
 def sup_error_grid(params: SplineParams, target: BandlimitedTarget,
                    grid_half_width: float = 5.0, n: int = 101,
                    L: FundamentalFunction | None = None,
-                   tol: float = 1e-9, g: np.ndarray | None = None) -> float:
+                   tol: float = _SUP_TOL, g: np.ndarray | None = None,
+                   data: DataSequence | None = None) -> float:
     """max over n equispaced points in [-W, W] of |g(x) - I_k[g](x)|, where
-    I_k[g] is interpolate_grid on the integer samples in best-effort mode.
+    I_k[g] is interpolate_grid on the integer samples |j| <= ceil(W) + J + 2,
+    J the window at the grid's edge, in best-effort mode.
 
-    g, when given, holds the target's values at those points; error_sweep
-    computes them once for all the orders of a sweep.
+    g and data, when given, hold the target's values at those points and
+    its samples; error_sweep computes them once for all the orders of a
+    sweep.
     """
     xs = _sup_grid(grid_half_width, n)
     if L is None:
         L = build_fundamental(params, 1e-10)
-    W = float(grid_half_width)
-    J_win = 1 if L.compact else _solve_window(L, int(round(W)), GrowthModel(), tol,
-                                              clip_to_knee=True)
-    data = sample_integers(target, int(math.ceil(W)) + J_win + 2)
+    if data is None:
+        W = float(grid_half_width)
+        data = sample_integers(target, int(math.ceil(W)) + _sup_window(L, W, tol) + 2)
     if g is None:
         g = target.time_eval(xs)
     fb = interpolate_grid(L, data, xs, tol, best_effort=True)
@@ -359,21 +419,36 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
                 n: int = 101) -> list[ErrorReport]:
     """The ErrorReport of each fundamental function L, at L.params, in turn.
 
-    The sup-error grid and the target's values on it are the same for every
-    order, so they are computed once per sweep.
+    What the orders share is computed once per sweep: the target's values on
+    the sup-error grid, its integer samples out to the widest order's window
+    (each order takes its slice, the values of its own sample_integers bit
+    for bit, since time_eval does not depend on the batch), and the Gauss
+    panel levels of the error integrals; the target keeps its l2_norm_sq.
     """
-    g = target.time_eval(_sup_grid(grid_half_width, n))
+    xs = _sup_grid(grid_half_width, n)
+    Ls = list(fundamentals)
+    if not Ls:
+        return []
+    W = float(grid_half_width)
+    wins = [_sup_window(L, W, _SUP_TOL) for L in Ls]
+    half = [int(math.ceil(W)) + J + 2 for J in wins]
+    top = max(half)
+    samples = np.asarray(target.time_eval(np.arange(-top, top + 1.0)))
+    g = target.time_eval(xs)
+    levels = _gauss_levels(target)
     reports = []
-    for L in fundamentals:
-        exact, s2, quad_res, ell = _error_integrals(L.params, target, tol)
-        sup = sup_error_grid(L.params, target, grid_half_width, n, L=L, g=g)
+    for L, J, h in zip(Ls, wins, half):
+        exact, s2, quad_res, ell = _error_integrals(L.params, target, tol, levels)
+        data = _sample_sequence(target, samples[top - h:top + h + 1])
+        sup = sup_error_grid(L.params, target, grid_half_width, n, L=L, g=g, data=data)
         reports.append(ErrorReport(params=L.params, target=target.name,
                                    l2_error=math.sqrt(max(exact, 0.0)),
                                    l2_bound=math.sqrt(max(2.0 * s2, 0.0)),
                                    sup_error_grid=sup,
                                    quadrature_resolution=quad_res,
                                    ell_truncation=ell,
-                                   cardinality_error=L.cardinality_error))
+                                   cardinality_error=L.cardinality_error,
+                                   sup_window=J))
     return reports
 
 

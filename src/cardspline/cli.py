@@ -265,7 +265,8 @@ def cmd_converge(args) -> int:
                               "l2_bound": r.l2_bound, "sup_error": r.sup_error_grid,
                               "ell_trunc": r.ell_truncation,
                               "quad_res": r.quadrature_resolution,
-                              "cardinality_error": r.cardinality_error}
+                              "cardinality_error": r.cardinality_error,
+                              "window": r.sup_window}
                              for r in reports]},
                    wall)
     outs.append(json_path)

@@ -131,19 +131,15 @@ def _choose_shift_count(alpha: float, order: int, tol: float) -> int:
     return hi
 
 
-def lattice_sum(xi, alpha: float, order: int, tol: float = 1e-12,
-                skip_center: bool = False) -> tuple[np.ndarray, int]:
-    """(sum_j ((xi - 2 pi j)^2 + a^2)^{-order}, M) to absolute accuracy tol,
-    xi reduced into [-pi, pi]: |j| <= M summed directly, both tails corrected.
-    skip_center leaves out the j = 0 term, the one at the reduced xi."""
+def lattice_sum(xi, alpha: float, order: int, tol: float = 1e-12) -> np.ndarray:
+    """sum_j ((xi - 2 pi j)^2 + a^2)^{-order} to absolute accuracy tol, xi
+    reduced into [-pi, pi]: |j| <= M summed directly, both tails corrected."""
     M = _choose_shift_count(alpha, order, tol)
     xi_a = np.atleast_1d(np.asarray(xi, dtype=float))
     xr = xi_a - _TWO_PI * np.round(xi_a / _TWO_PI)   # reduce by periodicity
 
     out = np.zeros_like(xr)
     j = np.arange(-M, M + 1)
-    if skip_center:
-        j = j[j != 0]
     # chunk the (points, shifts) outer sum to bound memory
     block = max(1, int(4e6 // (2 * M + 1)))
     a2 = alpha * alpha
@@ -153,13 +149,17 @@ def lattice_sum(xi, alpha: float, order: int, tol: float = 1e-12,
         u += a2
         u **= -order
         out[s:s + block] = np.sum(u, axis=1)
+    out += _em_tails(xr, alpha, order, M)
+    return out
 
-    # both tails in one pass, from u = 2 pi (M + 1/2) -+ xr
+
+def _em_tails(xr, alpha: float, order: int, M: int) -> np.ndarray:
+    """sum_{|j| > M} ((xr - 2 pi j)^2 + a^2)^{-order} for reduced xr, both
+    tails corrected in one pass from u = 2 pi (M + 1/2) -+ xr."""
     u = _TWO_PI * (M + 0.5) + np.concatenate([-xr, xr])
     ti, g1, g3 = (f(u, alpha, order).reshape(2, -1).sum(axis=0)
                   for f in (_tail_integral, _g1, _g3))
-    out += ti / _TWO_PI + _TWO_PI * g1 / 24.0 - 7.0 * _TWO_PI ** 3 * g3 / 5760.0
-    return out, M
+    return ti / _TWO_PI + _TWO_PI * g1 / 24.0 - 7.0 * _TWO_PI ** 3 * g3 / 5760.0
 
 
 def periodized_green_hat(params: SplineParams, xi, tol: float = 1e-12):
@@ -168,8 +168,7 @@ def periodized_green_hat(params: SplineParams, xi, tol: float = 1e-12):
     The sum has one sign, (-1)^k, and its magnitude dominates every single
     term |Ehat_k(xi - 2 pi j)|.  Accepts scalars or arrays.
     """
-    total, _ = lattice_sum(xi, params.alpha, params.k, tol)
-    out = (-1.0 if params.k % 2 else 1.0) * total
+    out = (-1.0 if params.k % 2 else 1.0) * lattice_sum(xi, params.alpha, params.k, tol)
     return float(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
 

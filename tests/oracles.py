@@ -4,7 +4,8 @@ Everything here is deliberately built on different machinery than the shipped
 code paths: QUADPACK quadrature over the real line for transforms and for L_k
 itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
 summation) route for the periodized symbol, the k = 1 hyperbolic closed
-forms, and direct mpmath lattice sums for the error split S, T.  The
+forms, and mpmath lattice sums for the error split S, T (term by term,
+or at k = 1, 2 from their closed form).  The
 exceptions are earlier forms kept as bitwise references for their faster
 replacements: interpolate_pointwise (one point at a time, for
 interpolate_grid), eval_fundamental_direct (one kernel evaluation per point
@@ -13,9 +14,8 @@ refined_coefficients_fsum (one math.fsum per coefficient, for the exact row
 sums of the coefficient refinement), eval_green_out_of_place (for the in-place
 eval_green), sample_reciprocal_full (every sample of every doubling level,
 for the reuse of the even ones), panel_nodes_loop (one panel at a time, for
-_panel_nodes), time_eval_full (the whole cosine matrix, for the mirrored
-rows of BandlimitedTarget.time_eval), tail_integral_loop (the whole-array
-convergence test in every term, for _tail_integral) and
+_panel_nodes), tail_integral_loop (the whole-array convergence test in every
+term, for _tail_integral) and
 interpolate_grid_loop (one window solve per center, one synthesis product
 call per chunk and one np.dot per point, for the stacked products, the
 window solve over all centers and the grouped contraction of
@@ -222,16 +222,51 @@ def deviation_replica_mp(alpha: float, k: int, xis, dps: int = 40):
     return out
 
 
+def deviation_replica_k12_mp(alpha: float, k: int, xis, dps: int = 40):
+    """deviation_replica_mp for k = 1, 2, from the closed form of the lattice
+    sums in place of their terms:
+
+        sum_j (u_j^2 + s)^{-m} = (-d/ds)^{m-1} F(s) / (m-1)!  at s = a^2,
+        F(s) = sinh(sqrt s) / (2 sqrt s (cosh sqrt s - cos xi)),
+
+    u_j = xi - 2 pi j, with the derivatives of F by mpmath.diffs at dps
+    digits; the j = 0 terms are subtracted at that precision."""
+    if k not in (1, 2):
+        raise ValueError("the closed form serves k = 1, 2")
+    with mpmath.workdps(dps):
+        s0 = mpmath.mpf(alpha) ** 2
+        out = []
+        for xi in np.asarray(xis, dtype=float).tolist():
+            x = mpmath.mpf(xi)
+            c = mpmath.cos(x)
+
+            def F(s):
+                r = mpmath.sqrt(s)
+                return mpmath.sinh(r) / (2 * r * (mpmath.cosh(r) - c))
+
+            d = list(mpmath.diffs(F, s0, 2 * k - 1))
+            P, S2k = ((-1) ** (m - 1) * d[m - 1] / mpmath.factorial(m - 1)
+                      for m in (k, 2 * k))
+            centre = (x * x + s0) ** (-k)
+            out.append(((P - centre) / P, (S2k - centre * centre) / (P * P)))
+    return out
+
+
 def l2_error_and_bound_mp(alpha: float, k: int, nodes, weights, spectrum,
                           dps: int = 40) -> tuple[float, float]:
     """(sqrt(sum w ghat^2 (S^2 + T)), sqrt(2 sum w ghat^2 S^2)): the spectral
     error and its bound by the quadrature rule (nodes, weights) with spectrum
-    values ghat there, accumulated at dps digits from deviation_replica_mp."""
+    values ghat there, accumulated at dps digits from deviation_replica_mp,
+    or from deviation_replica_k12_mp at k = 1, 2.  S and T are even in xi, so
+    each distinct |xi| is referenced once."""
+    split = deviation_replica_mp if k >= 3 else deviation_replica_k12_mp
+    ax, inv = np.unique(np.abs(np.asarray(nodes, dtype=float)), return_inverse=True)
+    ref = split(alpha, k, ax, dps)
     with mpmath.workdps(dps):
         exact = s2 = mpmath.mpf(0)
-        for (S, T), w, g in zip(deviation_replica_mp(alpha, k, nodes, dps),
-                                np.asarray(weights, dtype=float).tolist(),
-                                np.asarray(spectrum, dtype=float).tolist()):
+        for i, w, g in zip(inv.tolist(), np.asarray(weights, dtype=float).tolist(),
+                           np.asarray(spectrum, dtype=float).tolist()):
+            S, T = ref[i]
             wg2 = mpmath.mpf(w) * mpmath.mpf(g) ** 2
             exact += wg2 * (S * S + T)
             s2 += wg2 * S * S
@@ -414,18 +449,6 @@ def panel_nodes_loop(pieces, panels_per_piece: int, order: int = 24):
             nodes.append(mid + half * gx)
             weights.append(half * gw)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def time_eval_full(target, x) -> float | np.ndarray:
-    """target.time_eval with the cosine of every point and node computed."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    span = sum(b - a for (a, b) in target.pieces)
-    xmax = float(np.max(np.abs(xs))) if len(xs) else 1.0
-    panels = max(16, int(math.ceil(span * max(1.0, xmax) / 10.0)))
-    nodes, w = _panel_nodes(target.pieces, panels)
-    gh = np.asarray(target.spectrum(nodes), dtype=float)
-    out = INV_SQRT_2PI * (np.cos(np.outer(xs, nodes)) @ (w * gh))
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def tail_integral_loop(u0, alpha: float, k: int):

@@ -22,7 +22,7 @@ from cardspline.spectral_symbol import (fundamental_hat, lattice_sum,
                                         periodized_green_hat)
 from oracles import (bits, deviation_replica_mp, half_band_time,
                      l2_error_and_bound_mp, panel_nodes_loop,
-                     replica_power_k1_closed, sinc_time, time_eval_full,
+                     replica_power_k1_closed, sinc_time,
                      triangle_time)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -32,7 +32,7 @@ def zero_target() -> BandlimitedTarget:
     return BandlimitedTarget(name="zero",
                              spectrum=lambda xi: np.zeros_like(np.asarray(xi, dtype=float)),
                              pieces=((-np.pi, np.pi),),
-                             sample_tail_l2=lambda J: 0.0)
+                             sample_tail_l2=lambda J, gJ: 0.0)
 
 
 def straddling_band() -> BandlimitedTarget:
@@ -44,7 +44,7 @@ def straddling_band() -> BandlimitedTarget:
         name="straddled-band",
         spectrum=lambda xi: np.where(np.abs(np.asarray(xi, dtype=float)) <= 3.0, c, 0.0),
         pieces=((-np.pi, np.pi),),
-        sample_tail_l2=lambda J: 1.0 / (np.pi ** 2 * max(J, 1)))
+        sample_tail_l2=lambda J, gJ: 1.0 / (np.pi ** 2 * max(J, 1)))
 
 
 class TestGallery:
@@ -88,20 +88,25 @@ class TestGallery:
 
     @pytest.mark.parametrize("name", ["sinc", "triangle-spectrum", "bump-spectrum",
                                       "half-band"])
-    def test_time_eval_bitwise_full_matrix(self, name):
+    def test_time_eval_does_not_depend_on_the_batch(self, name):
+        # a value depends on its point alone: the integers of a short batch,
+        # of a long one and one at a time all agree bit for bit
         t = target_gallery(name)
-        rng = np.random.default_rng(3)
-        half = np.sort(rng.uniform(0.0, 30.0, 37))
-        antisymmetric = [np.arange(-J, J + 1.0) for J in (0, 1, 7, 40)] + [
-            np.concatenate([-half[::-1], half]),
-            np.concatenate([-half[::-1], [0.0], half])]
-        assert all(np.array_equal(xs, -xs[::-1]) for xs in antisymmetric)
-        others = [np.linspace(-5.0, 5.0, 101), np.arange(-3.0, 9.0),
-                  rng.uniform(-12.0, 12.0, 50), np.array([2.5]), np.array([])]
-        for xs in antisymmetric + others:
-            np.testing.assert_array_equal(bits(t.time_eval(xs)), bits(time_eval_full(t, xs)))
-        for x in (0.0, 2.5, -7.0, 31):
-            assert bits(t.time_eval(x)) == bits(time_eval_full(t, x))
+        short = t.time_eval(np.arange(-12.0, 13.0))
+        np.testing.assert_array_equal(bits(short), bits(t.time_eval(np.arange(-60.0, 61.0))[48:73]))
+        np.testing.assert_array_equal(bits(short), bits([t.time_eval(float(j))
+                                                         for j in range(-12, 13)]))
+        xs = np.random.default_rng(3).uniform(-40.0, 40.0, 50)
+        np.testing.assert_array_equal(bits(t.time_eval(xs)[::-1]), bits(t.time_eval(xs[::-1])))
+        assert t.time_eval(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("name,closed", [("sinc", sinc_time),
+                                             ("triangle-spectrum", triangle_time),
+                                             ("half-band", half_band_time)])
+    def test_time_eval_closed_forms_far_out(self, name, closed):
+        # each power-of-two class of |x| keeps enough panels out to |x| = 200
+        xs = np.concatenate([np.linspace(-200.0, 200.0, 161), np.arange(-200.0, 201.0, 25.0)])
+        np.testing.assert_allclose(target_gallery(name).time_eval(xs), closed(xs), atol=1e-12)
 
     @pytest.mark.parametrize("pieces", [((-np.pi, np.pi),), ((-np.pi, 0.0), (0.0, np.pi)),
                                         ((-np.pi / 2, np.pi / 2),), ((-3.0, -1.0), (0.5, 2.5))])
@@ -224,76 +229,124 @@ class TestDeviationIdentity:
         assert np.max(np.abs(T - expected)) <= tol
 
     def test_replica_power_one_symbol_per_node(self, monkeypatch):
-        # one P and one order-2k sum per node, counted at every module that
-        # binds lattice_sum; M is the order-2k sum's explicit replicas
-        calls = []
+        # the error integrals make one lattice pass per node set, on the
+        # nodes of each panel level, and no separate lattice sum at all; M
+        # is the pass's order-2k shift count
+        passes, sums = [], []
 
-        def counting(xi, alpha, order, tol=1e-12, skip_center=False):
-            calls.append((order, skip_center, np.size(xi)))
-            return lattice_sum(xi, alpha, order, tol, skip_center)
+        def counting(params, xi, s_tol, t_tol):
+            passes.append(np.array(xi))
+            return split(params, xi, s_tol, t_tol)
 
+        def any_sum(*args, **kwargs):
+            sums.append(args)
+            return lattice_sum(*args, **kwargs)
+
+        split = ba._deviation_split
+        monkeypatch.setattr(ba, "_deviation_split", counting)
         for name, mod in list(sys.modules.items()):
             if name == "cardspline" or name.startswith("cardspline."):
                 for key, val in list(vars(mod).items()):
                     if val is lattice_sum:
-                        monkeypatch.setattr(mod, key, counting)
-        nodes = np.linspace(-np.pi, np.pi, 48)
-        T, M = replica_power(SplineParams(1.0, 1), nodes, 1e-10)
-        assert sorted(calls) == [(1, False, 48), (2, True, 48)]
+                        monkeypatch.setattr(mod, key, any_sum)
+        t = target_gallery("triangle-spectrum")
+        _, _, quad_res, M = ba._error_integrals(SplineParams(1.0, 1), t, 1e-10)
+        levels = quad_res // (24 * len(t.pieces))
+        assert [len(xi) for xi in passes] == [24 * len(t.pieces) * 2 ** i
+                                             for i in range(1, levels.bit_length())]
+        np.testing.assert_array_equal(passes[-1], ba._panel_nodes(t.pieces, levels)[0])
+        assert sums == []
         assert 4 <= M < 32
+        passes.clear()
+        T, M_view = replica_power(SplineParams(1.0, 1), np.linspace(-np.pi, np.pi, 48), 1e-10)
+        assert len(passes) == 1 and 4 <= M_view < 32
+
+    def test_fused_pass_counts_no_fewer_shifts(self):
+        # the pass sums the largest of the three counts the separate sums
+        # certify, and reports the order-2k one
+        from cardspline.spectral_symbol import _choose_shift_count
+        for alpha, k in [(1.0, 1), (0.5, 2), (2.0, 6)]:
+            p = SplineParams(alpha, k)
+            e_pi = abs(eval_green_hat(p, np.pi))
+            _, _, M = ba._deviation_split(p, np.linspace(-np.pi, np.pi, 5), 1e-12, 2e-10)
+            assert M == _choose_shift_count(alpha, 2 * k, 0.25 * 2e-10 * e_pi * e_pi)
 
     def test_unreachable_replica_tolerance_raises_first(self, monkeypatch):
         # the Euler-Maclaurin tail reaches tol 1e-20 at k = 1 with a few
         # hundred shifts; tolerances that are not positive are refused
-        # before a single lattice sum
+        # before a single lattice pass
         xis = np.linspace(-np.pi, np.pi, 33)
         T, M = replica_power(SplineParams(1.0, 1), xis, 1e-20)
         assert np.max(np.abs(T - replica_power_k1_closed(1.0, xis))) < 1e-14
         assert M < 1000
-        sums = []
-
-        def counting(*args, **kwargs):
-            sums.append(args)
-            return lattice_sum(*args, **kwargs)
-
-        monkeypatch.setattr(ba, "lattice_sum", counting)
+        passes = []
+        monkeypatch.setattr(ba, "_em_tails", lambda *a: passes.append(a))
         for tol in (0.0, -1.0):
             with pytest.raises(ToleranceUnreachableError):
                 replica_power(SplineParams(1.0, 2), 0.5, tol)
-        assert sums == []
+            with pytest.raises(ToleranceUnreachableError):
+                interp_deviation(SplineParams(1.0, 2), 0.5, tol)
+            with pytest.raises(ToleranceUnreachableError):
+                l2_error_spectral(SplineParams(1.0, 2), target_gallery("sinc"), tol)
+        assert passes == []
 
     def test_nan_tolerance_raises_first(self, monkeypatch):
         # NaN compares false with every bound: _error_integrals refuses it at
-        # the top, before any lattice sum or quadrature panel
-        sums = []
+        # the top, and the lattice pass at its own, before any shift count,
+        # lattice term or quadrature panel
+        calls = []
 
-        def counting(*args, **kwargs):
-            sums.append(args)
-            return lattice_sum(*args, **kwargs)
+        def counting(name):
+            return lambda *args, **kwargs: calls.append(name)
 
-        monkeypatch.setattr(ba, "lattice_sum", counting)
+        monkeypatch.setattr(ba, "_deviation_split", counting("pass"))
+        monkeypatch.setattr(ba, "_panel_nodes", counting("panels"))
         with pytest.raises(ToleranceUnreachableError):
             l2_error_spectral(SplineParams(1.0, 1), target_gallery("half-band"), math.nan)
+        assert calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr(ba, "_choose_shift_count", counting("count"))
+        monkeypatch.setattr(ba, "_em_tails", counting("tails"))
+        for tols in [(math.nan, 1e-10), (1e-12, math.nan)]:
+            with pytest.raises(ToleranceUnreachableError):
+                ba._deviation_split(SplineParams(1.0, 2), 0.5, *tols)
         with pytest.raises(ToleranceUnreachableError):
             replica_power(SplineParams(1.0, 2), 0.5, math.nan)
-        assert sums == []
+        assert calls == []
 
 
 class TestMpmathReference:
     """S, T and the error integrals against direct lattice sums at 40 digits."""
 
-    @pytest.mark.parametrize("alpha,k", [(1.0, 12), (0.25, 6)])
+    @pytest.mark.parametrize("alpha,k", [(1.0, 12), (0.25, 6), (2.0, 8), (0.5, 6)])
     def test_deviation_and_replica_power_relative(self, alpha, k):
         # S falls to ~1e-19 at xi = 0 here, where 1 - sqrt(2 pi) Lhat_k
-        # would keep none of its digits
+        # would keep none of its digits; the views and the pass with the
+        # error integrals' split of tolerances all hold
         p = SplineParams(alpha, k)
         xis = np.linspace(-np.pi, np.pi, 33)
-        ref = deviation_replica_mp(alpha, k, xis)
-        S_ref = np.array([float(S) for S, _ in ref])
-        T_ref = np.array([float(T) for _, T in ref])
+        ax, inv = np.unique(np.abs(xis), return_inverse=True)   # S, T are even
+        ref = deviation_replica_mp(alpha, k, ax)
+        S_ref = np.array([float(S) for S, _ in ref])[inv]
+        T_ref = np.array([float(T) for _, T in ref])[inv]
         T, _ = replica_power(p, xis)
-        assert np.max(np.abs(interp_deviation(p, xis) / S_ref - 1.0)) < 1e-11
-        assert np.max(np.abs(T / T_ref - 1.0)) < 1e-11
+        S2, T2, _ = ba._deviation_split(p, xis, 1e-12, 2e-10)
+        for S, T in [(interp_deviation(p, xis), T), (S2, T2)]:
+            assert np.max(np.abs(S / S_ref - 1.0)) < 1e-11
+            assert np.max(np.abs(T / T_ref - 1.0)) < 1e-11
+
+    @pytest.mark.parametrize("name", ["sinc", "triangle-spectrum", "bump-spectrum",
+                                      "half-band"])
+    def test_orders_one_and_two_on_own_nodes(self, name):
+        # the closed-form lattice sums judge k = 1, 2, where the term-by-term
+        # reference is impractical
+        t = target_gallery(name)
+        for k in (1, 2):
+            exact, s2, quad_res, _ = ba._error_integrals(SplineParams(1.0, k), t, 1e-10)
+            nodes, w = ba._panel_nodes(t.pieces, quad_res // (24 * len(t.pieces)))
+            e_ref, b_ref = l2_error_and_bound_mp(1.0, k, nodes, w, t.spectrum(nodes))
+            assert math.sqrt(exact) == pytest.approx(e_ref, rel=5e-14, abs=0)
+            assert math.sqrt(2.0 * s2) == pytest.approx(b_ref, rel=5e-14, abs=0)
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_half_band_error_and_bound(self, k):

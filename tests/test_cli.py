@@ -349,6 +349,22 @@ class TestCardinalityReport:
             L = build_fundamental(SplineParams(2.0, row["k"]), 1e-10)
             assert row["cardinality_error"] == L.cardinality_error
 
+    def test_converge_rows_report_the_sup_window(self, tmp_path):
+        # each row names its order's window J at the sup grid's edge x = 5;
+        # the CSV keeps its columns
+        from cardspline import GrowthModel, SplineParams, build_fundamental
+        from cardspline.cardinal_interpolation import _solve_window
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--alpha", "1", "--k", "1..4", "--target", "half-band",
+                     "-o", str(out)]) == 0
+        assert len(read_csv(out)[0]) == 8
+        rows = json.loads(out.with_suffix(".json").read_text())["data"]["rows"]
+        assert [r["window"] for r in rows][0] == 1      # k = 1: compact support
+        for row in rows[1:]:
+            L = build_fundamental(SplineParams(1.0, row["k"]), 1e-10)
+            assert row["window"] == _solve_window(L, 5, GrowthModel(), 1e-9,
+                                                  clip_to_knee=True) > 1
+
 
 class TestWriters:
     def test_csv_bytes_pinned(self, tmp_path):
