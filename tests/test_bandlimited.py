@@ -261,15 +261,23 @@ class TestDeviationIdentity:
         T, M_view = replica_power(SplineParams(1.0, 1), np.linspace(-np.pi, np.pi, 48), 1e-10)
         assert len(passes) == 1 and 4 <= M_view < 32
 
-    def test_fused_pass_counts_no_fewer_shifts(self):
-        # the pass sums the largest of the three counts the separate sums
-        # certify, and reports the order-2k one
-        from cardspline.spectral_symbol import _choose_shift_count
+    def test_fused_pass_counts_no_fewer_shifts(self, monkeypatch):
+        # both tails of the pass start at the largest of the three counts
+        # the separate sums certify: P^{!=0} at s_tol, P and S_2k^{!=0} at
+        # t_tol / 4; the count reported is the order-2k one
+        from cardspline.spectral_symbol import _choose_shift_count, _em_tails
+        tails = []
+        monkeypatch.setattr(ba, "_em_tails",
+                            lambda xr, a, order, M: tails.append(M) or _em_tails(xr, a, order, M))
         for alpha, k in [(1.0, 1), (0.5, 2), (2.0, 6)]:
             p = SplineParams(alpha, k)
             e_pi = abs(eval_green_hat(p, np.pi))
-            _, _, M = ba._deviation_split(p, np.linspace(-np.pi, np.pi, 5), 1e-12, 2e-10)
-            assert M == _choose_shift_count(alpha, 2 * k, 0.25 * 2e-10 * e_pi * e_pi)
+            counts = [_choose_shift_count(alpha, k, 1e-14 * e_pi),
+                      _choose_shift_count(alpha, k, 0.25 * 2e-10 * e_pi),
+                      _choose_shift_count(alpha, 2 * k, 0.25 * 2e-10 * e_pi * e_pi)]
+            tails.clear()
+            _, _, M = ba._deviation_split(p, np.linspace(-np.pi, np.pi, 5), 1e-14, 2e-10)
+            assert tails == [max(counts)] * 2 and M == counts[2]
 
     def test_unreachable_replica_tolerance_raises_first(self, monkeypatch):
         # the Euler-Maclaurin tail reaches tol 1e-20 at k = 1 with a few
