@@ -82,15 +82,12 @@ class BandlimitedTarget:
     """A band-limited function given by its (even, real) spectrum on [-pi, pi].
 
     `pieces` lists the smooth closed sub-intervals of the spectrum's support so
-    that quadrature never straddles a kink or jump.  `sample_tail_l2(J, g(J))`
-    estimates sum_{|j|>J} g(j)^2 from the target's decay class and its sample
-    at J.
+    that quadrature never straddles a kink or jump.
     """
 
     name: str
     spectrum: Callable
     pieces: tuple
-    sample_tail_l2: Callable
 
     def time_eval(self, x) -> float | np.ndarray:
         """g(x) = (2 pi)^{-1/2} int ghat(xi) cos(x xi) d xi by panel quadrature
@@ -99,9 +96,8 @@ class BandlimitedTarget:
         A value depends on |x| alone, not on the batch it is evaluated in.
         Each point gets the panel count of its power-of-two class,
         max(16, ceil(span 2^c / 10)) with 2^c the least power of two at or
-        above max(1, |x|), and its row of cosines is contracted on its own:
-        a stacked ddot, since one dgemv over the batch sums its last N mod 4
-        rows with another kernel.  Each distinct |x| is evaluated once.
+        above max(1, |x|), and its row of cosines is its own ddot with the
+        weighted spectrum.  Each distinct |x| is evaluated once.
         """
         ax, inv = np.unique(np.abs(np.atleast_1d(np.asarray(x, dtype=float))),
                             return_inverse=True)
@@ -113,7 +109,7 @@ class BandlimitedTarget:
             sel = panels == p
             nodes, w = _panel_nodes(self.pieces, int(p))
             C = np.cos(np.multiply.outer(ax[sel], nodes))
-            vals[sel] = np.matmul(C[:, None, :], w * self.spectrum(nodes))[:, 0]
+            vals[sel] = np.vecdot(C, w * self.spectrum(nodes))
         out = _INV_SQRT_2PI * vals[inv]
         return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
@@ -131,18 +127,16 @@ def _sinc_target() -> BandlimitedTarget:
         name="sinc",
         spectrum=lambda xi: np.full_like(np.asarray(xi, dtype=float), c),
         pieces=((-np.pi, np.pi),),
-        sample_tail_l2=lambda J, gJ: 0.0,      # samples are exactly the delta
     )
 
 
 def _triangle_target() -> BandlimitedTarget:
     # ghat = (2 pi)^{-1/2}(1 - |xi|/pi): g(x) = (1/2) (sin(pi x/2)/(pi x/2))^2,
-    # samples 2/(pi j)^2 at odd j, so the l2 tail is ~ 8/(3 pi^4 J^3)
+    # samples 2/(pi j)^2 at odd j
     return BandlimitedTarget(
         name="triangle-spectrum",
         spectrum=lambda xi: _INV_SQRT_2PI * (1.0 - np.abs(xi) / np.pi),
         pieces=((-np.pi, 0.0), (0.0, np.pi)),
-        sample_tail_l2=lambda J, gJ: 8.0 / (3.0 * np.pi ** 4 * max(J, 1) ** 3),
     )
 
 
@@ -156,22 +150,19 @@ def _bump_target() -> BandlimitedTarget:
         out[inside] = np.exp(-1.0 / v[inside])
         return out
 
-    # samples decay faster than any polynomial; crude geometric cap from the
-    # last sample
+    # samples decay faster than any polynomial
     return BandlimitedTarget(name="bump-spectrum", spectrum=spectrum,
-                             pieces=((-np.pi, np.pi),),
-                             sample_tail_l2=lambda J, gJ: 40.0 * gJ * gJ)
+                             pieces=((-np.pi, np.pi),))
 
 
 def _half_band_target() -> BandlimitedTarget:
     # ghat = (2 pi)^{-1/2} on [-pi/2, pi/2]: g(x) = sin(pi x/2)/(pi x),
-    # samples ~ 1/(pi j) at odd j: slowest admissible l2 decay, tail ~ 1/(pi^2 J)
+    # samples ~ 1/(pi j) at odd j: slowest admissible l2 decay
     c = _INV_SQRT_2PI
     return BandlimitedTarget(
         name="half-band",
         spectrum=lambda xi: np.where(np.abs(np.asarray(xi, dtype=float)) <= np.pi / 2, c, 0.0),
         pieces=((-np.pi / 2, np.pi / 2),),
-        sample_tail_l2=lambda J, gJ: 1.0 / (np.pi ** 2 * max(J, 1)),
     )
 
 
@@ -197,7 +188,7 @@ def target_gallery(name: str) -> BandlimitedTarget:
 
 def sample_integers(target: BandlimitedTarget, J: int) -> DataSequence:
     """Integer samples {g(j): |j| <= J} as a finitely supported sequence with
-    growth beta = 0 and the target's l2 tail estimate attached."""
+    growth beta = 0."""
     if J < 0:
         raise ValueError("J must be >= 0")
     return _sample_sequence(target, np.asarray(target.time_eval(np.arange(-J, J + 1.0))))
@@ -210,8 +201,7 @@ def _sample_sequence(target: BandlimitedTarget, vals: np.ndarray) -> DataSequenc
     amp = max(1.0, float(np.max(np.abs(vals))))
     return DataSequence(name=f"{target.name}-samples", table=table,
                         growth=GrowthModel(beta=0.0, amplitude=amp),
-                        zero_fill=True,
-                        l2_tail=float(target.sample_tail_l2(J, abs(table[J]))))
+                        zero_fill=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ The fast path evaluates the spatial synthesis
 
     L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j)
 
-from a coefficient table.
+from a coefficient table.  Each value is one BLAS ddot of its kernel row with
+the table, so it depends on x alone, not on the array x comes in.
 
 Window selection for the interpolation sums is certified against a fitted
 exponential envelope of |L_k| and is aware of two hard limits:
@@ -41,18 +42,11 @@ from .spectral_symbol import (CoefficientTable, compute_coefficients,
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_HORIZON = 4000
-# kernel-matrix entries per synthesis product.  Both caps fix how the points
-# are partitioned into matrix-vector products, and with it the last bit of
-# each L_k value (dgemv sums the last N mod 4 rows of a call with another
-# kernel): eval_fundamental runs one product per _PRODUCT_ELEMS entries,
-# interpolate_grid one per _CHUNK_ELEMS
-_PRODUCT_ELEMS = 2_000_000
-_CHUNK_ELEMS = 8192
-# points whose kernel rows interpolate_grid builds at once: rows are shared
-# across the whole batch, and the batch bounds the grouping's memory
+# points whose kernel rows one _green_rows call builds: rows are shared
+# across the whole batch, and the batch bounds the sharing's memory
 _BATCH_POINTS = 2 ** 12
-# entries one array pass gathers at most: kernel-matrix entries of a stack
-# of synthesis products, window entries of one contraction, and
+# entries one array pass gathers at most: kernel-matrix entries of one
+# synthesis contraction, window entries of one interpolation contraction, and
 # _WINDOW_HORIZON-term tail rows of the window solver's centers.  128 KiB
 # of float64: glibc serves larger blocks by mmap, and then page-faults every
 # temporary afresh (2.0 * x took 34 us at 16,000 entries, 206 us at 24,000)
@@ -150,42 +144,28 @@ def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
     point rather than merely up to summation-order noise.  Accepts scalars
     or arrays.
 
-    The kernel matrix comes from _green_rows, so the cost scales with the
-    distinct offsets |x| - floor(|x|) rather than with the points; its rows
-    are contracted with c in products of at most _PRODUCT_ELEMS entries.
+    The kernel matrix comes from one _green_rows call per _BATCH_POINTS
+    points, so the cost scales with the distinct offsets |x| - floor(|x|)
+    rather than with the points.  Each row is contracted with c in its own
+    BLAS ddot, so a value depends on x alone, not on the batch it comes in.
     """
     xs = np.asarray(x, dtype=float).ravel()
     out = np.empty_like(xs)
-    block = _product_rows(L)
-    for s in range(0, len(xs), block):
-        out[s:s + block] = _synthesize(L, *_green_rows(L, xs[s:s + block]), block)
+    for s in range(0, len(xs), _BATCH_POINTS):
+        out[s:s + _BATCH_POINTS] = _synthesize(
+            L, *_green_rows(L, xs[s:s + _BATCH_POINTS]))
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-def _product_rows(L: FundamentalFunction) -> int:
-    """Points per synthesis product in eval_fundamental."""
-    return max(1, _PRODUCT_ELEMS // len(L.table.coeffs))
-
-
-def _synthesize(L: FundamentalFunction, windows, at, chunk: int) -> np.ndarray:
-    """(2 pi)^{-1/2} windows[at] @ c for kernel rows from _green_rows, one
-    matrix-vector product per chunk of rows of at.
-
-    The chunks fix the last bits (see _PRODUCT_ELEMS), so they are only
-    stacked, not merged: the full chunks are gathered into (m, chunk, 2J+1)
-    stacks of at most _GATHER_ELEMS entries (one chunk at least), and
-    np.matmul sends each matrix of a stack to the dgemv a lone chunk gets.
-    The partial last chunk is contracted alone.
-    """
+def _synthesize(L: FundamentalFunction, windows, at) -> np.ndarray:
+    """(2 pi)^{-1/2} windows[at] @ c for kernel rows from _green_rows: each
+    row is its own np.vecdot (BLAS ddot) with c, gathered at most
+    _GATHER_ELEMS entries at a time."""
     c = L.table.coeffs
-    full = len(at) - len(at) % chunk
-    step = chunk * max(1, _GATHER_ELEMS // (chunk * len(c)))
+    step = max(1, _GATHER_ELEMS // len(c))
     out = np.empty(len(at))
-    for s in range(0, full, step):
-        idx = at[s:min(full, s + step)].reshape(-1, chunk)
-        out[s:s + idx.size] = (windows[idx] @ c).ravel()
-    if full < len(at):
-        out[full:] = windows[at[full:]] @ c
+    for s in range(0, len(at), step):
+        out[s:s + step] = np.vecdot(windows[at[s:s + step]], c)
     out *= _INV_SQRT_2PI
     return out
 
@@ -204,9 +184,8 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     invariants (delta property on the integers, evenness).
 
     The envelope-fit grid (2 <= x < 15 in steps of 0.05), the integers
-    -20..20 and the evenness grids +-x share one _green_rows call, whose
-    sharing is exact; each grid is contracted in its own products, so its
-    values are the bits eval_fundamental gives it.
+    -20..20 and the evenness grids +-x go through one eval_fundamental call,
+    and so share one kernel pass.
     """
     if tol < 1e-14:
         raise ParameterDomainError(f"tol must be >= 1e-14, got {tol:g}")
@@ -228,11 +207,9 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     js = np.arange(-20, 21)
     xs = np.linspace(0.1, 5.0, 23)
     grids = (env_xs, js.astype(float), xs, -xs)
-    windows, at = _green_rows(L, np.concatenate(grids))
-    ends = np.cumsum([len(g) for g in grids])
-    env_vals, card_vals, even_vals, odd_vals = (
-        _synthesize(L, windows, at[e - len(g):e], _product_rows(L))
-        for g, e in zip(grids, ends))
+    env_vals, card_vals, even_vals, odd_vals = np.split(
+        eval_fundamental(L, np.concatenate(grids)),
+        np.cumsum([len(g) for g in grids[:-1]]))
     rate, amp = (None, None) if L.compact else \
         _fit_fundamental_envelope(env_xs, env_vals)
 
@@ -263,10 +240,6 @@ class GrowthModel:
     rate: float = 0.0
     amplitude: float = 1.0
 
-    def bound(self, j) -> np.ndarray:
-        aj = np.abs(np.asarray(j, dtype=float))
-        return self.amplitude * (1.0 + aj) ** self.beta * np.exp(self.rate * aj)
-
     def log_bound(self, j) -> np.ndarray:
         """log(amplitude) + beta log1p(|j|) + rate |j|, summed in place."""
         aj = np.abs(np.asarray(j, dtype=float))
@@ -291,7 +264,6 @@ class DataSequence:
     table: Optional[dict] = None
     rule: Optional[Callable] = None
     zero_fill: bool = True
-    l2_tail: Optional[float] = None
 
     def values(self, js: np.ndarray) -> np.ndarray:
         if self.rule is not None:
@@ -464,7 +436,7 @@ def _solve_windows(L: FundamentalFunction, centers, growth: GrowthModel,
     decay = L.env_rate * (d - 0.5)
     ratio = math.exp(growth.rate - L.env_rate)
     knee = _noise_knee(L)
-    step = _GATHER_ELEMS // _WINDOW_HORIZON
+    step = max(1, _GATHER_ELEMS // _WINDOW_HORIZON)
     for s in range(0, len(centers), step):
         # assembled in log space: the growth factor alone overflows long
         # before the envelope pulls the product back down.  Every step runs
@@ -567,13 +539,10 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     of the row; the cost scales with the number of distinct offsets, not
     points.  Sharing is exact: |t| <= 1/2 and m is an integer, so t = x - m
     carries no rounding, and fl(t - o) == fl(x - (m + o)) are the same kernel
-    arguments the point would form itself.  The kernel rows under these L_k
-    rows come from one _green_rows call per batch of _BATCH_POINTS window
-    points, so kernel values are shared across offsets as well (t and -t, and
-    the two sides of every row).  The batch's rows are contracted with c in
-    one product per chunk of at most _CHUNK_ELEMS kernel-matrix entries,
-    which _synthesize stacks into a few np.matmul calls without moving a
-    product boundary.  Each point's window sum stays one BLAS ddot, batched
+    arguments the point would form itself.  The rows come from
+    eval_fundamental, one call per batch of _BATCH_POINTS window points, so
+    kernel values are shared across offsets as well (t and -t, and the two
+    sides of every row).  Each point's window sum is one BLAS ddot, batched
     by _contract.
     """
     xs = np.asarray(xs, dtype=float).ravel()
@@ -624,19 +593,12 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     order = np.argsort(row, kind="stable")
     todo, row = todo[order], row[order]
     offsets = np.arange(-Jmax, Jmax + 1)
-    chunk = len(offsets) * max(1, _CHUNK_ELEMS // (len(offsets) * len(L.table.coeffs)))
-    batch = chunk // len(offsets) * max(1, _BATCH_POINTS // chunk)
-    if chunk > _product_rows(L):
-        # a row longer than an eval_fundamental product is split as that
-        # splits it: one row per batch, in products of _product_rows(L)
-        batch, chunk = 1, _product_rows(L)
+    batch = max(1, _BATCH_POINTS // len(offsets))
     # points per contraction: the gathered windows take at most
     # _GATHER_ELEMS entries
     step = max(1, _GATHER_ELEMS // len(offsets))
     for s in range(0, len(ts), batch):
-        windows, at = _green_rows(
-            L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
-        Lv = _synthesize(L, windows, at, chunk).reshape(-1, len(offsets))
+        Lv = eval_fundamental(L, ts[s:s + batch, None] - offsets)
         lo, hi = np.searchsorted(row, [s, s + batch])
         for p in range(lo, hi, step):
             pts = todo[p:min(hi, p + step)]
@@ -650,12 +612,9 @@ def _contract(Lv, rows, lead, b, present, first, width, kept) -> np.ndarray:
     against Lv[row, lead:lead+width], over its present entries where it
     keeps fewer than width of them.
 
-    Every point still gets the BLAS ddot np.dot would give it: the points
-    with one width and kept count are gathered into contiguous (m, kept)
-    arrays, kept entries in window order, and np.matmul sends each
-    (1 x kept) @ (kept x 1) slice of the stack to ddot.  Padding to a common
-    width, or einsum, sums in another order and moves results at the
-    synthesis noise floor.
+    Each point is its own BLAS ddot, as np.dot gives it: the points with
+    one width and kept count are gathered into contiguous (m, kept) arrays,
+    kept entries in window order, and contracted row by row with np.vecdot.
     """
     key = width * (int(np.max(width)) + 1) + kept
     by = np.argsort(key, kind="stable")
@@ -670,5 +629,5 @@ def _contract(Lv, rows, lead, b, present, first, width, kept) -> np.ndarray:
         if n < w:
             keep = present[win]
             B, Lw = B[keep].reshape(len(sel), n), Lw[keep].reshape(len(sel), n)
-        out[sel] = np.matmul(B[:, None, :], Lw[:, :, None])[:, 0, 0]
+        out[sel] = np.vecdot(B, Lw)
     return out

@@ -6,22 +6,20 @@ itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
 summation) route for the periodized symbol, the k = 1 hyperbolic closed
 forms, and mpmath lattice sums for the error split S, T (term by term,
 or at k = 1, 2 from their closed form).  The
-exceptions are earlier forms kept as bitwise references for their faster
-replacements: interpolate_pointwise (one point at a time, for
-interpolate_grid), eval_fundamental_direct (one kernel evaluation per point
-and table entry, for the shared kernel rows of eval_fundamental),
+exceptions are plain or earlier forms kept as bitwise references for their
+faster replacements: interpolate_pointwise (one point at a time: its own
+window solve and one np.dot over its kept window, for interpolate_grid),
+eval_fundamental_direct (one kernel row and one np.dot per point, for the
+shared kernel rows and gathered contraction of eval_fundamental; each value
+of both is its own BLAS ddot, so neither depends on the batch),
 refined_coefficients_fsum (one math.fsum per coefficient, for the exact row
 sums of the coefficient refinement), eval_green_out_of_place (for the in-place
 eval_green), sample_reciprocal_full (every sample of every doubling level,
 for the reuse of the even ones), panel_nodes_loop (one panel at a time, for
 _panel_nodes), tail_integral_loop (the whole-array convergence test in every
-term, for _tail_integral) and
-interpolate_grid_loop (one window solve per center, one synthesis product
-call per chunk and one np.dot per point, for the stacked products, the
-window solve over all centers and the grouped contraction of
-interpolate_grid), solve_window_loop (one center at a time, for
+term, for _tail_integral), solve_window_loop (one center at a time, for
 _solve_windows) and fundamental_checks_four_calls (one eval_fundamental call
-per check, for the one kernel pass of build_fundamental); and two reference
+per check, for the one call of build_fundamental); and two reference
 quantities that only the tests read: the exact one-sided knot derivatives of
 E_k and the plain (uncorrected) periodization tail bound.
 
@@ -37,7 +35,7 @@ from scipy.integrate import quad
 from cardspline import cardinal_interpolation as ci
 from cardspline.bandlimited_analysis import _panel_nodes
 from cardspline.cardinal_interpolation import _solve_window, eval_fundamental
-from cardspline.errors import MissingDataError, WindowOverflowError
+from cardspline.errors import WindowOverflowError
 from cardspline.greens_kernel import (SplineParams, build_green_kernel, eval_green,
                                       eval_green_hat)
 from cardspline.spectral_symbol import (compute_coefficients, fit_decay_envelope,
@@ -384,20 +382,15 @@ def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
 
 
 def eval_fundamental_direct(L, x) -> float | np.ndarray:
-    """L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j).
-
-    Truncation error is bounded by tail_bound * max|E_k| * (2 pi)^{-1/2}.
-    Arguments are folded to |x| first, making evenness exact in floating
-    point rather than merely up to summation-order noise.  Accepts scalars
-    or arrays.
-    """
+    """L_k(x) = (2 pi)^{-1/2} np.dot(E_k(|x| - j), c) at each point, over
+    the table's indices j; the kernel rows are evaluated a block of points
+    at a time."""
     xs = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     js = L.table.indices.astype(float)
     out = np.empty_like(xs)
-    block = max(1, int(2e6 // max(1, len(js))))
-    for s in range(0, len(xs), block):
-        diff = xs[s:s + block, None] - js[None, :]
-        out[s:s + block] = np.asarray(eval_green(L.kernel, diff)) @ L.table.coeffs
+    for s in range(0, len(xs), 4096):
+        rows = eval_green(L.kernel, xs[s:s + 4096, None] - js[None, :])
+        out[s:s + 4096] = [np.dot(row, L.table.coeffs) for row in rows]
     out *= INV_SQRT_2PI
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
@@ -465,80 +458,6 @@ def tail_integral_loop(u0, alpha: float, k: int):
             break
         term *= -q * (k + m) / (m + 1.0)
     return total * u0 ** (1 - 2 * k)
-
-
-def synthesize_blocks(L, windows, at) -> np.ndarray:
-    """(2 pi)^{-1/2} windows[at] @ c, one product call per _product_rows(L)
-    rows."""
-    block = ci._product_rows(L)
-    out = np.empty(len(at))
-    for s in range(0, len(at), block):
-        out[s:s + block] = windows[at[s:s + block]] @ L.table.coeffs
-    out *= INV_SQRT_2PI
-    return out
-
-
-def interpolate_grid_loop(L, data, xs, tol: float = 1e-8,
-                          best_effort: bool = False) -> np.ndarray:
-    """cardinal_interpolation.interpolate_grid with one window solve per
-    distinct |round(x)|, one synthesize_blocks call per _CHUNK_ELEMS chunk
-    and one np.dot per point over the L_k rows of the chunk."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    out = np.empty(len(xs))
-    if len(xs) == 0:
-        return out
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("interpolation points must be finite")
-    ms = np.rint(xs).astype(np.int64)
-    exact = (np.abs(xs - ms) < 1e-12) & L.cardinality_ok
-    Js = np.zeros(len(xs), dtype=np.int64)
-    centers, which = np.unique(np.abs(ms[~exact]), return_inverse=True)
-    Js[~exact] = np.array([ci._solve_window(L, int(m), data.growth, tol,
-                                            clip_to_knee=best_effort)
-                           for m in centers], dtype=np.int64)[which]
-    Jmax = int(np.max(Js))
-    cu = np.unique(ms)
-    starts = np.concatenate([[True], np.diff(cu) > 2 * Jmax + 1])
-    ends = np.concatenate([starts[1:], [True]])
-    js = np.concatenate([np.arange(a - Jmax, z + Jmax + 1)
-                         for a, z in zip(cu[starts], cu[ends])])
-    first = np.searchsorted(js, ms - Js)
-    b, present = ci._gather_samples(data, js)
-    if not data.zero_fill:
-        for f, J in zip(first, Js):
-            gap = ~present[f:f + 2 * J + 1]
-            if gap.any():
-                j = js[f + int(np.argmax(gap))]
-                raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
-    filtered = not np.all(present)
-    out[exact] = b[first[exact]]
-    todo = np.nonzero(~exact)[0]
-    if len(todo) == 0:
-        return out
-    ts, row = np.unique(xs[todo] - ms[todo], return_inverse=True)
-    order = np.argsort(row, kind="stable")
-    todo, row = todo[order], row[order]
-    offsets = np.arange(-Jmax, Jmax + 1)
-    step = max(1, ci._CHUNK_ELEMS // (len(offsets) * len(L.table.coeffs)))
-    batch = step * max(1, ci._BATCH_POINTS // (step * len(offsets)))
-    for s in range(0, len(ts), step):
-        if s % batch == 0:
-            windows, at = ci._green_rows(
-                L, (ts[s:s + batch, None] - offsets[None, :]).ravel())
-        q = (s % batch) * len(offsets)
-        Lv = synthesize_blocks(L, windows, at[q:q + step * len(offsets)])
-        Lv = Lv.reshape(-1, len(offsets))
-        lo, hi = np.searchsorted(row, [s, s + step])
-        pts = todo[lo:hi]
-        for i, r, f, J in zip(pts.tolist(), (row[lo:hi] - s).tolist(),
-                              first[pts].tolist(), Js[pts].tolist()):
-            win = slice(f, f + 2 * J + 1)
-            bi, Li = b[win], Lv[r, Jmax - J:Jmax + J + 1]
-            if filtered:
-                keep = present[win]
-                bi, Li = bi[keep], Li[keep]
-            out[i] = np.dot(bi, Li)
-    return out
 
 
 def solve_window_loop(L, center: int, growth, tol: float,

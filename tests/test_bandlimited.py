@@ -31,8 +31,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 def zero_target() -> BandlimitedTarget:
     return BandlimitedTarget(name="zero",
                              spectrum=lambda xi: np.zeros_like(np.asarray(xi, dtype=float)),
-                             pieces=((-np.pi, np.pi),),
-                             sample_tail_l2=lambda J, gJ: 0.0)
+                             pieces=((-np.pi, np.pi),))
 
 
 def straddling_band() -> BandlimitedTarget:
@@ -43,8 +42,7 @@ def straddling_band() -> BandlimitedTarget:
     return BandlimitedTarget(
         name="straddled-band",
         spectrum=lambda xi: np.where(np.abs(np.asarray(xi, dtype=float)) <= 3.0, c, 0.0),
-        pieces=((-np.pi, np.pi),),
-        sample_tail_l2=lambda J, gJ: 1.0 / (np.pi ** 2 * max(J, 1)))
+        pieces=((-np.pi, np.pi),))
 
 
 class TestGallery:
@@ -130,13 +128,7 @@ class TestSampleIntegers:
         js = np.arange(-10, 11)
         np.testing.assert_allclose(data.values(js), (js == 0).astype(float),
                                    atol=1e-12)
-        assert data.l2_tail == 0.0
         assert data.growth.beta == 0.0
-
-    def test_tail_estimate_decreases(self):
-        t = target_gallery("half-band")
-        tails = [sample_integers(t, J).l2_tail for J in [5, 10, 20, 40]]
-        assert all(tails[i + 1] < tails[i] for i in range(3))
 
     def test_triangle_single_sample(self):
         data = sample_integers(target_gallery("triangle-spectrum"), 0)

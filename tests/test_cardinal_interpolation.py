@@ -18,12 +18,12 @@ from cardspline.cardinal_interpolation import (build_fundamental,
 from cardspline.errors import (DataFormatError, MissingDataError,
                                ParameterDomainError, UnknownBasisError,
                                WindowOverflowError)
-from cardspline.greens_kernel import SplineParams
+from cardspline.greens_kernel import SplineParams, eval_green
 from cardspline.spectral_symbol import CoefficientTable
-from oracles import (eval_fundamental_direct, eval_fundamental_spectral,
-                     fundamental_checks_four_calls, fundamental_k1_closed,
-                     interpolate_grid_loop, interpolate_pointwise,
-                     solve_window_loop, synthesize_blocks)
+from oracles import (INV_SQRT_2PI, eval_fundamental_direct,
+                     eval_fundamental_spectral, fundamental_checks_four_calls,
+                     fundamental_k1_closed, interpolate_pointwise,
+                     solve_window_loop)
 
 ALPHAS = [0.5, 1.0, 2.0]
 
@@ -364,6 +364,54 @@ class TestSharedKernelRows:
         assert_bitwise(got, eval_fundamental_direct(L, xs))
 
 
+def exact_products(a, b):
+    """(p, e) with p + e = a * b exactly, elementwise (Dekker's product with
+    Veltkamp's split; exact while nothing overflows or underflows)."""
+    def split(v):
+        t = 134217729.0 * v
+        hi = t - (t - v)
+        return hi, v - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class TestPositionInvariance:
+    """Each L_k value is its own ddot, so it depends on x alone: not on the
+    length of its array, its place in it or the points beside it."""
+
+    @pytest.mark.parametrize("alpha,k", [(1.0, 3), (0.25, 3), (1.0, 10)])
+    def test_any_batch_gives_the_full_grid_bits(self, alpha, k):
+        L = L_of(alpha, k)
+        xs = np.linspace(-20.27, 19.73, 4001)
+        full = eval_fundamental(L, xs)
+        assert_bitwise([eval_fundamental(L, x) for x in xs.tolist()], full)
+        for n in range(1, 10):      # every N mod 4, at both ends
+            assert_bitwise(eval_fundamental(L, xs[:n]), full[:n])
+            assert_bitwise(eval_fundamental(L, xs[-n:]), full[-n:])
+        pick = np.random.default_rng(k).permutation(len(xs))
+        assert_bitwise(eval_fundamental(L, xs[pick]), full[pick])
+
+    @pytest.mark.parametrize("alpha,k", EVAL_CELLS)
+    def test_rounding_within_the_dot_product_bound(self, alpha, k):
+        # Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1:
+        # a computed dot product of n terms lies within gamma_n sum |c_j E_j|
+        # of the exact one, here math.fsum of the exact products; one more
+        # rounding each for the scale (2 pi)^{-1/2} and the rounded reference
+        L = L_of(alpha, k)
+        c, js = L.table.coeffs, L.table.indices.astype(float)
+        n, u = len(c), 2.0 ** -53
+        gamma = n * u / (1.0 - n * u)
+        xs = np.linspace(-20.27, 19.73, 401)
+        for x, v in zip(xs.tolist(), eval_fundamental(L, xs).tolist()):
+            E = eval_green(L.kernel, abs(x) - js)
+            p, e = exact_products(c, E)
+            exact = math.fsum(p.tolist() + e.tolist())
+            bound = gamma * float(np.sum(np.abs(p))) + 2.0 * u * abs(exact)
+            assert abs(v - exact * INV_SQRT_2PI) <= bound * INV_SQRT_2PI
+
+
 class TestInterpolateGrid:
     """The batched evaluator against the one-point-at-a-time reference."""
 
@@ -402,9 +450,8 @@ class TestInterpolateGrid:
         data = sequence_from_table({j: float(rng.standard_normal())
                                     for j in range(-8, 9)})
         xs = np.linspace(-12.0, 12.0, 97)
-        np.testing.assert_allclose(interpolate_grid(L, data, xs, 1e-10),
-                                   pointwise(L, data, xs, 1e-10),
-                                   rtol=0, atol=1e-15)
+        assert_bitwise(interpolate_grid(L, data, xs, 1e-10),
+                       pointwise(L, data, xs, 1e-10))
 
     def test_one_window_solve_per_center(self, solved_centers):
         L = L_of(1.0, 3)
@@ -445,12 +492,23 @@ class TestInterpolateGrid:
         assert sum(points) == len(offsets) * (2 * Jmax + 1)
 
     def test_batch_size_does_not_change_bits(self, monkeypatch):
+        # the two memory caps split the work, never a sum
         L = L_of(1.0, 3, 1e-9)
         data = seeded_table(2)
         xs = np.linspace(-30.35, 29.65, 1201)
-        want = interpolate_grid(L, data, xs, 1e-9)
-        monkeypatch.setattr(cardinal_interpolation, "_BATCH_POINTS", 97)
-        assert_bitwise(interpolate_grid(L, data, xs, 1e-9), want)
+        grid = np.linspace(-20.27, 19.73, 401)
+
+        def results():
+            checks = build_fundamental(SplineParams(1.0, 6), 1e-10)
+            return np.concatenate([
+                interpolate_grid(L, data, xs, 1e-9), eval_fundamental(L, grid),
+                [checks.cardinality_error, checks.env_rate, checks.env_amplitude]])
+
+        want = results()
+        for batch, gather in [(1, 1), (97, 97), (1, 97), (97, 1)]:
+            monkeypatch.setattr(cardinal_interpolation, "_BATCH_POINTS", batch)
+            monkeypatch.setattr(cardinal_interpolation, "_GATHER_ELEMS", gather)
+            assert_bitwise(results(), want)
 
     def test_permuted_grid_with_repeats(self):
         L = L_of(1.0, 3, 1e-9)
@@ -493,17 +551,18 @@ class TestInterpolateGrid:
         interpolate_grid(L, delta, np.array([-7.5, 12.25, 3.0, 40.4]), 1e-9)
         assert solved_centers == [8]   # the smallest |round(x)|, as before
         del solved_centers[:]
-        # the per-center solves give the same widths and bits
-        assert_bitwise(got, interpolate_grid_loop(L, data, xs, 1e-9))
-        assert len(solved_centers) == 31
+        # the per-point solves give the same widths and bits
+        assert_bitwise(got, pointwise(L, data, xs, 1e-9))
+        assert len({abs(c) for c in solved_centers}) == 31
 
     def test_flat_growth_refuses_as_before(self):
         # a tolerance below the floor: the one solve raises what the first
-        # of the per-center solves raised
+        # of the per-point solves raised
         L = L_of(1.0, 3)
         data = sequence_from_table({0: 1e12, 3: -2.0})
         xs = np.array([40.5, 0.25, -3.75])
-        want = first_error(interpolate_grid_loop, L, data, xs, 1e-14)
+        want = first_error(lambda: [interpolate_pointwise(L, data, float(x), 1e-14)
+                                    for x in xs])
         assert want[0] is WindowOverflowError
         assert first_error(interpolate_grid, L, data, xs, 1e-14) == want
 
@@ -537,8 +596,7 @@ class TestInterpolateGrid:
         data = sequence_from_rule("power-beta", 0.5, beta=1.0)
         xs = np.array([-2.0, 0.0, 1.0, 1.5])
         got = interpolate_grid(L, data, xs, 1e-6)
-        np.testing.assert_allclose(got, pointwise(L, data, xs, 1e-6),
-                                   rtol=1e-14, atol=0)
+        assert_bitwise(got, pointwise(L, data, xs, 1e-6))
         assert got[1] != 1.0
 
     def test_empty_table_gives_zeros(self, tmp_path):
@@ -601,8 +659,8 @@ class TestInterpolateGrid:
 
 class TestGroupedContraction:
     """interpolate_grid contracts the points of one window width (and kept
-    count) in one stacked np.matmul; every point must keep the bits of its
-    own np.dot."""
+    count) in one np.vecdot; every point must keep the bits of its own
+    np.dot."""
 
     def test_stacked_matmul_is_the_per_row_dot(self):
         rng = np.random.default_rng(600)
@@ -611,6 +669,19 @@ class TestGroupedContraction:
             Lw = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-16, 0, (3, w))
             got = np.matmul(B[:, None, :], Lw[:, :, None])[:, 0, 0]
             assert_bitwise(got, [np.dot(b, l) for b, l in zip(B, Lw)])
+
+    def test_vecdot_is_the_per_row_dot(self):
+        # rows against rows (_contract), rows against one vector
+        # (_synthesize, time_eval), and gathered rows of a strided view
+        rng = np.random.default_rng(601)
+        for w in range(601):
+            B = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-12, 12, (3, w))
+            Lw = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-16, 0, (3, w))
+            assert_bitwise(np.vecdot(B, Lw), [np.dot(b, l) for b, l in zip(B, Lw)])
+            assert_bitwise(np.vecdot(B, Lw[0]), [np.dot(b, Lw[0]) for b in B])
+            E = rng.standard_normal(w + 9)
+            rows = np.lib.stride_tricks.sliding_window_view(E, w)[[4, 0, 9, 4]]
+            assert_bitwise(np.vecdot(rows, Lw[1]), [np.dot(r, Lw[1]) for r in rows])
 
     @pytest.mark.parametrize("k,basis,tol", [(3, "cosh", 1e-6), (3, "sinh", 1e-6),
                                              (2, "cosh", 1e-8), (2, "xexp+", 1e-6),
@@ -624,14 +695,10 @@ class TestGroupedContraction:
         widths = {cardinal_interpolation._solve_window(L, m, data.growth, tol)
                   for m in range(6)}
         assert len(widths) > 1
-        got = interpolate_grid(L, data, xs, tol)
-        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol))
         # a window narrower than the widest takes its L_k values from the
-        # middle of a longer synthesized row, at other dgemv positions than
-        # interpolate_pointwise's own: agreement to the synthesis noise
-        bmax = float(np.max(np.abs(data.rule(np.arange(-40.0, 41.0)))))
-        np.testing.assert_allclose(got, pointwise(L, data, xs, tol),
-                                   rtol=0, atol=L.noise_floor * bmax)
+        # middle of a longer row, with the bits of its own synthesis
+        got = interpolate_grid(L, data, xs, tol)
+        assert_bitwise(got, pointwise(L, data, xs, tol))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("basis", ["cosh", "sinh", "xexp+", "xexp-"])
@@ -643,9 +710,7 @@ class TestGroupedContraction:
         xs = np.linspace(-5.0 - u, 5.0 + u, 101)
         tol = 0.05e-8 * max(1.0, float(np.max(np.abs(data.rule(xs)))))
         got = interpolate_grid(L, data, xs, tol, best_effort=True)
-        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol, best_effort=True))
-        if k > 2:   # one width, clipped at the knee
-            assert_bitwise(got, pointwise(L, data, xs, tol, best_effort=True))
+        assert_bitwise(got, pointwise(L, data, xs, tol, best_effort=True))
 
     @pytest.mark.parametrize("alpha,k,tol", [(1.0, 2, 1e-10), (1.0, 3, 1e-9),
                                              (0.5, 3, 1e-9), (2.0, 3, 1e-10)])
@@ -662,14 +727,11 @@ class TestGroupedContraction:
         ms = np.rint(xs).astype(int)
         kept = {sum(j in data.table for j in range(m - J, m + J + 1)) for m in ms}
         assert kept >= {0, 1, 2 * J + 1}
+        # interpolate_pointwise synthesizes L_k over the kept indices alone
         got = interpolate_grid(L, data, xs, tol)
-        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol))
+        assert_bitwise(got, pointwise(L, data, xs, tol))
         empty = np.array([m - J > 30 or m + J < -60 for m in ms])
         assert empty.any() and got[empty].tolist() == [0.0] * int(empty.sum())
-        # interpolate_pointwise synthesizes L_k over the kept indices alone,
-        # whose dgemv shapes differ: agreement to the synthesis noise
-        np.testing.assert_allclose(got, pointwise(L, data, xs, tol),
-                                   rtol=0, atol=10 * L.noise_floor * 2.0)
 
     def test_strict_table_first_missing_index(self):
         # windows of several points run off the table on both sides; the
@@ -687,28 +749,9 @@ class TestGroupedContraction:
                        pointwise(L, data, inside, 1e-9))
 
 
-def chunk_rows(L, Jmax):
-    """L_k rows per synthesis product of interpolate_grid at window Jmax."""
-    width = 2 * Jmax + 1
-    return max(1, cardinal_interpolation._CHUNK_ELEMS // (width * len(L.table.coeffs)))
-
-
 class TestStackedSynthesis:
-    """_synthesize stacks the chunk products of a batch; every chunk must
-    keep the bits of its own product call."""
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    def test_stacks_are_the_per_chunk_products(self, chunk):
-        L = L_of(1.0, 3)
-        xs = np.random.default_rng(chunk).uniform(-30.0, 30.0, 1500)
-        windows, at = cardinal_interpolation._green_rows(L, xs)
-        # stacks of several chunks, and a partial chunk after them
-        assert cardinal_interpolation._GATHER_ELEMS // (chunk * len(L.table.coeffs)) > 1
-        for n in (0, 1, chunk, 5 * chunk, 5 * chunk + 1, len(at)):
-            got = cardinal_interpolation._synthesize(L, windows, at[:n], chunk)
-            want = [synthesize_blocks(L, windows, at[q:min(n, q + chunk)])
-                    for q in range(0, n, chunk)]
-            assert_bitwise(got, np.concatenate([np.empty(0)] + want))
+    """Jittered grids, whose L_k rows are all distinct: interpolate_grid
+    against the one-point-at-a-time reference."""
 
     @pytest.mark.parametrize("alpha,k,basis,tol", [
         (0.25, 2, "cosh", 1e-8), (0.25, 3, "sinh", 1e-8), (0.25, 4, "xexp+", 1e-6),
@@ -719,33 +762,7 @@ class TestStackedSynthesis:
         rng = np.random.default_rng(k)
         xs = np.sort(rng.uniform(-8.0, 8.0, 301))
         got = interpolate_grid(L, data, xs, tol, best_effort=True)
-        assert_bitwise(got, interpolate_grid_loop(L, data, xs, tol, best_effort=True))
-
-    @pytest.mark.parametrize("alpha,k,tol", [(1.0, 3, 1e-6), (2.0, 3, 1e-9),
-                                             (2.0, 2, 1e-10)])
-    def test_partial_last_chunk_bitwise(self, alpha, k, tol):
-        # two or more L_k rows per product, and a row count no chunk divides
-        L = L_of(alpha, k)
-        data = seeded_table(2)
-        xs = np.linspace(-20.0, 20.0, 303) + np.random.default_rng(9).uniform(0, 0.1)
-        rows = len(np.unique(xs - np.rint(xs)))
-        J = cardinal_interpolation._solve_window(L, 0, data.growth, tol)
-        per = chunk_rows(L, J)
-        assert per > 1 and rows % per != 0
-        assert_bitwise(interpolate_grid(L, data, xs, tol),
-                       interpolate_grid_loop(L, data, xs, tol))
-
-    def test_row_longer_than_a_product(self, monkeypatch):
-        # one L_k row spans several eval_fundamental products: it is split
-        # as the per-chunk synthesis splits it
-        L = L_of(1.0, 3, 1e-9)
-        data = seeded_table(2)
-        xs = np.linspace(-10.35, 9.65, 301)
-        monkeypatch.setattr(cardinal_interpolation, "_PRODUCT_ELEMS",
-                            7 * len(L.table.coeffs))
-        assert cardinal_interpolation._product_rows(L) == 7
-        assert_bitwise(interpolate_grid(L, data, xs, 1e-9),
-                       interpolate_grid_loop(L, data, xs, 1e-9))
+        assert_bitwise(got, pointwise(L, data, xs, tol, best_effort=True))
 
 
 class TestWindowSolver:

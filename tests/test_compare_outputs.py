@@ -1,11 +1,13 @@
 """tools/compare_outputs.py: what counts as a difference between two runs."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import compare_outputs  # noqa: E402
 from compare_outputs import compare_docs, compare_trees  # noqa: E402
 
 
@@ -39,11 +41,35 @@ def test_trees(tmp_path):
         return root
 
     old = tree("old", {"a.csv": 0, "b.csv": 4},
-               {"a.csv": "x\n1\n", "a.json": '{"data": {"v": 1}, "wall_ms": 3.0}'})
+               {"a.csv": "x\n1\n", "a.json": '{"data": {"v": 1}, "wall_ms": 3.0}',
+                "d.csv": "x,y\n0.5,1.25e-3\n1.5,-2e-3\n2.5,7\n",
+                "e.csv": "x,y\n0,1\n", "f.txt": "a"})
     new = tree("new", {"a.csv": 0, "b.csv": 2},
                {"a.csv": "x\n2\n", "a.json": '{"data": {"v": 1, "e": 0}, "wall_ms": 9.0}',
-                "c.csv": ""})
+                "c.csv": "", "d.csv": "x,y\n0.5,1.5e-3\n1.5,-2e-3\n2.5,nan\n",
+                "e.csv": "x,y\n0,1\n1,2\n", "f.txt": "b"})
     ops, files, diffs, added = compare_trees(old, new)
-    assert (ops, files) == (2, 3)
-    assert diffs == ["b.csv: exit 4 -> 2", "a.csv: bytes differ", "c.csv: only in new"]
+    assert (ops, files) == (2, 6)
+    assert diffs == ["b.csv: exit 4 -> 2",
+                     "a.csv: 1 of 2 cells moved, largest move 1.000e+00",
+                     "c.csv: only in new",
+                     "d.csv: 2 of 8 cells moved, largest move inf",
+                     "e.csv: bytes differ", "f.txt: bytes differ"]
     assert added == {"data.e": 1}
+
+
+def test_every_difference_is_printed(tmp_path, monkeypatch, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, v in ((old, 1), (new, 2)):
+        root.mkdir()
+        (root / "exit_codes.json").write_text("{}")
+        for i in range(25):
+            (root / f"r{i:02d}.csv").write_text(f"x\n{v}\n")
+
+    # each "tree" is already a run directory: copy it instead of running it
+    monkeypatch.setattr(compare_outputs, "source_dir", Path)
+    monkeypatch.setattr(compare_outputs, "run_tree",
+                        lambda src, out, seeds, rounds: shutil.copytree(src, out))
+    assert compare_outputs.main([str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 26 and lines[-1] == "ops 0 files 25 differ 25"

@@ -12,16 +12,20 @@ output paths echoed in sidecars and manifests agree.
 Then every file is compared: CSVs and data files byte for byte, JSON
 sidecars and manifests as documents without their `wall_ms`, and each op's
 exit code.  A sidecar key that only NEW writes is listed as added, not as a
-difference; a key that NEW drops or a value that moves is a difference.
-Prints `ops N files N differ N` and exits 1 on any difference.
+difference; a key that NEW drops or a value that moves is a difference.  A
+CSV that differs but keeps its shape is reported by its moved cells and the
+largest absolute move among them.  Prints one line per difference, then
+`ops N files N differ N`, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +115,25 @@ def compare_docs(old, new, path: str, added: list[str]) -> str | None:
     return None
 
 
+def csv_moves(old: str, new: str) -> str:
+    """How a CSV moved: its moved cells and the largest absolute move among
+    the numeric ones (inf where a value turns NaN), or only that its bytes
+    differ when its rows or columns do."""
+    a, b = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
+    if [len(r) for r in a] != [len(r) for r in b]:
+        return "bytes differ"
+    moved = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x != y]
+    largest = 0.0
+    for x, y in moved:
+        try:
+            d = abs(float(y) - float(x))
+        except ValueError:
+            continue
+        largest = max(largest, d if d == d else math.inf)
+    cells = sum(len(r) for r in a)
+    return f"{len(moved)} of {cells} cells moved, largest move {largest:.3e}"
+
+
 def compare_trees(old: Path, new: Path) -> tuple[int, int, list[str], Counter]:
     """(ops, files, differences, added keys) of two run directories."""
     diffs, added = [], Counter()
@@ -133,7 +156,8 @@ def compare_trees(old: Path, new: Path) -> tuple[int, int, list[str], Counter]:
                 diffs.append(f"{name}: {bad}")
             added.update(set(keys))
         elif a.read_bytes() != b.read_bytes():
-            diffs.append(f"{name}: bytes differ")
+            diffs.append(f"{name}: " + (csv_moves(a.read_text(), b.read_text())
+                                        if name.suffix == ".csv" else "bytes differ"))
     return len(codes_old), len(names), diffs, added
 
 
@@ -150,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             run_tree(source_dir(tree), Path(tmp) / label, args.seeds, args.rounds)
             runs.append(Path(tmp) / label)
         ops, files, diffs, added = compare_trees(*runs)
-    for line in diffs[:20]:
+    for line in diffs:
         print(line)
     for key, n in sorted(added.items()):
         print(f"added {key} in {n} files")
