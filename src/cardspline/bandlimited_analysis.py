@@ -278,9 +278,10 @@ def replica_power(params: SplineParams, xi, tol: float = 1e-12):
 @dataclass(frozen=True)
 class ErrorReport:
     """Interpolation error summary for one (params, target) cell;
-    ell_truncation is replica_power's M, cardinality_error that of the L_k
-    the sup error was interpolated with, and sup_window that L_k's window J
-    on the sup-error grid."""
+    ell_truncation is replica_power's M, cardinality_error, decay_rate and
+    cond_B those of the L_k the sup error was interpolated with (decay_rate
+    None at k = 1), and sup_window that L_k's window J on the sup-error
+    grid."""
 
     params: SplineParams
     target: str
@@ -291,6 +292,8 @@ class ErrorReport:
     ell_truncation: int
     cardinality_error: float = 0.0
     sup_window: int = 0
+    decay_rate: float | None = None
+    cond_B: float = 1.0
 
     def __post_init__(self):
         vals = (self.l2_error, self.l2_bound, self.sup_error_grid)
@@ -438,7 +441,8 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
                                    quadrature_resolution=quad_res,
                                    ell_truncation=ell,
                                    cardinality_error=L.cardinality_error,
-                                   sup_window=J))
+                                   sup_window=J, decay_rate=L.env_rate,
+                                   cond_B=L.table.cond_B))
     return reports
 
 

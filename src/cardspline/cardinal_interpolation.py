@@ -13,8 +13,9 @@ The fast path evaluates the spatial synthesis
 from a coefficient table.  Each value is one BLAS ddot of its kernel row with
 the table, so it depends on x alone, not on the array x comes in.
 
-Window selection for the interpolation sums is certified against a fitted
-exponential envelope of |L_k| and is aware of two hard limits:
+Window selection for the interpolation sums is certified against an
+exponential envelope of |L_k| at the exact decay rate of the coefficient
+table, and is aware of two hard limits:
 
   * data whose exponential growth rate reaches the envelope decay rate makes
     the series diverge (the window solver refuses rather than returning noise);
@@ -37,8 +38,7 @@ from .errors import (DataFormatError, MissingDataError, ParameterDomainError,
                      UnknownBasisError, WindowOverflowError)
 from .greens_kernel import (GreenKernel, SplineParams, build_green_kernel,
                             eval_green)
-from .spectral_symbol import (CoefficientTable, compute_coefficients,
-                              fit_decay_envelope)
+from .spectral_symbol import CoefficientTable, compute_coefficients
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_HORIZON = 4000
@@ -51,6 +51,10 @@ _BATCH_POINTS = 2 ** 12
 # of float64: glibc serves larger blocks by mmap, and then page-faults every
 # temporary afresh (2.0 * x took 34 us at 16,000 entries, 206 us at 24,000)
 _GATHER_ELEMS = 2 ** 14
+# |L_k(x)| e^{r x} is close to periodic, and its peaks can fall between the
+# 0.05 steps of the envelope grid; without a margin the amplitude was
+# exceeded by 0.1-0.2% near x = 2.5
+_ENV_MARGIN = 1.01
 # the envelope tail model ignores sign alternation and overstates real tails
 # by a small constant; refusals require missing the floor by this factor
 _MODEL_FLOOR_SLACK = 25.0
@@ -64,9 +68,11 @@ _MODEL_FLOOR_SLACK = 25.0
 class FundamentalFunction:
     """Evaluation-ready L_k: kernel, coefficient table and decay metadata.
 
-    env_rate/env_amplitude describe the fitted envelope |L_k(x)| <=
-    C e^{-c |x|}; noise_floor is the double-precision cancellation scale of
-    the synthesis.  compact is True for k = 1 (support in [-1, 1]).
+    env_rate/env_amplitude describe the envelope |L_k(x)| <= C e^{-r |x|}:
+    r is the table's exact decay rate, C the largest |L_k(x)| e^{r x} on the
+    envelope grid, raised by _ENV_MARGIN; noise_floor is the
+    double-precision cancellation scale of the synthesis.  compact is True
+    for k = 1 (support in [-1, 1]).
     """
 
     params: SplineParams
@@ -170,22 +176,13 @@ def _synthesize(L: FundamentalFunction, windows, at) -> np.ndarray:
     return out
 
 
-def _fit_fundamental_envelope(xs, vals):
-    """Fit |L_k| <= C e^{-c x} on the maxima of |L_k| over the unit intervals
-    [n, n+1), n = 2..13, of the sorted grid xs."""
-    edges = np.searchsorted(xs, np.arange(2.0, 15.0))
-    mx = np.maximum.reduceat(np.abs(vals[:edges[-1]]), edges[:-1])
-    keep = mx > 0
-    return fit_decay_envelope(np.arange(2, 14)[keep] + 0.5, mx[keep])
-
-
 def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFunction:
     """Compose the kernel and coefficient table and certify the two defining
     invariants (delta property on the integers, evenness).
 
-    The envelope-fit grid (2 <= x < 15 in steps of 0.05), the integers
-    -20..20 and the evenness grids +-x go through one eval_fundamental call,
-    and so share one kernel pass.
+    The envelope grid (2 <= x < 15 in steps of 0.05), the integers -20..20
+    and the evenness grids +-x go through one eval_fundamental call, and so
+    share one kernel pass.
     """
     if tol < 1e-14:
         raise ParameterDomainError(f"tol must be >= 1e-14, got {tol:g}")
@@ -210,8 +207,12 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     env_vals, card_vals, even_vals, odd_vals = np.split(
         eval_fundamental(L, np.concatenate(grids)),
         np.cumsum([len(g) for g in grids[:-1]]))
-    rate, amp = (None, None) if L.compact else \
-        _fit_fundamental_envelope(env_xs, env_vals)
+    rate = amp = None
+    if not L.compact:
+        rate = table.decay_rate
+        # in logs: e^{r x} overflows on the grid once r > 47
+        with np.errstate(divide="ignore"):
+            amp = _ENV_MARGIN * math.exp(np.max(np.log(np.abs(env_vals)) + rate * env_xs))
 
     card_err = float(np.max(np.abs(card_vals - (js == 0))))
     even_err = float(np.max(np.abs(even_vals - odd_vals)))
@@ -402,7 +403,7 @@ def _noise_knee(L: FundamentalFunction) -> float:
 def _solve_windows(L: FundamentalFunction, centers, growth: GrowthModel,
                    tol: float, clip_to_knee: bool = False) -> np.ndarray:
     """The smallest half width J at each center: the first J with
-    sum_{|j-center|>J} bound(b_j) env(|x-j|) < tol, where env is the fitted
+    sum_{|j-center|>J} bound(b_j) env(|x-j|) < tol, where env is the
     exponential envelope of |L_k|.
 
     Raises WindowOverflowError when no window can reach tol: either the data

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -128,6 +129,14 @@ def _outputs(args, default: str) -> tuple[Path, Path]:
     return out, out.with_suffix(".json")
 
 
+def _build_report(L) -> dict:
+    """What a sidecar reports of the L_k it used: the cardinality residual,
+    the exact decay rate r of L_k (null at k = 1, where L_k has compact
+    support) and cond_B = B(0) / B(pi) of its exponential B-spline."""
+    return {"cardinality_error": L.cardinality_error, "decay_rate": L.env_rate,
+            "cond_B": L.table.cond_B}
+
+
 def cmd_coeffs(args) -> int:
     params = SplineParams(alpha=args.alpha, k=_parse_k_range(args.k)[0])
     tol = _check_tol(args.tol)
@@ -139,8 +148,10 @@ def cmd_coeffs(args) -> int:
     meta = {
         "half_width": table.half_width,
         "tail_bound": table.tail_bound,
-        "decay_rate": table.decay_rate,
+        # infinite at k = 1, whose table is exact: null keeps the JSON strict
+        "decay_rate": table.decay_rate if math.isfinite(table.decay_rate) else None,
         "decay_amplitude": table.decay_amplitude,
+        "cond_B": table.cond_B,
         "coeffs": dict(zip(keys, coeffs)),
     }
     outs = []
@@ -169,8 +180,7 @@ def cmd_eval_L(args) -> int:
         _write_csv(csv_path, ["x", "L_k"], zip(xs, vals))
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"x": xs, "L_k": vals, "cardinality_error": L.cardinality_error},
-                   wall)
+                   {"x": xs, "L_k": vals, **_build_report(L)}, wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs,
                     {"table_tail_bound": L.table.tail_bound}, wall)
@@ -194,7 +204,7 @@ def cmd_interp(args) -> int:
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
                    {"x": xs, "f_b": vals, "data": str(args.data),
-                    "cardinality_error": L.cardinality_error}, wall)
+                    **_build_report(L)}, wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs, {}, wall)
     return 0
@@ -231,7 +241,7 @@ def cmd_reproduce(args) -> int:
     gate = gate_tol * max(1.0, float(np.max(np.abs(g))))
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, gate_tol,
                    {"basis": args.basis, "max_abs_err": max_err, "gate": gate,
-                    "cardinality_error": L.cardinality_error}, wall)
+                    **_build_report(L)}, wall)
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs,
                     {"max_abs_err": max_err, "gate": gate}, wall)
@@ -266,6 +276,7 @@ def cmd_converge(args) -> int:
                               "ell_trunc": r.ell_truncation,
                               "quad_res": r.quadrature_resolution,
                               "cardinality_error": r.cardinality_error,
+                              "decay_rate": r.decay_rate, "cond_B": r.cond_B,
                               "window": r.sup_window}
                              for r in reports]},
                    wall)

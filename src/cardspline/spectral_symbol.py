@@ -23,21 +23,23 @@ whose remainder is certified through a fifth-derivative envelope.  A plain
 truncated sum would need M ~ 1/tol lattice shifts at k = 1; the corrected form
 keeps M in the hundreds at every order.
 
-Coefficients are computed by equispaced trapezoidal sampling (an FFT), which
-converges exponentially for periodic analytic integrands; the sample count is
-doubled until successive coefficient sets agree.
+The coefficients come from the exponential B-spline beta of (D^2 - a^2)^k
+instead: c is a (2k+1)-tap filter of the inverse of beta on the integers,
+and |c_j| decays exactly at the rate -log|l| of the Euler-Frobenius root l
+nearest -1 (compute_coefficients).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureConvergenceError, ToleranceUnreachableError
-from .greens_kernel import SplineParams, eval_green_hat
+from .greens_kernel import SplineParams, _rational_poly, eval_green_hat
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -46,14 +48,16 @@ _TWO_PI = 2.0 * math.pi
 # Euler-Maclaurin corrected, kept as a defensive guard.
 _M_CAP = 10 ** 7
 
-# |c_j| entries below this scale are quadrature noise, not signal.  The
-# relative constant is calibrated to the exactly-accumulated trapezoid pass,
-# whose per-coefficient error is ~ eps * mean|sigma| / 2.
-_COEFF_NOISE_ABS = 1e-14
-_COEFF_NOISE_REL = 5e-17
-
-# products per block of the exact coefficient refinement (256 KB of doubles)
-_REFINE_BLOCK = 32768
+# decimal digits for beta and the roots of its symbol: 120, doubled up to
+# _MAX_DIGITS until beta(k-1), the smallest, keeps _KEPT_DIGITS of them
+# through the cancellation of its sum (it does not at (0.05, 22))
+_DIGITS = 120
+_KEPT_DIGITS = 20
+_MAX_DIGITS = 960
+_ROOT_TOL = Decimal("1e-40")
+_ROOT_STEPS = 50
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _tail_integral(u0, alpha: float, k: int):
@@ -191,21 +195,13 @@ def reciprocal_symbol(params: SplineParams, xi, tol: float = 1e-12):
     return 1.0 / periodized_green_hat(params, xi, p_tol)
 
 
-def fit_decay_envelope(js, mags) -> tuple[float, float]:
-    """Least-squares fit of log|v| against j, with the amplitude raised to the
-    smallest value whose envelope C e^{-c j} dominates every sample."""
-    js = np.asarray(js, dtype=float)
-    logs = np.log(np.asarray(mags, dtype=float))
-    slope, intercept = np.polyfit(js, logs, 1)
-    rate = -slope
-    amplitude = float(np.exp(np.max(logs + rate * js)))
-    return float(rate), amplitude
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Symmetric table of lattice coefficients c_{-J}..c_J of the reciprocal
-    symbol, with a certified tail bound and a fitted decay envelope."""
+    symbol: |c_j| <= decay_amplitude e^{-decay_rate |j|}, decay_rate exact,
+    tail_bound the envelope's bound on sum_{|j| > J} |c_j|, and cond_B =
+    B(0) / B(pi) for the symbol B of the exponential B-spline.  At k = 1
+    the table is exact: J = 1, no tail and an infinite rate."""
 
     params: SplineParams
     half_width: int
@@ -213,6 +209,7 @@ class CoefficientTable:
     tail_bound: float
     decay_rate: float
     decay_amplitude: float
+    cond_B: float
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -235,205 +232,163 @@ class CoefficientTable:
         return float(np.max(np.abs(self.coeffs)))
 
     @property
-    def nonzero_count(self) -> int:
-        return int(np.sum(np.abs(self.coeffs) >= _COEFF_NOISE_ABS))
-
-    @property
     def compact_support(self) -> bool:
-        """True when all but at most three entries sit below the noise scale
-        (k = 1, whose reciprocal symbol is a degree-1 trigonometric polynomial)."""
-        return self.nonzero_count <= 3
+        """k = 1: the reciprocal symbol is a degree-1 trigonometric polynomial."""
+        return self.params.k == 1
 
 
-def _sample_reciprocal(params: SplineParams, n: int, odd: bool = False) -> np.ndarray:
-    """sigma at xi = 2 pi i / n for i = 0..n-1, or for the odd i only."""
-    xi = _TWO_PI * np.arange(1 if odd else 0, n, 2 if odd else 1) / n
-    return np.asarray(reciprocal_symbol(params, xi, 1e-13))
-
-
-def _doubled_samples(params: SplineParams, vals: np.ndarray) -> np.ndarray:
-    """The samples of sigma on the grid twice as fine as that of vals.
-
-    Its even samples are vals, bit for bit: fl(2 pi 2i) / 2n = fl(2 pi i) / n
-    exactly, and each sample of sigma depends on its own xi alone.  Only the
-    odd ones are new.
+def _bspline_samples(params: SplineParams) -> tuple[list, list]:
+    """(beta(0..k-1), p_0..p_k) in the current decimal context, raising its
+    precision as _DIGITS says.  p are the taps of (z - 2 cosh a + 1/z)^k and
+    beta(n) = sum_m p_m G(n - m), G = E_k / ((-1)^k sqrt(pi/2)) from the
+    exact rationals of E_k: beta has the sign (-1)^k and support (-k, k).
     """
-    n = 2 * len(vals)
-    out = np.empty(n)
-    out[0::2] = vals
-    out[1::2] = _sample_reciprocal(params, n, odd=True)
-    return out
-
-
-def _exact_row_sums(p: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row of the 2-D array p, the value
-    math.fsum gives for that row.  p is overwritten.
-
-    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
-    2008): with sigma = 1.5 * 2^52 * g for a power of two g, every |p| < 2^W g
-    splits exactly as p = q + r, where q = fl(p + sigma) - sigma is a multiple
-    of g and |r| <= g / 2.  A row holds at most 2^(50 - W) entries, so its q
-    add up to at most 2^50 g in magnitude, through partial sums that are all
-    multiples of g: each level's row sum is exact in any summation order.  The
-    residuals are split again on the grid g 2^-W, and so on until they are all
-    zero, which happens at the latest once g reaches 2^-1074, the spacing of
-    every double.  The exact level sums then go through math.fsum, whose
-    correctly rounded total of them is the correctly rounded total of the row.
-    """
-    W = 50 - math.ceil(math.log2(p.shape[1]))
-    top = float(np.max(np.abs(p)))
-    if not top < 2.0 ** 960:
-        raise ValueError("exact row sums need finite entries below 2^960")
-    e = math.frexp(top)[1]                      # every |p| < 2^e = 2^W g
-    q = np.empty_like(p)
-    levels = []
+    k = params.k
+    a = Decimal(params.alpha)
+    ctx = getcontext()
     while True:
-        e_g = max(e - W, -1074)
-        sigma = math.ldexp(1.5, 52 + e_g)
-        np.add(p, sigma, out=q)
-        q -= sigma
-        p -= q
-        levels.append(q.sum(axis=1))
-        if e_g == -1074 or not p.any():
-            break
-        e = e_g
-    return np.array([math.fsum(row) for row in np.stack(levels, axis=1).tolist()])
+        t = (-a).exp()
+        two_cosh, p = t + 1 / t, [Decimal(1)]
+        for _ in range(k):          # times z^2 - 2 cosh(a) z + 1
+            p = [u - two_cosh * v + w
+                 for u, v, w in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
+        q = [Decimal(f.numerator) / f.denominator / a ** (2 * k - 1 - i)
+             for i, f in enumerate(_rational_poly(k))]
+        G = []
+        for d in range(2 * k):
+            poly = Decimal(0)
+            for qi in reversed(q):
+                poly = poly * d + qi
+            G.append(t ** d * poly)
+        terms = [[pm * G[abs(n + k - m)] for m, pm in enumerate(p)] for n in range(k)]
+        beta = [sum(row) for row in terms]
+        if abs(beta[-1]) >= sum(map(abs, terms[-1])).scaleb(_KEPT_DIGITS - ctx.prec) \
+                or ctx.prec >= _MAX_DIGITS:
+            return beta, p[k:]
+        ctx.prec *= 2
 
 
-def _refined_coefficients(vals: np.ndarray, j_max: int) -> np.ndarray:
-    """Trapezoid Fourier coefficients c_0..c_{j_max} of the sampled symbol with
-    exact angle reduction and correctly rounded accumulation.
+def _inner_roots(params: SplineParams, beta: list) -> list:
+    """The k - 1 roots in (-1, 0) of Q(z) = z^{k-1} sum_{|n|<k} beta(|n|) z^n,
+    from the one nearest 0 outwards, in the current decimal context.
 
-    The plain FFT leaves absolute noise ~ eps * max|sigma| on every output; for
-    sharply peaked reciprocal symbols (high order k) that floor pollutes the
-    small tail coefficients.  Reducing j*i modulo the grid size (a power of
-    two, so a bit mask) keeps the cosine argument exact, and each coefficient
-    is the correctly rounded sum of its n products vals[i] * cos_table[j*i mod
-    n], divided by n, so it is correct to ~ eps * mean|sigma| instead.
-
-    Each block of about _REFINE_BLOCK products (whole rows j) is summed by
-    _exact_row_sums, whose rows are correctly rounded exactly as math.fsum
-    rounds them; the products are the same IEEE products too, so every
-    coefficient is bitwise math.fsum(vals * cos_table[j*i mod n]) / n, the
-    one-fsum-per-coefficient loop that tests/oracles.py keeps as reference.
+    Every root of Q is real and negative, so Laguerre's method converges
+    from any real start to a root next to it; each search starts at the last
+    root, on Q with the roots found so far divided out, smallest first, the
+    stable order.  (np.roots in double turns two real roots of (0.25, 28)
+    into -0.580 +- 0.042i.)
     """
-    n = len(vals)
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"sample count must be a power of two, got {n}")
-    cos_table = np.cos(_TWO_PI * np.arange(n) / n)
-    idx = np.arange(n)
-    rows = max(1, _REFINE_BLOCK // n)
-    out = np.empty(j_max + 1)
-    for s in range(0, j_max + 1, rows):
-        js = np.arange(s, min(s + rows, j_max + 1))
-        prods = cos_table[np.multiply.outer(js, idx) & (n - 1)]
-        prods *= vals
-        out[s:s + len(js)] = _exact_row_sums(prods)
-    return out / n
+    k = len(beta)
+    poly = beta[:0:-1] + beta
+    roots, z = [], Decimal(0)
+    try:
+        for n in range(len(poly) - 1, k - 1, -1):       # degree of poly
+            for _ in range(_ROOT_STEPS):
+                f = df = d2f = Decimal(0)
+                for b in poly:
+                    d2f, df, f = d2f * z + df, df * z + f, f * z + b
+                if f == 0:
+                    break
+                g = df / f
+                root = max(Decimal(0), (n - 1) * (n * (g * g - 2 * d2f / f) - g * g)).sqrt()
+                step = n / (g + root if g >= 0 else g - root)
+                z -= step
+                if abs(step) <= _ROOT_TOL * abs(z):
+                    break
+            else:
+                break
+            roots.append(z)
+            for i in range(1, n):
+                poly[i] += z * poly[i - 1]
+            poly.pop()
+    except ArithmeticError:
+        pass
+    if len(roots) != k - 1 or not all(-1 < z < 0 for z in roots) \
+            or len({float(z) for z in roots}) != k - 1:
+        raise QuadratureConvergenceError(
+            f"the exponential B-spline symbol of (alpha={params.alpha}, "
+            f"k={params.k}) does not resolve into {k - 1} distinct roots in "
+            f"(-1, 0) at {getcontext().prec} digits")
+    return roots
+
+
+def _cascade(x: list, roots: list, n: int) -> list:
+    """y_0..y_n of y = x * prod_l 1 / ((1 - l z)(1 - l / z)) for the even x
+    given by x_0.. and zero beyond: per root, a causal recursion started
+    from its mirror image sum_m l^m x_m, then an anticausal one started from
+    u_n / (1 - l^2), which drops the input past n at an error that decays
+    like l^{n-j} at j.  Negative roots on alternating x: nothing cancels.
+    """
+    y = x + [0.0] * (n + 1 - len(x))
+    for lam in roots:
+        u0 = 0.0
+        for v in reversed(y):
+            u0 = u0 * lam + v
+        u = [u0]
+        for v in y[1:]:
+            u.append(v + lam * u[-1])
+        y = [u[-1] / (1.0 - lam * lam)]
+        for v in reversed(u[:-1]):
+            y.append(v + lam * y[-1])
+        y.reverse()
+    return y
+
+
+def _envelope_tail(amplitude: float, rate: float, J: int) -> float:
+    """sum_{|j| > J} A e^{-r |j|}."""
+    return 2.0 * amplitude * math.exp(-rate * (J + 1)) / (1.0 - math.exp(-rate))
 
 
 def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> CoefficientTable:
-    """Fourier coefficients of sigma by trapezoid/FFT sampling with doubling.
+    """Fourier coefficients of sigma = 1 / P from the exponential B-spline.
 
-    The sample count doubles from 64 until successive coefficient sets agree to
-    tol/10 (floored at the double-precision scale of the symbol).  The half
-    width J is the smallest index whose fitted-envelope tail falls below tol.
+    (2 (cosh a - cos xi))^k P(xi) = B(xi) / 2 for B the symbol of beta on
+    the integers, so c = (-1)^k 2 (p * beta^{-1}), and 1 / B(z) =
+    prod_l (1 - l)^2 / ((1 - l z)(1 - l / z)) / B(1) over its roots l in
+    (-1, 0), which _cascade applies.  |c_j| decays at exactly
+    r = -log|l| for the root l nearest -1 (Micchelli, "Cardinal
+    L-splines", 1976; Unser, Aldroubi and Eden, IEEE Trans. Signal
+    Process. 41(2), 1993); A = max_j |c_j| e^{r|j|}, and J is the smallest
+    index whose envelope tail lies below both tol and eps max|c_j|.
     """
     if not (1e-14 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-14, 1e-2], got {tol:g}")
+    k = params.k
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        beta, taps = _bspline_samples(params)
+        roots = _inner_roots(params, beta)
+        b_0 = 2 * sum(beta) - beta[0]
+        b_pi = 2 * sum(b if n % 2 == 0 else -b for n, b in enumerate(beta)) - beta[0]
+        gain = (-1) ** k * 2 / b_0
+        for z in roots:
+            gain *= (1 - z) ** 2
+        x = [float(gain * pm) for pm in taps]
+        cond = float(b_0 / b_pi)
+    lams = [float(z) for z in roots]
 
-    n = 64
-    vals = _sample_reciprocal(params, n)
-    prev = np.real(np.fft.fft(vals)) / n
-    converged = False
-    while True:
-        n *= 2
-        if n > 2 ** 20:
-            raise QuadratureConvergenceError(
-                f"coefficient quadrature did not converge below {tol:g} within "
-                f"2^20 samples for (alpha={params.alpha}, k={params.k})")
-        vals = _doubled_samples(params, vals)
-        cur = np.real(np.fft.fft(vals)) / n
-        m = len(prev) // 2
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        target = max(tol / 10.0, 8e-15 * scale)
-        if converged or np.max(np.abs(cur[:m] - prev[:m])) < target:
-            converged = True
-            table = _extract_table(params, vals, n, tol)
-            if table is not None:
-                return table
-            # the fitted-envelope tail needs more index room than this grid
-            # resolves; keep doubling
-        prev = cur
-
-
-def _extract_table(params: SplineParams, vals: np.ndarray, n: int,
-                   tol: float) -> CoefficientTable | None:
-    """Build the table from converged samples; None if the requested tail needs
-    indices beyond what this grid resolves."""
-    # refinement pass: exactly accumulated trapezoid coefficients (the FFT's
-    # absolute noise floor would swamp the tail entries of peaked symbols);
-    # indices far past the decay range are pure noise and not refined
-    c_half = _refined_coefficients(vals, min(n // 2 - 1, 768))
-    noise_floor = max(_COEFF_NOISE_ABS,
-                      _COEFF_NOISE_REL * float(np.mean(np.abs(vals))))
-    clean = np.where(np.abs(c_half) >= noise_floor, c_half, 0.0)
-
-    nz = np.nonzero(clean)[0]
-    if len(nz) == 0:
-        raise QuadratureConvergenceError("reciprocal symbol produced an empty table")
-    j_last = int(nz[-1])
-
-    # decay envelope from entries safely above the noise (j >= 1; c_0 often
-    # sits off the asymptote and would bias the slope)
-    fit_nz = np.nonzero(np.abs(c_half) >= 10.0 * noise_floor)[0]
-    fit_js = fit_nz[fit_nz >= 1]
-    if len(fit_js) >= 2:
-        rate, amplitude = fit_decay_envelope(fit_js, np.abs(clean[fit_js]))
-        amplitude = max(amplitude, float(np.abs(clean[0])))
-        if rate <= 0:
-            raise QuadratureConvergenceError(
-                f"fitted coefficient decay is not positive for "
-                f"(alpha={params.alpha}, k={params.k})")
+    if k == 1:
+        c, J, tail, rate, amplitude = x, 1, 0.0, math.inf, abs(x[0])
     else:
-        # k = 1 style tables: two distinct magnitudes at most
-        rate = math.log(abs(clean[0]) / abs(clean[1])) if len(clean) > 1 and clean[1] != 0 \
-            else math.log(1.0 / noise_floor)
-        amplitude = float(abs(clean[0]))
+        rate = -math.log(-min(lams))
+        margin = math.ceil(20.0 / rate)     # l^{2 margin} < 1e-17
+        n = max(2 * k, math.ceil(75.0 / rate))
+        while True:
+            c = _cascade(x, lams, n)
+            # in logs, as e^{r j} overflows at large r; subnormals have lost
+            # their digits
+            amplitude = math.exp(max(math.log(abs(v)) + rate * j for j, v in
+                                     enumerate(c[:n - margin + 1]) if abs(v) >= _TINY))
+            bound = min(tol, _EPS * max(map(abs, c)))
+            J = 1
+            while _envelope_tail(amplitude, rate, J) >= bound:
+                J += 1
+            if J + margin <= n:
+                break
+            n *= 2
+        tail = _envelope_tail(amplitude, rate, J)
 
-    # indices where the fitted envelope itself sinks below the noise floor
-    # carry no signal; storing them would break the envelope contract
-    if amplitude > noise_floor:
-        j_cross = int(math.ceil(math.log(amplitude / noise_floor) / rate))
-    else:
-        j_cross = 1
-    clean[j_cross + 1:] = 0.0
-    j_last = min(j_last, j_cross)
-
-    # near the cut the kept entries ride on noise of the floor's size; raise
-    # the amplitude so the envelope dominates everything actually stored
-    nz2 = np.nonzero(clean)[0]
-    amplitude = max(amplitude,
-                    float(np.max(np.abs(clean[nz2]) * np.exp(rate * nz2))))
-
-    def envelope_tail(J: int) -> float:
-        return 2.0 * amplitude * math.exp(-rate * (J + 1)) / (1.0 - math.exp(-rate))
-
-    J = 1
-    while envelope_tail(J) >= tol:
-        J += 1
-        if J >= min(n // 2, len(clean)) - 1:
-            return None
-    J = max(J, j_last)
-
-    sym = np.empty(2 * J + 1)
-    sym[J] = clean[0]
-    for j in range(1, J + 1):
-        v = clean[j] if j < len(clean) else 0.0
-        sym[J + j] = v
-        sym[J - j] = v
-
+    sym = np.array(c[J:0:-1] + c[:J + 1])
     return CoefficientTable(params=params, half_width=J, coeffs=sym,
-                            tail_bound=envelope_tail(J), decay_rate=rate,
-                            decay_amplitude=amplitude)
-
+                            tail_bound=tail, decay_rate=rate,
+                            decay_amplitude=amplitude, cond_B=cond)

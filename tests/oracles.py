@@ -4,24 +4,21 @@ Everything here is deliberately built on different machinery than the shipped
 code paths: QUADPACK quadrature over the real line for transforms and for L_k
 itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
 summation) route for the periodized symbol, the k = 1 hyperbolic closed
-forms, and mpmath lattice sums for the error split S, T (term by term,
-or at k = 1, 2 from their closed form).  The
-exceptions are plain or earlier forms kept as bitwise references for their
+forms, mpmath lattice sums for the error split S, T (term by term,
+or at k = 1, 2 from their closed form), and mpmath roots and residues for
+the coefficient table (coefficients_mp).  The exceptions are plain or earlier forms kept as bitwise references for their
 faster replacements: interpolate_pointwise (one point at a time: its own
 window solve and one np.dot over its kept window, for interpolate_grid),
 eval_fundamental_direct (one kernel row and one np.dot per point, for the
 shared kernel rows and gathered contraction of eval_fundamental; each value
 of both is its own BLAS ddot, so neither depends on the batch),
-refined_coefficients_fsum (one math.fsum per coefficient, for the exact row
-sums of the coefficient refinement), eval_green_out_of_place (for the in-place
-eval_green), sample_reciprocal_full (every sample of every doubling level,
-for the reuse of the even ones), panel_nodes_loop (one panel at a time, for
-_panel_nodes), tail_integral_loop (the whole-array convergence test in every
-term, for _tail_integral), solve_window_loop (one center at a time, for
-_solve_windows) and fundamental_checks_four_calls (one eval_fundamental call
-per check, for the one call of build_fundamental); and two reference
-quantities that only the tests read: the exact one-sided knot derivatives of
-E_k and the plain (uncorrected) periodization tail bound.
+eval_green_out_of_place (for the in-place eval_green), panel_nodes_loop (one
+panel at a time, for _panel_nodes), tail_integral_loop (the whole-array
+convergence test in every term, for _tail_integral), solve_window_loop (one
+center at a time, for _solve_windows) and fundamental_checks_four_calls (one
+eval_fundamental call per check, for the one call of build_fundamental); and
+two reference quantities that only the tests read: the exact one-sided knot
+derivatives of E_k and the plain (uncorrected) periodization tail bound.
 
 scipy and mpmath are imported here only; the package itself needs neither.
 """
@@ -36,10 +33,10 @@ from cardspline import cardinal_interpolation as ci
 from cardspline.bandlimited_analysis import _panel_nodes
 from cardspline.cardinal_interpolation import _solve_window, eval_fundamental
 from cardspline.errors import WindowOverflowError
-from cardspline.greens_kernel import (SplineParams, build_green_kernel, eval_green,
-                                      eval_green_hat)
-from cardspline.spectral_symbol import (compute_coefficients, fit_decay_envelope,
-                                        fundamental_hat, reciprocal_symbol)
+from cardspline.greens_kernel import (SplineParams, _rational_poly,
+                                      build_green_kernel, eval_green, eval_green_hat)
+from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
+                                        reciprocal_symbol)
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -395,19 +392,6 @@ def eval_fundamental_direct(L, x) -> float | np.ndarray:
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def refined_coefficients_fsum(vals: np.ndarray, j_max: int) -> np.ndarray:
-    """Trapezoid Fourier coefficients c_0..c_{j_max} of the sampled symbol,
-    one math.fsum over the n products per coefficient."""
-    n = len(vals)
-    cos_table = np.cos(2.0 * math.pi * np.arange(n) / n)
-    idx = np.arange(n)
-    out = np.empty(j_max + 1)
-    for j in range(j_max + 1):
-        prods = vals * cos_table[(j * idx) % n]
-        out[j] = math.fsum(prods.tolist()) / n
-    return out
-
-
 def bits(a) -> np.ndarray:
     """The IEEE bit patterns of a, for comparisons that tell -0.0 from 0.0
     and one NaN from another."""
@@ -422,12 +406,6 @@ def eval_green_out_of_place(kernel, x) -> float | np.ndarray:
         p = p * ax + cm
     out = np.exp(-kernel.params.alpha * ax) * p
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
-def sample_reciprocal_full(params: SplineParams, n: int) -> np.ndarray:
-    """sigma at all n points 2 pi i / n, sampled afresh."""
-    xi = 2.0 * math.pi * np.arange(n) / n
-    return np.asarray(reciprocal_symbol(params, xi, 1e-13))
 
 
 def panel_nodes_loop(pieces, panels_per_piece: int, order: int = 24):
@@ -501,8 +479,8 @@ def solve_window_loop(L, center: int, growth, tol: float,
 def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
     """(env_rate, env_amplitude, noise_floor, cardinality_error, evenness
     error) of build_fundamental, from one eval_fundamental call for the
-    envelope fit, one for the integers -20..20 and one for each side of the
-    evenness grid."""
+    envelope amplitude, one for the integers -20..20 and one for each side of
+    the evenness grid."""
     kernel = build_green_kernel(params)
     table_tol = max(1e-14, tol / max(1.0, kernel.peak * INV_SQRT_2PI))
     table = compute_coefficients(params, table_tol)
@@ -514,10 +492,9 @@ def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
     if not table.compact_support:
         xs = np.arange(2.0, 15.0, 0.05)
         vals = np.abs(np.asarray(eval_fundamental(L, xs)))
-        ns = np.arange(2, 14)
-        mx = np.array([vals[(xs >= n) & (xs < n + 1)].max() for n in ns])
-        keep = mx > 0
-        rate, amp = fit_decay_envelope(ns[keep] + 0.5, mx[keep])
+        rate = table.decay_rate
+        with np.errstate(divide="ignore"):
+            amp = ci._ENV_MARGIN * math.exp(np.max(np.log(vals) + rate * xs))
     js = np.arange(-20, 21)
     delta = (js == 0).astype(float)
     card = float(np.max(np.abs(eval_fundamental(L, js.astype(float)) - delta)))
@@ -525,3 +502,25 @@ def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
     even = float(np.max(np.abs(np.asarray(eval_fundamental(L, xs))
                                - np.asarray(eval_fundamental(L, -xs)))))
     return rate, amp, noise, card, even
+
+
+def coefficients_mp(alpha: float, k: int, J: int, dps: int = 80):
+    """(c_0..c_J, r), k >= 2, at dps digits: beta and c = (-1)^k 2 (p *
+    beta^{-1}) as in compute_coefficients, but the roots l of Q(z) =
+    z^{k-1} B(z) from mpmath.polyroots, (beta^{-1})_m = sum_{|l|<1}
+    l^{k-2+|m|} / Q'(l) from their residues, and r = -log|l_max|."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        q = [mpmath.mpf(f.numerator) / f.denominator / a ** (2 * k - 1 - i)
+             for i, f in enumerate(_rational_poly(k))][::-1]
+        p = mpmath.taylor(lambda z: (1 - 2 * mpmath.cosh(a) * z + z * z) ** k, 0, 2 * k)
+        beta = [mpmath.fsum(pm * mpmath.exp(-a * abs(n + k - m)) * mpmath.polyval(q, abs(n + k - m))
+                            for m, pm in enumerate(p)) for n in range(k)]
+        Q = beta[:0:-1] + beta
+        ls = [mpmath.re(z) for z in mpmath.polyroots(Q, maxsteps=400, extraprec=2 * dps)
+              if abs(z) < 1]
+        dQ = [mpmath.polyval([i * b for i, b in enumerate(Q)][:0:-1], z) for z in ls]
+        d = [mpmath.fsum(z ** (k - 2 + m) / w for z, w in zip(ls, dQ)) for m in range(J + k + 1)]
+        c = [(-1) ** k * 2 * mpmath.fsum(pm * d[abs(j + k - m)] for m, pm in enumerate(p))
+             for j in range(J + 1)]
+        return np.array([float(v) for v in c]), float(-mpmath.log(-min(ls)))

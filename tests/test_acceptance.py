@@ -5,7 +5,7 @@ the decisions ledger and marked strict-xfail here so the suite stays green
 while the reports stay honest:
 
   * cardinality at (alpha, k) = (0.5, 6): the double-precision synthesis
-    floors near 2e-8 (verified against a 30-digit coefficient table);
+    floors near 1.2e-8 with the exact coefficient table (2.4e-8 before);
   * reproduction of exponential-growth data outside the convergent regime
     (the series diverges whenever alpha >= the symbol-zero height) and beyond
     the double-precision noise knee (k >= 4 monomials, k >= 5 cosh/sinh);
@@ -60,8 +60,8 @@ class TestCriterion01Cardinality:
         report(1, f"max|L_k(j)-delta| = {err:.2e} < 1e-8 at (alpha={alpha}, k={k})")
 
     @pytest.mark.xfail(strict=True, reason=(
-        "float64 synthesis floor ~2e-8 at (0.5, 6); identical with a 30-digit "
-        "coefficient table, so the wall is eval-time product rounding "
+        "float64 synthesis floor ~1.2e-8 at (0.5, 6) with a coefficient table "
+        "exact to 1e-14 relative, so the wall is eval-time product rounding "
         "(decisions ledger)"))
     def test_delta_property_alpha_half_k6(self):
         L = L_of(0.5, 6)

@@ -70,12 +70,26 @@ class TestBuildFundamental:
     def test_positive_decay_rate(self, alpha, k):
         L = L_of(alpha, k)
         assert L.env_rate is not None and L.env_rate > 0
-        # fitted on [2, 15]: envelope dominates samples there
+        # the amplitude is taken on [2, 15]: the envelope dominates there
         xs = np.linspace(2, 15, 261)
         vals = np.abs(np.asarray(eval_fundamental(L, xs)))
         env = L.env_amplitude * np.exp(-L.env_rate * xs)
         assert np.all(vals <= env * (1 + 1e-9))
 
+
+    @pytest.mark.parametrize("alpha,k", [(1.0, 2), (1.0, 3), (1.0, 6), (1.0, 8),
+                                         (1.0, 10), (0.5, 6), (0.25, 2), (0.25, 3),
+                                         (0.25, 4), (0.25, 6), (2.0, 3), (2.0, 10)])
+    def test_envelope_holds_out_to_the_knee(self, alpha, k):
+        # the exact rate r and the amplitude taken on [2, 15] bound |L_k|
+        # wherever the windows use it: out to the noise knee, past which the
+        # synthesis noise floor dominates
+        L = L_of(alpha, k)
+        knee = cardinal_interpolation._noise_knee(L)
+        xs = np.arange(2.0, knee, 0.01)
+        vals = np.abs(np.asarray(eval_fundamental(L, xs)))
+        env = L.env_amplitude * np.exp(-L.env_rate * xs) + L.noise_floor
+        assert np.all(vals <= env), float(xs[np.argmax(vals > env)])
 
 @pytest.mark.slow
 class TestSpectralOracle:
@@ -119,7 +133,7 @@ class TestSelectWindow:
         # beta=0, tol=1e-8 at the origin resolves within a few dozen lattice steps
         J = select_window(L_of(1.0, 2), 0.0, 0.0, 1e-8)
         assert J <= 60
-        assert J == 15   # regression value for the fitted envelope
+        assert J == 15   # regression value for the exact-rate envelope
 
     def test_compact_support_window(self):
         assert select_window(L_of(1.0, 1, 1e-12), 0.0, 5.0, 1e-10) == 1
@@ -346,10 +360,10 @@ class TestSharedKernelRows:
         assert_bitwise(np.float64(v), np.float64(eval_fundamental_direct(L, -2.75)))
 
     def test_grid_shares_kernel_rows(self, kernel_points):
-        # 4001 points x 353 table entries evaluated point by point before
+        # 4001 points x 343 table entries evaluated point by point before
         L = L_of(1.0, 10)
         width = len(L.table.coeffs)
-        assert width == 353
+        assert width == 343
         xs = np.linspace(-20.27, 19.73, 4001)
         eval_fundamental(L, xs)
         assert 0 < sum(kernel_points) <= len(xs) * width / 5
@@ -662,14 +676,6 @@ class TestGroupedContraction:
     count) in one np.vecdot; every point must keep the bits of its own
     np.dot."""
 
-    def test_stacked_matmul_is_the_per_row_dot(self):
-        rng = np.random.default_rng(600)
-        for w in range(601):
-            B = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-12, 12, (3, w))
-            Lw = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-16, 0, (3, w))
-            got = np.matmul(B[:, None, :], Lw[:, :, None])[:, 0, 0]
-            assert_bitwise(got, [np.dot(b, l) for b, l in zip(B, Lw)])
-
     def test_vecdot_is_the_per_row_dot(self):
         # rows against rows (_contract), rows against one vector
         # (_synthesize, time_eval), and gathered rows of a strided view
@@ -733,6 +739,18 @@ class TestGroupedContraction:
         empty = np.array([m - J > 30 or m + J < -60 for m in ms])
         assert empty.any() and got[empty].tolist() == [0.0] * int(empty.sum())
 
+    @pytest.mark.parametrize("alpha,k,basis,tol", [
+        (0.25, 2, "cosh", 1e-8), (0.25, 3, "sinh", 1e-8), (0.25, 4, "xexp+", 1e-6),
+        (1.0, 3, "power-beta", 1e-8), (1.0, 10, "power-beta", 1e-5)])
+    def test_jittered_grids_bitwise(self, alpha, k, basis, tol):
+        # L_k rows all distinct: one offset per point
+        L = L_of(alpha, k)
+        data = sequence_from_rule(basis, alpha, beta=1.0)
+        rng = np.random.default_rng(k)
+        xs = np.sort(rng.uniform(-8.0, 8.0, 301))
+        got = interpolate_grid(L, data, xs, tol, best_effort=True)
+        assert_bitwise(got, pointwise(L, data, xs, tol, best_effort=True))
+
     def test_strict_table_first_missing_index(self):
         # windows of several points run off the table on both sides; the
         # refusal names the first absent index of the first such point
@@ -747,22 +765,6 @@ class TestGroupedContraction:
         inside = xs[np.abs(xs) < 10.0]
         assert_bitwise(interpolate_grid(L, data, inside, 1e-9),
                        pointwise(L, data, inside, 1e-9))
-
-
-class TestStackedSynthesis:
-    """Jittered grids, whose L_k rows are all distinct: interpolate_grid
-    against the one-point-at-a-time reference."""
-
-    @pytest.mark.parametrize("alpha,k,basis,tol", [
-        (0.25, 2, "cosh", 1e-8), (0.25, 3, "sinh", 1e-8), (0.25, 4, "xexp+", 1e-6),
-        (1.0, 3, "power-beta", 1e-8), (1.0, 10, "power-beta", 1e-5)])
-    def test_jittered_grids_bitwise(self, alpha, k, basis, tol):
-        L = L_of(alpha, k)
-        data = sequence_from_rule(basis, alpha, beta=1.0)
-        rng = np.random.default_rng(k)
-        xs = np.sort(rng.uniform(-8.0, 8.0, 301))
-        got = interpolate_grid(L, data, xs, tol, best_effort=True)
-        assert_bitwise(got, pointwise(L, data, xs, tol, best_effort=True))
 
 
 class TestWindowSolver:

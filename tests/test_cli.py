@@ -44,7 +44,9 @@ class TestCoeffs:
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["params"] == {"alpha": 1.0, "k": 1}
         assert sidecar["tol"] == 1e-12
-        assert "decay_rate" in sidecar["data"]
+        # the k = 1 table is exact: its decay rate is infinite, written null
+        assert sidecar["data"]["decay_rate"] is None
+        assert sidecar["data"]["cond_B"] == 1.0
         assert "wall_ms" in sidecar["manifest"]
 
     def test_k2_symmetric_decreasing(self, tmp_path):
@@ -236,6 +238,18 @@ class TestReproduce:
                    "--grid", "-5:5:21", "-o", str(tmp_path / "x.csv")])
         assert rc == 4
 
+    @pytest.mark.parametrize("alpha,k,basis", [(0.425, 6, "cosh"), (0.652, 4, "sinh"),
+                                               (0.512, 5, "cosh"), (0.36, 7, "cosh")])
+    def test_divergence_band_exit_4(self, tmp_path, capsys, alpha, k, basis):
+        # data growth alpha lies just above the exact decay rate r of L_k,
+        # inside the bands where a fitted rate above r let the series through
+        from cardspline import SplineParams, build_fundamental
+        assert build_fundamental(SplineParams(alpha, k), 1e-10).env_rate <= alpha
+        rc = main(["reproduce", "--alpha", str(alpha), "--k", str(k), "--basis", basis,
+                   "--grid", "-5:5:101", "-o", str(tmp_path / "x.csv")])
+        assert rc == 4
+        assert "the interpolation series diverges" in capsys.readouterr().err
+
     @pytest.mark.xfail(strict=True, reason=(
         "the interpolation series for e^{2|j|}-growth data diverges at "
         "(alpha=2, k=3): decay rate 1.155 < 2 (decisions ledger); the run "
@@ -331,8 +345,10 @@ class TestCardinalityReport:
             assert read_csv(out)[0] == header
             doc = json.loads(out.with_suffix(".json").read_text())
             assert doc["params"] == {"alpha": alpha, "k": k}
-            want = build_fundamental(SplineParams(alpha, k), tol).cardinality_error
-            assert doc["data"]["cardinality_error"] == want
+            L = build_fundamental(SplineParams(alpha, k), tol)
+            assert doc["data"]["cardinality_error"] == L.cardinality_error
+            assert doc["data"]["decay_rate"] == L.env_rate == L.table.decay_rate
+            assert doc["data"]["cond_B"] == L.table.cond_B > 1.0
         flagged = json.loads((tmp_path / "o0.json").read_text())["data"]
         assert flagged["cardinality_error"] > 1e-8
 
@@ -348,6 +364,9 @@ class TestCardinalityReport:
         for row in doc["data"]["rows"]:
             L = build_fundamental(SplineParams(2.0, row["k"]), 1e-10)
             assert row["cardinality_error"] == L.cardinality_error
+            assert row["decay_rate"] == L.env_rate
+            assert row["cond_B"] == L.table.cond_B
+        assert doc["data"]["rows"][0]["decay_rate"] is None     # k = 1
 
     def test_converge_rows_report_the_sup_window(self, tmp_path):
         # each row names its order's window J at the sup grid's edge x = 5;

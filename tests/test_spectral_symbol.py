@@ -1,6 +1,7 @@
 """Periodized symbol, fundamental-function transform, and lattice coefficients."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from cardspline.errors import QuadratureConvergenceError
 from cardspline.greens_kernel import SplineParams, eval_green_hat
 from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
                                         periodized_green_hat, reciprocal_symbol)
-from oracles import (bits, periodized_k1_closed, periodized_spatial,
-                     plain_tail_bound, reciprocal_k1_closed,
-                     refined_coefficients_fsum, sample_reciprocal_full,
+from oracles import (bits, coefficients_mp, periodized_k1_closed,
+                     periodized_spatial, plain_tail_bound, reciprocal_k1_closed,
                      tail_integral_loop)
 
 ALPHAS = [0.5, 1.0, 2.0]
@@ -170,7 +170,7 @@ class TestComputeCoefficients:
         J = table.half_width
         # evenness to quadrature noise
         np.testing.assert_allclose(c, c[::-1], atol=1e-12 * max(1, table.max_abs_coeff))
-        # fitted envelope dominates every stored entry
+        # the envelope dominates every stored entry
         js = np.abs(table.indices)
         env = table.decay_amplitude * np.exp(-table.decay_rate * js)
         assert np.all(np.abs(c) <= 1.05 * env + 1e-300)
@@ -207,58 +207,108 @@ class TestComputeCoefficients:
         with pytest.raises(ValueError):
             compute_coefficients(SplineParams(1.0, 2), 0.5)
 
-    def test_doubling_cap_raises(self, monkeypatch):
-        # every level is noise: the first one whole, then each level's fresh
-        # odd samples beside the previous level's noise
-        rng = np.random.default_rng(0)
-        monkeypatch.setattr(ss, "_sample_reciprocal",
-                            lambda params, n, odd=False: rng.standard_normal(n // 2 if odd else n))
-        with pytest.raises(QuadratureConvergenceError):
-            compute_coefficients(SplineParams(1.0, 2), 1e-10)
-
 
 class TestDecayEstimate:
-    """The table's own envelope fit (decay_rate, decay_amplitude)."""
+    """The table's decay rate is the exact -log|l_max| of the Euler-Frobenius
+    root nearest -1, and its amplitude the smallest that dominates every
+    entry."""
 
     def test_k1_degenerate(self):
-        # three nonzero entries: the rate is the ratio of the two magnitudes
+        # no root: three taps, an exact table and an infinite rate
         table = compute_coefficients(SplineParams(1.0, 1), 1e-10)
         assert table.compact_support
-        assert table.decay_rate == pytest.approx(
-            math.log(abs(table.coeff(0)) / abs(table.coeff(1))), rel=1e-12, abs=0)
-        js = np.abs(table.indices)
-        assert np.all(np.abs(table.coeffs)
-                      <= table.decay_amplitude * np.exp(-table.decay_rate * js) + 1e-300)
+        assert (table.half_width, table.tail_bound, table.decay_rate) == (1, 0.0, math.inf)
+        assert table.decay_amplitude == table.max_abs_coeff
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_positive_rate(self, k):
         table = compute_coefficients(SplineParams(1.0, k), 1e-10)
         rate, amp = table.decay_rate, table.decay_amplitude
-        assert rate > 0
+        _, want = coefficients_mp(1.0, k, 0)
+        assert rate == pytest.approx(want, rel=1e-14, abs=0)
         js = np.abs(table.indices)
-        assert np.all(np.abs(table.coeffs) <= 1.05 * amp * np.exp(-rate * js) + 1e-300)
+        assert np.all(np.abs(table.coeffs) <= amp * np.exp(-rate * js) * (1 + 1e-12))
+        assert np.max(np.abs(table.coeffs) * np.exp(rate * js)) == \
+            pytest.approx(amp, rel=1e-12, abs=0)
 
     def test_rate_increases_with_alpha(self):
         r1 = compute_coefficients(SplineParams(1.0, 3), 1e-10).decay_rate
         r2 = compute_coefficients(SplineParams(2.0, 3), 1e-10).decay_rate
         assert r2 >= r1
-        # regression anchors for the symbol-zero heights (loose)
-        assert r1 == pytest.approx(0.922, abs=0.05)
-        assert r2 == pytest.approx(1.155, abs=0.06)
+        # the heights of the symbol's zeros
+        assert r1 == pytest.approx(0.9220, abs=1e-4)
+        assert r2 == pytest.approx(1.1546, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha,k", [(1.0, 8), (1.0, 10), (0.5, 6), (0.25, 6),
+                                         (0.25, 12)])
+    def test_exact_rate_across_orders(self, alpha, k):
+        table = compute_coefficients(SplineParams(alpha, k), 1e-10)
+        _, want = coefficients_mp(alpha, k, 0)
+        assert table.decay_rate == pytest.approx(want, rel=1e-14, abs=0)
 
 
-class TestDoubledSamples:
-    """Each doubling level reuses the previous one's samples as its even ones."""
+class TestTableAgainstMpmath:
+    """Every stored entry against the 80-digit table of the same
+    factorization, and the half width the envelope rule gives."""
 
-    @pytest.mark.parametrize("alpha,k", [(0.25, 10), (1.0, 6), (2.0, 3)])
-    def test_bitwise_full_resampling(self, alpha, k):
-        params = SplineParams(alpha, k)
-        vals = ss._sample_reciprocal(params, 64)
-        np.testing.assert_array_equal(bits(vals), bits(sample_reciprocal_full(params, 64)))
-        for n in (128, 256, 512, 1024, 2048):
-            vals = ss._doubled_samples(params, vals)
-            np.testing.assert_array_equal(bits(vals),
-                                          bits(sample_reciprocal_full(params, n)))
+    @pytest.mark.parametrize("alpha,k", [(1.0, 2), (1.0, 3), (0.25, 3), (1.0, 6),
+                                         (0.25, 6), (1.0, 10), (0.25, 12)])
+    def test_entries_relative(self, alpha, k):
+        table = compute_coefficients(SplineParams(alpha, k), 1e-10)
+        J = table.half_width
+        want, _ = coefficients_mp(alpha, k, J)
+        got = table.coeffs[J:]
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+        np.testing.assert_array_equal(table.coeffs, table.coeffs[::-1])
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.0])
+    def test_k1_table_is_three_taps(self, alpha):
+        table = compute_coefficients(SplineParams(alpha, 1), 1e-10)
+        assert table.half_width == 1
+        c0, c1 = -2.0 * alpha / math.tanh(alpha), alpha / math.sinh(alpha)
+        np.testing.assert_allclose(table.coeffs, [c1, c0, c1], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("alpha,k,tol", [(1.0, 3, 1e-10), (1.0, 6, 1e-12),
+                                             (0.25, 6, 1e-14), (2.0, 10, 1e-8)])
+    def test_half_width_is_the_smallest_certified(self, alpha, k, tol):
+        # the tail 2 A e^{-r(J+1)} / (1 - e^{-r}) is below tol and the double
+        # precision floor of the largest entry at J, and not at J - 1
+        t = compute_coefficients(SplineParams(alpha, k), tol)
+        r, A, J = t.decay_rate, t.decay_amplitude, t.half_width
+        bound = min(tol, np.finfo(float).eps * t.max_abs_coeff)
+
+        def tail(j):
+            return 2.0 * A * math.exp(-r * (j + 1)) / (1.0 - math.exp(-r))
+        assert t.tail_bound == tail(J) < bound <= tail(J - 1)
+
+    @pytest.mark.parametrize("alpha,k,cond", [(1.0, 3, 6.24), (1.0, 6, 78.2),
+                                              (1.0, 10, 2.27e3), (0.25, 12, 2.42e4),
+                                              (1.0, 1, 1.0)])
+    def test_cond_B(self, alpha, k, cond):
+        t = compute_coefficients(SplineParams(alpha, k), 1e-10)
+        assert t.cond_B == pytest.approx(cond, rel=5e-3)
+
+    @pytest.mark.parametrize("alpha,k", [(0.05, 22), (0.05, 30), (0.25, 28), (1.0, 30),
+                                         (6.0, 30), (50.0, 30)])
+    def test_high_orders_resolve_at_once(self, alpha, k):
+        # beta(k - 1) needs more than 120 digits at (0.05, 22) and (0.05, 30);
+        # np.roots in double gives complex pairs at (0.25, 28)
+        t0 = time.perf_counter()
+        t = compute_coefficients(SplineParams(alpha, k), 1e-10)
+        assert time.perf_counter() - t0 < 1.0
+        assert 0.0 < t.decay_rate < math.inf and t.tail_bound < 1e-10
+        np.testing.assert_array_equal(t.coeffs, t.coeffs[::-1])
+        js = np.abs(t.indices)
+        assert np.all(np.abs(t.coeffs) <= t.decay_amplitude * np.exp(-t.decay_rate * js)
+                      * (1 + 1e-12))
+
+    def test_unresolved_roots_refused_at_once(self):
+        # at alpha = 1e5 the root nearest 0 is about -e^{-1e5}, which is
+        # -0.0 in double
+        t0 = time.perf_counter()
+        with pytest.raises(QuadratureConvergenceError, match="distinct roots"):
+            compute_coefficients(SplineParams(1e5, 3), 1e-10)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestTailIntegral:
@@ -285,74 +335,3 @@ class TestTailIntegral:
         assert ss._tail_integral(np.array([]), 1.0, 3).shape == (0,)
         got = ss._tail_integral(np.float64(60.0), 1.0, 3)
         np.testing.assert_array_equal(bits(got), bits(tail_integral_loop(60.0, 1.0, 3)))
-
-
-class TestRefinedCoefficients:
-    """The blocked exact refinement against the one-fsum-per-coefficient loop."""
-
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("k", [1, 2, 3, 6, 10, 12])
-    def test_bitwise_fsum_oracle(self, alpha, k):
-        for n in (128, 256, 512, 1024, 2048):
-            vals = ss._sample_reciprocal(SplineParams(alpha, k), n)
-            j_max = min(n // 2 - 1, 768)
-            np.testing.assert_array_equal(
-                bits(ss._refined_coefficients(vals, j_max)),
-                bits(refined_coefficients_fsum(vals, j_max)))
-
-    def test_row_sums_adversarial(self):
-        rng = np.random.default_rng(11)
-        for trial in range(300):
-            rows = int(rng.integers(1, 6))
-            width = int(rng.choice([1, 2, 3, 7, 100, 1000, 4099]))
-            kind = trial % 4
-            if kind == 0:     # magnitudes spread over e^-200 .. e^200
-                p = rng.choice([-1.0, 1.0], (rows, width)) * \
-                    np.exp(rng.uniform(-200.0, 200.0, (rows, width)))
-            elif kind == 1:   # exact cancellation down to a few small survivors
-                half = np.exp(rng.uniform(-200.0, 200.0, (rows, (width + 1) // 2)))
-                p = np.concatenate([half, -rng.permuted(half, axis=1)], axis=1)
-                p = p[:, :width]
-                p[:, rng.integers(width)] += rng.standard_normal(rows) * 1e-150
-            elif kind == 2:   # all-zero rows beside ordinary ones
-                p = rng.standard_normal((rows, width))
-                p[rng.integers(rows)] = 0.0
-            else:             # huge terms that cancel, leaving unit-sized ones
-                p = rng.standard_normal((rows, width))
-                p[:, 0] += 1e200
-                p[:, -1] -= 1e200
-            want = np.array([math.fsum(r) for r in p.tolist()])
-            got = ss._exact_row_sums(p.copy())
-            np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"trial {trial}")
-
-    def test_row_sums_refuse_non_finite(self):
-        with pytest.raises(ValueError):
-            ss._exact_row_sums(np.array([[1.0, np.nan]]))
-        with pytest.raises(ValueError):
-            ss._exact_row_sums(np.array([[1.0, np.inf]]))
-
-    @pytest.mark.parametrize("n", [0, 96, 100, 1000])
-    def test_non_power_of_two_refused(self, n):
-        with pytest.raises(ValueError, match="power of two"):
-            ss._refined_coefficients(np.ones(n), 10)
-
-    def test_build_eval_tables_match_fsum_oracle(self, monkeypatch):
-        # the 15 (alpha, k) cells of the build-eval benchmark, tol 1e-10
-        cells = [(a, k) for a in (0.25, 1.0, 2.0) for k in (1, 3, 6, 8, 10)]
-
-        def tables():
-            out = []
-            for a, k in cells:
-                t = compute_coefficients(SplineParams(a, k), 1e-10)
-                out.append((t.half_width, bits(t.coeffs), t.tail_bound,
-                            t.decay_rate, t.decay_amplitude))
-            return out
-
-        fast = tables()
-        monkeypatch.setattr(ss, "_refined_coefficients", refined_coefficients_fsum)
-        slow = tables()
-        for (a, k), f, s in zip(cells, fast, slow):
-            assert f[0] == s[0], (a, k)
-            np.testing.assert_array_equal(f[1], s[1], err_msg=f"{(a, k)}")
-            assert f[2:] == s[2:], (a, k)
-
