@@ -52,8 +52,8 @@ _BATCH_POINTS = 2 ** 12
 # temporary afresh (2.0 * x took 34 us at 16,000 entries, 206 us at 24,000)
 _GATHER_ELEMS = 2 ** 14
 # |L_k(x)| e^{r x} is close to periodic, and its peaks can fall between the
-# 0.05 steps of the envelope grid; without a margin the amplitude was
-# exceeded by 0.1-0.2% near x = 2.5
+# steps of the envelope grid; on steps of 0.05 the amplitude was exceeded
+# by 0.1-0.2% near x = 2.5 without a margin
 _ENV_MARGIN = 1.01
 # the envelope tail model ignores sign alternation and overstates real tails
 # by a small constant; refusals require missing the floor by this factor
@@ -180,9 +180,11 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     """Compose the kernel and coefficient table and certify the two defining
     invariants (delta property on the integers, evenness).
 
-    The envelope grid (2 <= x < 15 in steps of 0.05), the integers -20..20
-    and the evenness grids +-x go through one eval_fundamental call, and so
-    share one kernel pass.
+    The envelope grid (2 <= x < 15 in steps of 1/32), the integers -20..20
+    and the evenness grids +-n/8 go through one eval_fundamental call, and
+    so share one kernel pass.  Their points take only the 32 offsets j/32,
+    so the pass evaluates one kernel row per offset.  An envelope that
+    underflows on its whole grid (alpha ~ 400 and up) gets amplitude 0.
     """
     if tol < 1e-14:
         raise ParameterDomainError(f"tol must be >= 1e-14, got {tol:g}")
@@ -200,9 +202,9 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     L = FundamentalFunction(params=params, kernel=kernel, table=table,
                             env_rate=None, env_amplitude=None,
                             noise_floor=noise, cardinality_ok=False)
-    env_xs = np.empty(0) if L.compact else np.arange(2.0, 15.0, 0.05)
+    env_xs = np.empty(0) if L.compact else np.arange(2.0, 15.0, 1 / 32)
     js = np.arange(-20, 21)
-    xs = np.linspace(0.1, 5.0, 23)
+    xs = np.arange(1, 41) / 8
     grids = (env_xs, js.astype(float), xs, -xs)
     env_vals, card_vals, even_vals, odd_vals = np.split(
         eval_fundamental(L, np.concatenate(grids)),
@@ -388,9 +390,10 @@ def _noise_knee(L: FundamentalFunction) -> float:
     if L.compact or L.noise_floor <= 0:
         return float(_WINDOW_HORIZON)
     c, a = L.env_rate, L.params.alpha
-    lg = math.log(L.env_amplitude / L.noise_floor)
-    if lg <= 0:
+    ratio = L.env_amplitude / L.noise_floor
+    if ratio <= 1.0:        # also an envelope that underflows: amplitude 0
         return 1.0
+    lg = math.log(ratio)
     j_edge = float(L.table.half_width)
     d0 = lg / c
     if d0 <= j_edge:
@@ -445,7 +448,7 @@ def _solve_windows(L: FundamentalFunction, centers, growth: GrowthModel,
         # most _GATHER_ELEMS entries
         log_terms = growth.log_bound(centers[s:s + step, None] + d)
         log_terms += math.log(2.0)
-        log_terms += math.log(L.env_amplitude)
+        log_terms += math.log(L.env_amplitude) if L.env_amplitude > 0 else -math.inf
         log_terms -= decay
         # terms at or below the underflow edge equal exp(-745); they are
         # filled in rather than computed, because subnormal results make exp

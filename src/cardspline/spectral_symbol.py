@@ -26,14 +26,16 @@ keeps M in the hundreds at every order.
 The coefficients come from the exponential B-spline beta of (D^2 - a^2)^k
 instead: c is a (2k+1)-tap filter of the inverse of beta on the integers,
 and |c_j| decays exactly at the rate -log|l| of the Euler-Frobenius root l
-nearest -1 (compute_coefficients).
+nearest -1 (compute_coefficients).  The symbol of beta is palindromic, so
+its roots come from a polynomial of half the degree in w = z + 1/z
+(_inner_roots).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -272,38 +274,51 @@ def _inner_roots(params: SplineParams, beta: list) -> list:
     """The k - 1 roots in (-1, 0) of Q(z) = z^{k-1} sum_{|n|<k} beta(|n|) z^n,
     from the one nearest 0 outwards, in the current decimal context.
 
-    Every root of Q is real and negative, so Laguerre's method converges
-    from any real start to a root next to it; each search starts at the last
-    root, on Q with the roots found so far divided out, smallest first, the
-    stable order.  (np.roots in double turns two real roots of (0.25, 28)
-    into -0.580 +- 0.042i.)
+    Q is palindromic: Q(z) = z^{k-1} R(z + 1/z) for R(w) = beta(0) +
+    sum_{n>=1} beta(n) D_n(w), with the Dickson polynomials D_n(z + 1/z) =
+    z^n + z^{-n} (D_0 = 2, D_1 = w, D_n = w D_{n-1} - D_{n-2}).  So the
+    roots come from the k - 1 roots w < -2 of R, of half the degree, as
+    l = 2 / (w - sqrt(w^2 - 4)); (w + sqrt(w^2 - 4)) / 2 would cancel to 0
+    once w^2 outgrows the digits, from about alpha = 140.  Every root of R
+    is real, so Laguerre's method converges from any real start to a root
+    next to it; each search starts at the last root, from w = -2 outwards,
+    on R with the roots found so far divided out, smallest |w| first, the
+    stable order.  (np.roots in double turns two real roots of Q at
+    (0.25, 28) into -0.580 +- 0.042i.)
     """
     k = len(beta)
-    poly = beta[:0:-1] + beta
-    roots, z = [], Decimal(0)
+    R = [beta[0]] + [Decimal(0)] * (k - 1)
+    lo, hi = [Decimal(2)], [Decimal(0), Decimal(1)]     # D_0, D_1, lowest power first
+    for b in beta[1:]:
+        for i, v in enumerate(hi):
+            R[i] += b * v
+        lo, hi = hi, [v - u for u, v in zip(lo + [0, 0], [0] + hi)]
+    poly = R[::-1]
+    roots, w = [], Decimal(-2)
     try:
-        for n in range(len(poly) - 1, k - 1, -1):       # degree of poly
+        for n in range(k - 1, 0, -1):       # degree of poly
             for _ in range(_ROOT_STEPS):
                 f = df = d2f = Decimal(0)
                 for b in poly:
-                    d2f, df, f = d2f * z + df, df * z + f, f * z + b
+                    d2f, df, f = d2f * w + df, df * w + f, f * w + b
                 if f == 0:
                     break
                 g = df / f
                 root = max(Decimal(0), (n - 1) * (n * (g * g - 2 * d2f / f) - g * g)).sqrt()
                 step = n / (g + root if g >= 0 else g - root)
-                z -= step
-                if abs(step) <= _ROOT_TOL * abs(z):
+                w -= step
+                if abs(step) <= _ROOT_TOL * abs(w):
                     break
             else:
                 break
-            roots.append(z)
+            roots.append(w)
             for i in range(1, n):
-                poly[i] += z * poly[i - 1]
+                poly[i] += w * poly[i - 1]
             poly.pop()
+        roots = [2 / (w - (w * w - 4).sqrt()) for w in reversed(roots) if w < -2]
     except ArithmeticError:
-        pass
-    if len(roots) != k - 1 or not all(-1 < z < 0 for z in roots) \
+        roots = []
+    if len(roots) != k - 1 or not all(-1 < float(z) < 0 for z in roots) \
             or len({float(z) for z in roots}) != k - 1:
         raise QuadratureConvergenceError(
             f"the exponential B-spline symbol of (alpha={params.alpha}, "
@@ -355,7 +370,9 @@ def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> Coefficien
         raise ValueError(f"tol must lie in [1e-14, 1e-2], got {tol:g}")
     k = params.k
     with localcontext() as ctx:
-        ctx.prec = _DIGITS
+        # the full exponent range: (2 cosh a)^k passes the default 10^999999
+        # at (1e5, 24)
+        ctx.prec, ctx.Emax, ctx.Emin = _DIGITS, MAX_EMAX, MIN_EMIN
         beta, taps = _bspline_samples(params)
         roots = _inner_roots(params, beta)
         b_0 = 2 * sum(beta) - beta[0]

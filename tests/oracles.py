@@ -490,7 +490,7 @@ def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
                                noise_floor=noise, cardinality_ok=False)
     rate = amp = None
     if not table.compact_support:
-        xs = np.arange(2.0, 15.0, 0.05)
+        xs = np.arange(2.0, 15.0, 1 / 32)
         vals = np.abs(np.asarray(eval_fundamental(L, xs)))
         rate = table.decay_rate
         with np.errstate(divide="ignore"):
@@ -498,27 +498,47 @@ def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
     js = np.arange(-20, 21)
     delta = (js == 0).astype(float)
     card = float(np.max(np.abs(eval_fundamental(L, js.astype(float)) - delta)))
-    xs = np.linspace(0.1, 5.0, 23)
+    xs = np.arange(1, 41) / 8
     even = float(np.max(np.abs(np.asarray(eval_fundamental(L, xs))
                                - np.asarray(eval_fundamental(L, -xs)))))
     return rate, amp, noise, card, even
 
 
-def coefficients_mp(alpha: float, k: int, J: int, dps: int = 80):
-    """(c_0..c_J, r), k >= 2, at dps digits: beta and c = (-1)^k 2 (p *
-    beta^{-1}) as in compute_coefficients, but the roots l of Q(z) =
-    z^{k-1} B(z) from mpmath.polyroots, (beta^{-1})_m = sum_{|l|<1}
-    l^{k-2+|m|} / Q'(l) from their residues, and r = -log|l_max|."""
+def euler_frobenius_roots_mp(alpha: float, k: int, dps: int = 80):
+    """(p, Q, l) at dps digits: the taps p of (1 - 2 cosh(a) z + z^2)^k,
+    the coefficients of Q(z) = z^{k-1} B(z) from beta(n) = sum_m p_m
+    G(n + k - m), and the k - 1 roots l of Q in (-1, 0), from the one
+    nearest 0 outwards.  Each root is bracketed by a sign change of Q on
+    z = -e^{-t}, t in steps of 0.05 out to a + 1.5 k + 5, and refined by
+    mpmath.findroot (Anderson-Bjorck) inside its bracket.  High orders
+    need more than 80 digits: beta(k - 1) cancels about 80 of them at
+    (0.25, 28)."""
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha)
         q = [mpmath.mpf(f.numerator) / f.denominator / a ** (2 * k - 1 - i)
              for i, f in enumerate(_rational_poly(k))][::-1]
-        p = mpmath.taylor(lambda z: (1 - 2 * mpmath.cosh(a) * z + z * z) ** k, 0, 2 * k)
+        p, two_cosh = [mpmath.mpf(1)], 2 * mpmath.cosh(a)
+        for _ in range(k):
+            p = [u - two_cosh * v + w for u, v, w in zip(p + [0, 0], [0] + p + [0], [0, 0] + p)]
         beta = [mpmath.fsum(pm * mpmath.exp(-a * abs(n + k - m)) * mpmath.polyval(q, abs(n + k - m))
                             for m, pm in enumerate(p)) for n in range(k)]
         Q = beta[:0:-1] + beta
-        ls = [mpmath.re(z) for z in mpmath.polyroots(Q, maxsteps=400, extraprec=2 * dps)
-              if abs(z) < 1]
+        zs = [-mpmath.exp(-0.05 * i) for i in range(int(20 * alpha + 30 * k + 100), 0, -1)]
+        fs = [mpmath.polyval(Q, z) for z in zs]
+        ls = [mpmath.findroot(lambda z: mpmath.polyval(Q, z), (za, zb), solver="anderson",
+                              verify=False)
+              for za, zb, fa, fb in zip(zs, zs[1:], fs, fs[1:]) if fa * fb < 0]
+    assert len(ls) == k - 1, f"{len(ls)} of {k - 1} roots bracketed at ({alpha}, {k})"
+    return p, Q, ls
+
+
+def coefficients_mp(alpha: float, k: int, J: int, dps: int = 80):
+    """(c_0..c_J, r), k >= 2, at dps digits: beta and c = (-1)^k 2 (p *
+    beta^{-1}) as in compute_coefficients, but the roots l of Q(z) =
+    z^{k-1} B(z) from euler_frobenius_roots_mp, (beta^{-1})_m = sum_l
+    l^{k-2+|m|} / Q'(l) from their residues, and r = -log|l_max|."""
+    p, Q, ls = euler_frobenius_roots_mp(alpha, k, dps)
+    with mpmath.workdps(dps):
         dQ = [mpmath.polyval([i * b for i, b in enumerate(Q)][:0:-1], z) for z in ls]
         d = [mpmath.fsum(z ** (k - 2 + m) / w for z, w in zip(ls, dQ)) for m in range(J + k + 1)]
         c = [(-1) ** k * 2 * mpmath.fsum(pm * d[abs(j + k - m)] for m, pm in enumerate(p))

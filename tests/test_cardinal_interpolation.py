@@ -79,7 +79,9 @@ class TestBuildFundamental:
 
     @pytest.mark.parametrize("alpha,k", [(1.0, 2), (1.0, 3), (1.0, 6), (1.0, 8),
                                          (1.0, 10), (0.5, 6), (0.25, 2), (0.25, 3),
-                                         (0.25, 4), (0.25, 6), (2.0, 3), (2.0, 10)])
+                                         (0.25, 4), (0.25, 6), (2.0, 3), (2.0, 10),
+                                         (1.0, 11), (1.0, 12), (2.0, 2), (0.5, 8),
+                                         (4.0, 2)])
     def test_envelope_holds_out_to_the_knee(self, alpha, k):
         # the exact rate r and the amplitude taken on [2, 15] bound |L_k|
         # wherever the windows use it: out to the noise knee, past which the
@@ -90,6 +92,16 @@ class TestBuildFundamental:
         vals = np.abs(np.asarray(eval_fundamental(L, xs)))
         env = L.env_amplitude * np.exp(-L.env_rate * xs) + L.noise_floor
         assert np.all(vals <= env), float(xs[np.argmax(vals > env)])
+
+    @pytest.mark.parametrize("alpha,k", [(400.0, 2), (700.0, 5)])
+    def test_envelope_below_the_double_range(self, alpha, k):
+        # |L_k| underflows on all of [2, 15): amplitude 0, the knee at 1,
+        # and one term each side of the center, whatever the data growth
+        L = L_of(alpha, k)
+        assert L.env_amplitude == 0.0
+        assert cardinal_interpolation._noise_knee(L) == 1.0
+        growth = sequence_from_rule("power-beta", alpha, beta=3.0).growth
+        assert cardinal_interpolation._solve_window(L, 7, growth, 1e-12) == 1
 
 @pytest.mark.slow
 class TestSpectralOracle:
@@ -880,10 +892,25 @@ class TestBuildChecks:
 
         monkeypatch.setattr(cardinal_interpolation, "_green_rows", counting)
         build_fundamental(SplineParams(1.0, 6), 1e-10)
-        assert calls == [260 + 41 + 23 + 23]
+        assert calls == [416 + 41 + 40 + 40]
         del calls[:]
         build_fundamental(SplineParams(1.0, 1), 1e-10)
-        assert calls == [41 + 23 + 23]
+        assert calls == [41 + 40 + 40]
+
+    def test_check_grids_share_kernel_rows(self, monkeypatch):
+        # every check point lies on one of 32 offsets t = |x| - floor(|x|),
+        # so the pass evaluates about 2J+1 kernel values per offset, not per
+        # point: 14,902 at (1, 12), against 127,766 on the 0.05 grid
+        points = []
+        green = cardinal_interpolation.eval_green
+
+        def counting(kernel, x):
+            points.append(np.size(x))
+            return green(kernel, x)
+
+        monkeypatch.setattr(cardinal_interpolation, "eval_green", counting)
+        build_fundamental(SplineParams(1.0, 12), 1e-10)
+        assert len(points) == 1 and points[0] <= 16000
 
     def test_compact_read_once(self, monkeypatch):
         L = build_fundamental(SplineParams(1.0, 3), 1e-10)

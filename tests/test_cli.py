@@ -64,6 +64,13 @@ class TestCoeffs:
         assert rc == 2
         assert "alpha must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha,k", [("1000", "2"), ("1e5", "24")])
+    def test_unresolved_table_exit_3(self, tmp_path, alpha, k):
+        # the root nearest 0 is -0.0 in double, and (2 cosh a)^k passes the
+        # default decimal exponent range at (1e5, 24)
+        assert main(["coeffs", "--alpha", alpha, "--k", k,
+                     "-o", str(tmp_path / "c.csv")]) == 3
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["coeffs", "--alpha", "0.7", "--k", "3", "-o", str(a)])
@@ -282,6 +289,44 @@ class TestReproduce:
         rc = main(["reproduce", "--alpha", "1", "--k", "2", "--basis", "cosh",
                    "--grid", "-5:5:101", "-o", str(tmp_path / "x.csv")])
         assert rc == 0
+
+
+class TestEnvelopeUnderflow:
+    """From alpha ~ 400, |L_k| underflows on the whole envelope grid
+    [2, 15), so env_amplitude is 0: the windows keep one term each side,
+    and every subcommand still runs."""
+
+    @pytest.mark.parametrize("alpha", ["400", "700"])
+    def test_interp(self, tmp_path, alpha):
+        data = tmp_path / "d.csv"
+        data.write_text("j,b_j\n-1,1.0\n0,1.0\n1,2.0\n2,0.5\n")
+        out = tmp_path / "i.csv"
+        assert main(["interp", "--alpha", alpha, "--k", "5", "--data", str(data),
+                     "--grid", "0:2:5", "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        vals = [float(r[1]) for r in rows]
+        assert vals[::2] == [1.0, 2.0, 0.5]
+        assert all(0 < v < 1e-70 for v in vals[1::2])
+
+    @pytest.mark.parametrize("alpha", ["400", "700"])
+    def test_converge(self, tmp_path, alpha):
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--alpha", alpha, "--k", "2..3", "--target", "sinc",
+                     "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [int(r[1]) for r in rows] == [2, 3]
+        # L_k is all but the delta, so the interpolant misses sinc by ~1
+        assert all(0.9 < float(r[3]) <= float(r[4]) for r in rows)
+
+    @pytest.mark.parametrize("alpha", ["400", "700"])
+    def test_eval_L_and_coeffs(self, tmp_path, alpha):
+        out = tmp_path / "L.csv"
+        assert main(["eval-L", "--alpha", alpha, "--k", "5", "--grid", "0:3:7",
+                     "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert float(rows[0][1]) == 1.0 and float(rows[-1][1]) == 0.0
+        assert main(["coeffs", "--alpha", alpha, "--k", "5",
+                     "-o", str(tmp_path / "c.csv")]) == 0
 
 
 class TestConverge:

@@ -2,6 +2,7 @@
 
 import math
 import time
+from decimal import localcontext
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from cardspline.errors import QuadratureConvergenceError
 from cardspline.greens_kernel import SplineParams, eval_green_hat
 from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
                                         periodized_green_hat, reciprocal_symbol)
-from oracles import (bits, coefficients_mp, periodized_k1_closed,
-                     periodized_spatial, plain_tail_bound, reciprocal_k1_closed,
-                     tail_integral_loop)
+from oracles import (bits, coefficients_mp, euler_frobenius_roots_mp,
+                     periodized_k1_closed, periodized_spatial, plain_tail_bound,
+                     reciprocal_k1_closed, tail_integral_loop)
 
 ALPHAS = [0.5, 1.0, 2.0]
 XI_GRID = np.linspace(-np.pi, np.pi, 41)
@@ -302,6 +303,20 @@ class TestTableAgainstMpmath:
         assert np.all(np.abs(t.coeffs) <= t.decay_amplitude * np.exp(-t.decay_rate * js)
                       * (1 + 1e-12))
 
+    @pytest.mark.parametrize("alpha,k", [(1.0, 3), (1.0, 12), (0.05, 22), (0.25, 28),
+                                         (0.5, 28), (1.0, 30), (6.0, 30), (400.0, 5)])
+    def test_roots_match_mpmath(self, alpha, k):
+        # the roots w < -2 of the half-degree R(w), mapped back to l, round
+        # to the same doubles as mpmath's roots of Q itself, at 300 digits
+        # as beta(k - 1) cancels more than 80 at the high orders; at
+        # alpha = 400, (w + sqrt(w^2 - 4)) / 2 would give l = 0
+        params = SplineParams(alpha, k)
+        with localcontext() as ctx:
+            ctx.prec = ss._DIGITS
+            beta, _ = ss._bspline_samples(params)
+            got = [float(z) for z in ss._inner_roots(params, beta)]
+        assert got == [float(z) for z in euler_frobenius_roots_mp(alpha, k, 300)[2]]
+
     def test_unresolved_roots_refused_at_once(self):
         # at alpha = 1e5 the root nearest 0 is about -e^{-1e5}, which is
         # -0.0 in double
@@ -309,6 +324,13 @@ class TestTableAgainstMpmath:
         with pytest.raises(QuadratureConvergenceError, match="distinct roots"):
             compute_coefficients(SplineParams(1e5, 3), 1e-10)
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("alpha,k", [(1e3, 2), (1e5, 24)])
+    def test_roots_off_the_double_range_refused(self, alpha, k):
+        # the one root at (1e3, 2) is -0.0 in double, so its rate would be
+        # -log(0); (2 cosh a)^24 passes the default decimal exponent range
+        with pytest.raises(QuadratureConvergenceError, match="distinct roots"):
+            compute_coefficients(SplineParams(alpha, k), 1e-10)
 
 
 class TestTailIntegral:
