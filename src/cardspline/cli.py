@@ -77,6 +77,15 @@ def _parse_k_range(spec: str) -> list[int]:
     return ks
 
 
+def _parse_k(spec: str) -> int:
+    """The one order of a command that builds a single L_k: a range of more
+    than one order is refused, not cut to its first."""
+    ks = _parse_k_range(spec)
+    if len(ks) != 1:
+        raise DataFormatError(f"this command takes one order, got the range {spec!r}")
+    return ks[0]
+
+
 def _check_tol(tol: float) -> float:
     if not (1e-14 <= tol <= 1e-2):
         raise ParameterDomainError(f"tol must lie in [1e-14, 1e-2], got {tol:g}")
@@ -138,7 +147,7 @@ def _build_report(L) -> dict:
 
 
 def cmd_coeffs(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k_range(args.k)[0])
+    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
     tol = _check_tol(args.tol)
     t0 = time.perf_counter()
     table = compute_coefficients(params, tol)
@@ -166,7 +175,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_eval_L(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k_range(args.k)[0])
+    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
     tol = _check_tol(args.tol)
     grid = _parse_grid(args.grid)
     t0 = time.perf_counter()
@@ -188,7 +197,7 @@ def cmd_eval_L(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k_range(args.k)[0])
+    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
     tol = _check_tol(args.tol)
     grid = _parse_grid(args.grid)
     data = sequence_from_csv(args.data)
@@ -211,7 +220,7 @@ def cmd_interp(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k_range(args.k)[0])
+    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
     gate_tol = _check_tol(args.tol)
     grid = _parse_grid(args.grid)
     fn, power, _ = _basis_rule(args.basis, params.alpha)
@@ -253,9 +262,11 @@ def cmd_converge(args) -> int:
     ks = _parse_k_range(args.k)
     tol = _check_tol(args.tol)
     target = target_gallery(args.target)
+    # every order is checked before the first build
+    params = [SplineParams(alpha=alpha, k=k) for k in ks]
     t0 = time.perf_counter()
-    reports = error_sweep(target, (build_fundamental(SplineParams(alpha=alpha, k=k), tol)
-                                   for k in ks), tol=max(tol, 1e-12))
+    reports = error_sweep(target, (build_fundamental(p, tol) for p in params),
+                          tol=max(tol, 1e-12))
     wall = (time.perf_counter() - t0) * 1e3
 
     csv_path, json_path = _outputs(args, f"converge_{args.target}_a{alpha:g}.csv")

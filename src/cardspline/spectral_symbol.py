@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -62,40 +62,47 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _tail_integral(u0, alpha: float, k: int):
-    """int_{u0}^inf (u^2 + a^2)^{-k} du.
+def _series(order: int, q: float) -> list:
+    """The coefficients C(order + n - 1, n) / (2 order + 2 n - 1) of
+    int_u^inf (v^2 + a^2)^{-order} dv / u^{1 - 2 order} in x = -(a/u)^2, up
+    to the first term that falls below 1e-17 of the partial sum at x = -q
+    (at most 120)."""
+    coeffs, total, xn = [], 0.0, 1.0
+    for n in range(120):
+        coeffs.append(math.comb(order + n - 1, n) / (2 * order + 2 * n - 1))
+        term = coeffs[-1] * xn
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+        xn *= -q
+    return coeffs
 
-    The textbook reduction recurrence cancels catastrophically here (the k-th
-    integral is u0^{2k-2} times smaller than the first), so the integrand is
-    expanded in (a/u)^2 and integrated termwise; u0 exceeds 2 pi M >> a, making
-    the series converge geometrically with every digit intact.
+
+def _tail_integrals(u0, alpha: float, orders: tuple) -> np.ndarray:
+    """int_{u0}^inf (u^2 + a^2)^{-m} du for each m in orders, one row each.
+
+    The textbook reduction recurrence cancels catastrophically here (the m-th
+    integral is u0^{2m-2} times smaller than the first), so the integrand is
+    expanded in x = -(a/u)^2 and integrated termwise; u0 exceeds 2 pi M >> a,
+    making the series converge geometrically with every digit intact.  Every
+    point takes the terms the largest q = (a/u0)^2 needs, summed by Horner's
+    rule for all the orders at once (a shorter order's leading zeros add
+    nothing).
     """
     u0 = np.asarray(u0, dtype=float)
-    if u0.size == 0:
-        return np.zeros_like(u0)
-    neg_q = -(alpha / u0) ** 2
-    # the whole-array test passes only once every element does; the one with
-    # the largest q converges slowest, so it is tested alone first
-    slow = int(np.argmin(neg_q))
-    term = np.ones_like(u0)
-    total = np.zeros_like(u0)
-    for m in range(120):
-        contrib = term / (2 * k + 2 * m - 1)
-        total += contrib
-        if abs(contrib.flat[slow]) <= 1e-17 * abs(total.flat[slow]) and \
-                np.all(np.abs(contrib) <= 1e-17 * np.abs(total)):
-            break
-        term *= neg_q * (k + m) / (m + 1.0)
-    return total * u0 ** (1 - 2 * k)
-
-
-def _g1(u, alpha: float, k: int):
-    return -2.0 * k * u * (u * u + alpha * alpha) ** (-k - 1)
-
-
-def _g3(u, alpha: float, k: int):
-    a2 = alpha * alpha
-    return -4.0 * k * (k + 1) * u * (u * u + a2) ** (-k - 3) * ((2 * k + 1) * u * u - 3 * a2)
+    x = -(alpha / u0) ** 2
+    q = -float(np.min(x)) if len(x) else 0.0
+    coeffs = [_series(m, q) for m in orders]
+    table = np.zeros((max(map(len, coeffs)), len(orders), 1))
+    for i, c in enumerate(coeffs):
+        table[:len(c), i, 0] = c
+    acc = np.zeros((len(orders), len(u0)))
+    for c in table[::-1]:
+        acc *= x
+        acc += c
+    for i, m in enumerate(orders):
+        acc[i] *= u0 ** (1 - 2 * m)
+    return acc
 
 
 def _em_remainder_bound(M: int, alpha: float, k: int) -> float:
@@ -155,17 +162,31 @@ def lattice_sum(xi, alpha: float, order: int, tol: float = 1e-12) -> np.ndarray:
         u += a2
         u **= -order
         out[s:s + block] = np.sum(u, axis=1)
-    out += _em_tails(xr, alpha, order, M)
+    out += _em_tails(xr, alpha, (order,), M)[0]
     return out
 
 
-def _em_tails(xr, alpha: float, order: int, M: int) -> np.ndarray:
-    """sum_{|j| > M} ((xr - 2 pi j)^2 + a^2)^{-order} for reduced xr, both
-    tails corrected in one pass from u = 2 pi (M + 1/2) -+ xr."""
+def _em_tails(xr, alpha: float, orders: tuple, M: int) -> np.ndarray:
+    """sum_{|j| > M} ((xr - 2 pi j)^2 + a^2)^{-m} for reduced xr, one row per
+    order m in orders: both tails of every order corrected in one pass from
+    u = 2 pi (M + 1/2) -+ xr, with u^2 + a^2 formed once, as
+
+        int_u^inf g / (2 pi) + 2 pi g'(u) / 24 - 7 (2 pi)^3 g'''(u) / 5760
+
+    for g = (u^2 + a^2)^{-m}.
+    """
     u = _TWO_PI * (M + 0.5) + np.concatenate([-xr, xr])
-    ti, g1, g3 = (f(u, alpha, order).reshape(2, -1).sum(axis=0)
-                  for f in (_tail_integral, _g1, _g3))
-    return ti / _TWO_PI + _TWO_PI * g1 / 24.0 - 7.0 * _TWO_PI ** 3 * g3 / 5760.0
+    a2 = alpha * alpha
+    s = u * u + a2
+    ti = _tail_integrals(u, alpha, orders)
+    out = np.empty((len(orders), len(xr)))
+    for i, m in enumerate(orders):
+        g1 = -2.0 * m * u * s ** (-m - 1)
+        g3 = -4.0 * m * (m + 1) * u * s ** (-m - 3) * ((2 * m + 1) * u * u - 3 * a2)
+        out[i] = (ti[i].reshape(2, -1).sum(axis=0) / _TWO_PI
+                  + _TWO_PI * g1.reshape(2, -1).sum(axis=0) / 24.0
+                  - 7.0 * _TWO_PI ** 3 * g3.reshape(2, -1).sum(axis=0) / 5760.0)
+    return out
 
 
 def periodized_green_hat(params: SplineParams, xi, tol: float = 1e-12):
@@ -270,52 +291,89 @@ def _bspline_samples(params: SplineParams) -> tuple[list, list]:
         ctx.prec *= 2
 
 
-def _inner_roots(params: SplineParams, beta: list) -> list:
-    """The k - 1 roots in (-1, 0) of Q(z) = z^{k-1} sum_{|n|<k} beta(|n|) z^n,
-    from the one nearest 0 outwards, in the current decimal context.
+def _laguerre(poly: list, starts: list, tol, sqrt) -> list:
+    """Roots of the real-rooted poly (highest power first) by Laguerre's
+    method with deflation, in poly's number type.  Search i starts at
+    starts[i] or, past the end of starts or where that is not finite, at
+    the last root found (at -2 for the first); it runs on poly with the
+    roots found so far divided out, and stops once a step is within tol of
+    w or no shorter than the one before (rounding noise, which in double
+    comes first).  The list ends at the first search that does not stop in
+    _ROOT_STEPS steps."""
+    num = type(poly[0])
+    poly, roots, zero, w = list(poly), [], num(0), num(-2)
+    for n in range(len(poly) - 1, 0, -1):       # degree of poly
+        i = len(roots)
+        if i < len(starts) and math.isfinite(starts[i]):
+            w = num(starts[i])
+        last = num("inf")
+        for _ in range(_ROOT_STEPS):
+            f = df = d2f = zero
+            for b in poly:
+                d2f, df, f = d2f * w + df, df * w + f, f * w + b
+            if f == 0:
+                break
+            g = df / f
+            root = sqrt(max(zero, (n - 1) * (n * (g * g - 2 * d2f / f) - g * g)))
+            step = n / (g + root if g >= 0 else g - root)
+            w -= step
+            if abs(step) <= tol * abs(w) or abs(step) >= last:
+                break
+            last = abs(step)
+        else:
+            break
+        roots.append(w)
+        for j in range(1, n):
+            poly[j] += w * poly[j - 1]
+        poly.pop()
+    return roots
 
-    Q is palindromic: Q(z) = z^{k-1} R(z + 1/z) for R(w) = beta(0) +
-    sum_{n>=1} beta(n) D_n(w), with the Dickson polynomials D_n(z + 1/z) =
-    z^n + z^{-n} (D_0 = 2, D_1 = w, D_n = w D_{n-1} - D_{n-2}).  So the
-    roots come from the k - 1 roots w < -2 of R, of half the degree, as
-    l = 2 / (w - sqrt(w^2 - 4)); (w + sqrt(w^2 - 4)) / 2 would cancel to 0
-    once w^2 outgrows the digits, from about alpha = 140.  Every root of R
-    is real, so Laguerre's method converges from any real start to a root
-    next to it; each search starts at the last root, from w = -2 outwards,
-    on R with the roots found so far divided out, smallest |w| first, the
-    stable order.  (np.roots in double turns two real roots of Q at
-    (0.25, 28) into -0.580 +- 0.042i.)
-    """
-    k = len(beta)
-    R = [beta[0]] + [Decimal(0)] * (k - 1)
+
+def _half_degree_poly(beta: list) -> list:
+    """R(w) = beta(0) + sum_{n>=1} beta(n) D_n(w), highest power first, for
+    the Dickson polynomials D_0 = 2, D_1 = w, D_n = w D_{n-1} - D_{n-2}."""
+    R = [beta[0]] + [Decimal(0)] * (len(beta) - 1)
     lo, hi = [Decimal(2)], [Decimal(0), Decimal(1)]     # D_0, D_1, lowest power first
     for b in beta[1:]:
         for i, v in enumerate(hi):
             R[i] += b * v
         lo, hi = hi, [v - u for u, v in zip(lo + [0, 0], [0] + hi)]
-    poly = R[::-1]
-    roots, w = [], Decimal(-2)
+    return R[::-1]
+
+
+def _inner_roots(params: SplineParams, beta: list) -> list:
+    """The k - 1 roots in (-1, 0) of Q(z) = z^{k-1} sum_{|n|<k} beta(|n|) z^n,
+    from the one nearest 0 outwards, in the current decimal context.
+
+    Q is palindromic: Q(z) = z^{k-1} R(z + 1/z) for R(w) = beta(0) +
+    sum_{n>=1} beta(n) D_n(w) (_half_degree_poly), as the Dickson
+    polynomials have D_n(z + 1/z) = z^n + z^{-n}.  So the roots come from
+    the k - 1 roots w < -2 of R, of half the degree, as l = 2 / (w -
+    sqrt(w^2 - 4)); (w + sqrt(w^2 - 4)) / 2 would cancel to 0 once w^2
+    outgrows the digits, from about alpha = 140.  Every root of R is real,
+    so Laguerre's method converges from any real start to a root next to
+    it.  A first pass in double, from w = -2 outwards on R with the roots
+    found so far divided out, smallest |w| first (the stable order), gives
+    each root to 8-16 digits.  The decimal pass polishes each from its
+    double estimate, or from the last root where double ran out of range,
+    so a root takes two or three steps; Laguerre's square root only scales
+    a step near the root, so it is taken to 30 digits.  The roots are
+    sorted at the end, whatever order the searches found them in.  (np.roots
+    in double turns two real roots of Q at (0.25, 28) into -0.580 +-
+    0.042i.)
+    """
+    k = len(beta)
+    poly = _half_degree_poly(beta)
     try:
-        for n in range(k - 1, 0, -1):       # degree of poly
-            for _ in range(_ROOT_STEPS):
-                f = df = d2f = Decimal(0)
-                for b in poly:
-                    d2f, df, f = d2f * w + df, df * w + f, f * w + b
-                if f == 0:
-                    break
-                g = df / f
-                root = max(Decimal(0), (n - 1) * (n * (g * g - 2 * d2f / f) - g * g)).sqrt()
-                step = n / (g + root if g >= 0 else g - root)
-                w -= step
-                if abs(step) <= _ROOT_TOL * abs(w):
-                    break
-            else:
-                break
-            roots.append(w)
-            for i in range(1, n):
-                poly[i] += w * poly[i - 1]
-            poly.pop()
-        roots = [2 / (w - (w * w - 4).sqrt()) for w in reversed(roots) if w < -2]
+        starts = _laguerre([float(c) for c in poly], [], _EPS, math.sqrt)
+    except ArithmeticError:
+        starts = []
+    ctx = getcontext()
+    short = Context(prec=30, Emax=ctx.Emax, Emin=ctx.Emin)
+    try:
+        roots = [2 / (w - (w * w - 4).sqrt()) for w in
+                 sorted(_laguerre(poly, starts, _ROOT_TOL, lambda v: v.sqrt(short)))
+                 if w < -2]
     except ArithmeticError:
         roots = []
     if len(roots) != k - 1 or not all(-1 < float(z) < 0 for z in roots) \
@@ -323,7 +381,7 @@ def _inner_roots(params: SplineParams, beta: list) -> list:
         raise QuadratureConvergenceError(
             f"the exponential B-spline symbol of (alpha={params.alpha}, "
             f"k={params.k}) does not resolve into {k - 1} distinct roots in "
-            f"(-1, 0) at {getcontext().prec} digits")
+            f"(-1, 0) at {ctx.prec} digits")
     return roots
 
 
@@ -397,9 +455,14 @@ def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> Coefficien
             amplitude = math.exp(max(math.log(abs(v)) + rate * j for j, v in
                                      enumerate(c[:n - margin + 1]) if abs(v) >= _TINY))
             bound = min(tol, _EPS * max(map(abs, c)))
-            J = 1
+            # the tail lies below bound once r (J + 1) > log(2A / bound) -
+            # log(1 - e^{-r}); the two checks settle the rounding
+            J = max(1, math.floor((math.log(2.0) + math.log(amplitude) - math.log(bound)
+                                   - math.log1p(-math.exp(-rate))) / rate))
             while _envelope_tail(amplitude, rate, J) >= bound:
                 J += 1
+            while J > 1 and _envelope_tail(amplitude, rate, J - 1) < bound:
+                J -= 1
             if J + margin <= n:
                 break
             n *= 2

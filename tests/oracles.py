@@ -5,7 +5,8 @@ code paths: QUADPACK quadrature over the real line for transforms and for L_k
 itself (eval_fundamental_spectral), the spatial cosine-series (Poisson
 summation) route for the periodized symbol, the k = 1 hyperbolic closed
 forms, mpmath lattice sums for the error split S, T (term by term,
-or at k = 1, 2 from their closed form), and mpmath roots and residues for
+or at k = 1, 2 from their closed form), mpmath quadrature for the lattice
+sums' tail integrals (tail_integral_mp), and mpmath roots and residues for
 the coefficient table (coefficients_mp).  The exceptions are plain or earlier forms kept as bitwise references for their
 faster replacements: interpolate_pointwise (one point at a time: its own
 window solve and one np.dot over its kept window, for interpolate_grid),
@@ -13,10 +14,10 @@ eval_fundamental_direct (one kernel row and one np.dot per point, for the
 shared kernel rows and gathered contraction of eval_fundamental; each value
 of both is its own BLAS ddot, so neither depends on the batch),
 eval_green_out_of_place (for the in-place eval_green), panel_nodes_loop (one
-panel at a time, for _panel_nodes), tail_integral_loop (the whole-array
-convergence test in every term, for _tail_integral), solve_window_loop (one
+panel at a time, for _panel_nodes), solve_window_loop (one
 center at a time, for _solve_windows) and fundamental_checks_four_calls (one
-eval_fundamental call per check, for the one call of build_fundamental); and
+eval_fundamental call per check, for the one call of build_fundamental, and
+the evenness that build_fundamental leaves to eval_fundamental's fold); and
 two reference quantities that only the tests read: the exact one-sided knot
 derivatives of E_k and the plain (uncorrected) periodization tail bound.
 
@@ -422,20 +423,18 @@ def panel_nodes_loop(pieces, panels_per_piece: int, order: int = 24):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def tail_integral_loop(u0, alpha: float, k: int):
-    """spectral_symbol._tail_integral with the whole-array convergence test
-    in every iteration."""
-    u0 = np.asarray(u0, dtype=float)
-    q = (alpha / u0) ** 2
-    term = np.ones_like(u0)
-    total = np.zeros_like(u0)
-    for m in range(120):
-        contrib = term / (2 * k + 2 * m - 1)
-        total += contrib
-        if np.all(np.abs(contrib) <= 1e-17 * np.abs(total)):
-            break
-        term *= -q * (k + m) / (m + 1.0)
-    return total * u0 ** (1 - 2 * k)
+def tail_integral_mp(u0, alpha: float, m: int, dps: int = 40) -> list:
+    """int_{u0}^inf (u^2 + a^2)^{-m} du at each u0, as mpf values at dps
+    digits: mpmath.quad on u = u0 / v, which turns it into the smooth
+    u0^{1-2m} int_0^1 v^{2m-2} (1 + (a v / u0)^2)^{-m} dv."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        out = []
+        for u in np.atleast_1d(np.asarray(u0, dtype=float)).tolist():
+            u = mpmath.mpf(u)
+            out.append(u ** (1 - 2 * m) * mpmath.quad(
+                lambda v: v ** (2 * m - 2) * (1 + (a * v / u) ** 2) ** (-m), [0, 1]))
+        return out
 
 
 def solve_window_loop(L, center: int, growth, tol: float,
@@ -477,10 +476,10 @@ def solve_window_loop(L, center: int, growth, tol: float,
 
 
 def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
-    """(env_rate, env_amplitude, noise_floor, cardinality_error, evenness
-    error) of build_fundamental, from one eval_fundamental call for the
-    envelope amplitude, one for the integers -20..20 and one for each side of
-    the evenness grid."""
+    """(env_rate, env_amplitude, noise_floor, cardinality_error) of
+    build_fundamental and the evenness error of its L_k, from one
+    eval_fundamental call for the envelope amplitude, one for the integers
+    -20..20 and one for each side of the evenness grid +-n/8."""
     kernel = build_green_kernel(params)
     table_tol = max(1e-14, tol / max(1.0, kernel.peak * INV_SQRT_2PI))
     table = compute_coefficients(params, table_tol)

@@ -244,14 +244,43 @@ class TestDeviationIdentity:
         t = target_gallery("triangle-spectrum")
         _, _, quad_res, M = ba._error_integrals(SplineParams(1.0, 1), t, 1e-10)
         levels = quad_res // (24 * len(t.pieces))
-        assert [len(xi) for xi in passes] == [24 * len(t.pieces) * 2 ** i
-                                             for i in range(1, levels.bit_length())]
-        np.testing.assert_array_equal(passes[-1], ba._panel_nodes(t.pieces, levels)[0])
+        # levels 2 and 4 share the first pass, and each later level has its own
+        want = [np.concatenate([ba._panel_nodes(t.pieces, 2)[0], ba._panel_nodes(t.pieces, 4)[0]])]
+        want += [ba._panel_nodes(t.pieces, 2 ** i)[0] for i in range(3, levels.bit_length())]
+        assert len(passes) == len(want)
+        for got, nodes in zip(passes, want):
+            np.testing.assert_array_equal(got, nodes)
         assert sums == []
         assert 4 <= M < 32
         passes.clear()
         T, M_view = replica_power(SplineParams(1.0, 1), np.linspace(-np.pi, np.pi, 48), 1e-10)
         assert len(passes) == 1 and 4 <= M_view < 32
+
+    @pytest.mark.parametrize("alpha,k,name", [(1.0, 5, "half-band"), (2.0, 3, "sinc"),
+                                              (1.0, 12, "triangle-spectrum"),
+                                              (0.5, 4, "bump-spectrum")])
+    def test_four_panel_row_makes_one_pass(self, monkeypatch, alpha, k, name):
+        # no row stops before 4 panels per piece, so levels 2 and 4 go
+        # through one lattice pass; a row that stops there makes no other,
+        # and its integrals keep the bits of one pass per level
+        passes = []
+
+        def counting(params, xi, s_tol, t_tol):
+            passes.append(len(xi))
+            return split(params, xi, s_tol, t_tol)
+
+        split = ba._deviation_split
+        p, t = SplineParams(alpha, k), target_gallery(name)
+        monkeypatch.setattr(ba, "_deviation_split", counting)
+        exact, s2, quad_res, M = ba._error_integrals(p, t, 1e-10)
+        assert quad_res == 4 * 24 * len(t.pieces)
+        assert passes == [6 * 24 * len(t.pieces)]
+        nodes, w = ba._panel_nodes(t.pieces, 4)
+        S, T, M4 = split(p, nodes, ba._S_TOL, 1e-10 / t.l2_norm_sq)
+        gh2 = np.asarray(t.spectrum(nodes)) ** 2
+        np.testing.assert_array_equal(
+            bits([exact, s2]), bits([np.dot(w, gh2 * (S * S + T)), np.dot(w, gh2 * S * S)]))
+        assert M == M4
 
     def test_fused_pass_counts_no_fewer_shifts(self, monkeypatch):
         # both tails of the pass start at the largest of the three counts
@@ -259,8 +288,8 @@ class TestDeviationIdentity:
         # t_tol / 4; the count reported is the order-2k one
         from cardspline.spectral_symbol import _choose_shift_count, _em_tails
         tails = []
-        monkeypatch.setattr(ba, "_em_tails",
-                            lambda xr, a, order, M: tails.append(M) or _em_tails(xr, a, order, M))
+        monkeypatch.setattr(ba, "_em_tails", lambda xr, a, orders, M:
+                            tails.append((orders, M)) or _em_tails(xr, a, orders, M))
         for alpha, k in [(1.0, 1), (0.5, 2), (2.0, 6)]:
             p = SplineParams(alpha, k)
             e_pi = abs(eval_green_hat(p, np.pi))
@@ -269,7 +298,8 @@ class TestDeviationIdentity:
                       _choose_shift_count(alpha, 2 * k, 0.25 * 2e-10 * e_pi * e_pi)]
             tails.clear()
             _, _, M = ba._deviation_split(p, np.linspace(-np.pi, np.pi, 5), 1e-14, 2e-10)
-            assert tails == [max(counts)] * 2 and M == counts[2]
+            # both orders' tails in one call
+            assert tails == [((k, 2 * k), max(counts))] and M == counts[2]
 
     def test_unreachable_replica_tolerance_raises_first(self, monkeypatch):
         # the Euler-Maclaurin tail reaches tol 1e-20 at k = 1 with a few

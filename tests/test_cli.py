@@ -367,6 +367,39 @@ class TestConverge:
         assert len(doc["data"]["rows"]) == 2
 
 
+class TestOrderRanges:
+    """Commands that build one L_k refuse a range of orders; converge checks
+    every order of its range before the first build."""
+
+    DATA = "0,1\n1,0.5\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--alpha", "1"], ["eval-L", "--alpha", "1"],
+        ["interp", "--alpha", "1", "--data", "{data}"],
+        ["reproduce", "--alpha", "0.25", "--basis", "cosh"]])
+    def test_range_refused_exit_2(self, tmp_path, capsys, argv):
+        data = tmp_path / "b.csv"
+        data.write_text(self.DATA)
+        argv = [a.format(data=data) for a in argv]
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--k", "3..5", "-o", str(out)]) == 2
+        assert "takes one order" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+        # a range of one order is that order
+        assert main(argv + ["--k", "3..3", "-o", str(out)]) == 0
+
+    def test_converge_checks_every_order_first(self, tmp_path, capsys, monkeypatch):
+        from cardspline import cli
+        builds = []
+        monkeypatch.setattr(cli, "build_fundamental",
+                            lambda params, tol: builds.append(params))
+        rc = main(["converge", "--alpha", "1", "--k", "1..31", "--target", "sinc",
+                   "-o", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "got 31" in capsys.readouterr().err
+        assert builds == [] and list(tmp_path.iterdir()) == []
+
+
 class TestCardinalityReport:
     """Each sidecar that uses L_k reports its cardinality residual; flagged
     builds (residual above 1e-8) are no longer silent.  CSVs and params are

@@ -2,7 +2,7 @@
 
 import math
 import time
-from decimal import localcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
                                         periodized_green_hat, reciprocal_symbol)
 from oracles import (bits, coefficients_mp, euler_frobenius_roots_mp,
                      periodized_k1_closed, periodized_spatial, plain_tail_bound,
-                     reciprocal_k1_closed, tail_integral_loop)
+                     reciprocal_k1_closed, tail_integral_mp)
 
 ALPHAS = [0.5, 1.0, 2.0]
 XI_GRID = np.linspace(-np.pi, np.pi, 41)
@@ -270,7 +270,9 @@ class TestTableAgainstMpmath:
         np.testing.assert_allclose(table.coeffs, [c1, c0, c1], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("alpha,k,tol", [(1.0, 3, 1e-10), (1.0, 6, 1e-12),
-                                             (0.25, 6, 1e-14), (2.0, 10, 1e-8)])
+                                             (0.25, 6, 1e-14), (2.0, 10, 1e-8),
+                                             (0.05, 30, 1e-10), (10.0, 30, 1e-14),
+                                             (6.0, 2, 1e-2)])
     def test_half_width_is_the_smallest_certified(self, alpha, k, tol):
         # the tail 2 A e^{-r(J+1)} / (1 - e^{-r}) is below tol and the double
         # precision floor of the largest entry at J, and not at J - 1
@@ -317,6 +319,33 @@ class TestTableAgainstMpmath:
             got = [float(z) for z in ss._inner_roots(params, beta)]
         assert got == [float(z) for z in euler_frobenius_roots_mp(alpha, k, 300)[2]]
 
+    @pytest.mark.parametrize("alpha,k", [(1.0, 3), (1.0, 12), (0.05, 22), (0.05, 30),
+                                         (0.25, 28), (6.0, 30), (400.0, 5)])
+    def test_double_starts_keep_the_roots(self, alpha, k):
+        # polishing the double estimates finds the roots of the search from
+        # w = -2 outwards with a full-precision square root: the same
+        # doubles, and the same decimals to the search's tolerance
+        params = SplineParams(alpha, k)
+        with localcontext() as ctx:
+            ctx.prec = ss._DIGITS
+            beta, _ = ss._bspline_samples(params)
+            got = ss._inner_roots(params, beta)
+            ws = sorted(ss._laguerre(ss._half_degree_poly(beta), [], ss._ROOT_TOL,
+                                     Decimal.sqrt))
+            want = [2 / (w - (w * w - 4).sqrt()) for w in ws]
+            assert [float(z) for z in got] == [float(z) for z in want]
+            assert all(abs(a - b) <= ss._ROOT_TOL * abs(b) for a, b in zip(got, want))
+
+    def test_non_finite_starts_fall_back_to_the_last_root(self):
+        with localcontext() as ctx:
+            ctx.prec = ss._DIGITS
+            beta, _ = ss._bspline_samples(SplineParams(1.0, 8))
+            poly = ss._half_degree_poly(beta)
+            want = ss._laguerre(poly, [], ss._ROOT_TOL, Decimal.sqrt)
+            assert len(want) == 7
+            for starts in ([math.nan] * 7, [math.inf, -math.inf], [math.nan]):
+                assert ss._laguerre(poly, starts, ss._ROOT_TOL, Decimal.sqrt) == want
+
     def test_unresolved_roots_refused_at_once(self):
         # at alpha = 1e5 the root nearest 0 is about -e^{-1e5}, which is
         # -0.0 in double
@@ -334,26 +363,47 @@ class TestTableAgainstMpmath:
 
 
 class TestTailIntegral:
-    """The tail series stops at the same term as with the whole-array test in
-    every iteration."""
+    """The lattice sums' tail integrals, a fixed-length Horner series, against
+    40-digit quadrature, and the fused orders against one order at a time."""
 
-    def test_bitwise_whole_array_loop(self):
-        rng = np.random.default_rng(12)
-        for trial in range(300):
-            alpha = float(rng.choice([0.25, 0.5, 1.0, 2.0, rng.uniform(0.01, 8.0)]))
-            k = int(rng.integers(1, 31))
-            n = int(rng.choice([0, 1, 2, 5, 64, 257]))
-            # lattice_sum's arguments, 2 pi (M + 1/2) -+ xr, and a few near
-            # alpha, where the series converges slowly
-            u0 = ss._TWO_PI * (rng.integers(8, 40) + 0.5) + rng.uniform(-np.pi, np.pi, n)
-            if trial % 5 == 0:
-                u0 = rng.uniform(1.02, 3.0, n) * alpha
-            np.testing.assert_array_equal(
-                bits(ss._tail_integral(u0, alpha, k)),
-                bits(tail_integral_loop(u0, alpha, k)),
-                err_msg=f"trial {trial}")
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_against_mpmath(self, alpha):
+        # the converge sweep's range: orders k and 2k for k <= 12, and
+        # u0 = 2 pi (M + 1/2) -+ xr, xr in [-pi, pi], for the pass's shift
+        # counts M (5 to 19 there; 100 reaches further); then, in one call
+        # with the farthest of them, u0 down to 5 alpha, whose q = 1/25 sets
+        # the series' length for every point
+        worst = 0.0
+        base = ss._TWO_PI * (np.array([5, 19, 100]) + 0.5)
+        for u0, orders in [(base[:, None] + np.pi * np.array([-1.0, -0.3, 0.55, 1.0]),
+                            (1, 2, 6, 12, 24)),
+                           (np.append(alpha * np.array([5.0, 7.0, 12.0]), base[-1]),
+                            (1, 2, 6, 12))]:
+            u0 = u0.ravel()
+            got = ss._tail_integrals(u0, alpha, orders)
+            for row, m in zip(got, orders):
+                ref = tail_integral_mp(u0, alpha, m)
+                worst = max(worst, max(abs(float((v - r) / r)) for v, r in zip(row.tolist(), ref)))
+        assert worst < 4 * np.finfo(float).eps
+
+    def test_fused_orders_bitwise_one_at_a_time(self):
+        # a shorter order's leading zeros add nothing to the Horner sum, and
+        # both tails of each order keep the bits of a call for that order
+        rng = np.random.default_rng(15)
+        for alpha, k, M in [(1.0, 1, 17), (0.5, 6, 5), (2.0, 8, 5), (1.0, 12, 5),
+                            (0.25, 3, 40)]:
+            xr = rng.uniform(-np.pi, np.pi, 64)
+            u0 = ss._TWO_PI * (M + 0.5) + np.concatenate([-xr, xr])
+            both = ss._tail_integrals(u0, alpha, (k, 2 * k))
+            for row, m in zip(both, (k, 2 * k)):
+                np.testing.assert_array_equal(bits(row), bits(ss._tail_integrals(u0, alpha, (m,))[0]))
+            tails = ss._em_tails(xr, alpha, (k, 2 * k), M)
+            for row, m in zip(tails, (k, 2 * k)):
+                np.testing.assert_array_equal(bits(row), bits(ss._em_tails(xr, alpha, (m,), M)[0]))
 
     def test_empty_and_scalar(self):
-        assert ss._tail_integral(np.array([]), 1.0, 3).shape == (0,)
-        got = ss._tail_integral(np.float64(60.0), 1.0, 3)
-        np.testing.assert_array_equal(bits(got), bits(tail_integral_loop(60.0, 1.0, 3)))
+        assert ss._tail_integrals(np.array([]), 1.0, (3, 6)).shape == (2, 0)
+        got = ss._tail_integrals(np.array([60.0]), 1.0, (3,))
+        assert got.shape == (1, 1)
+        assert float(got[0, 0]) == pytest.approx(float(tail_integral_mp(60.0, 1.0, 3)[0]),
+                                                 rel=4 * np.finfo(float).eps, abs=0)
