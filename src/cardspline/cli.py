@@ -9,8 +9,9 @@ Subcommands
 
 Grids are `start:stop:count` with inclusive endpoints.  CSV floats are
 formatted `%.9e` so identical configs produce byte-identical files; full
-precision lives in the JSON sidecars.  Every run writes a manifest referencing
-the files it emitted.
+precision lives in the JSON sidecars, whose `x`, `L_k` and `f_b` arrays are
+`%.16e` text that parses back to the same doubles.  Every run writes a manifest
+referencing the files it emitted.
 
 Exit codes: 0 ok, 1 reproduction failure, 2 bad parameters or input,
 3 quadrature non-convergence or an uncertifiable tolerance, 4 summation-window
@@ -31,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._floattext import json_array, table_text
 from .bandlimited_analysis import error_sweep, target_gallery
 from .cardinal_interpolation import (_basis_rule, build_fundamental,
                                      interpolate_grid, eval_fundamental,
@@ -42,7 +44,6 @@ from .errors import (CardsplineError, DataFormatError, MissingDataError,
 from .greens_kernel import SplineParams
 from .spectral_symbol import compute_coefficients
 
-_FLOAT_FMT = "%.9e"
 _GRID_RE = re.compile(r"^[^:]+:[^:]+:\d+$")
 
 
@@ -56,8 +57,11 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DataFormatError(f"bad grid {spec!r}") from exc
     if count < 2:
         raise DataFormatError(f"grid count must be >= 2, got {count}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        grid = np.linspace(start, stop, count)
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            grid = np.linspace(start, stop, count)
+    except ValueError as exc:   # a count numpy cannot size an array for
+        raise DataFormatError(f"grid count {count} is too large") from exc
     if not np.all(np.isfinite(grid)):
         raise DataFormatError(f"grid points must be finite, got {spec!r}")
     return grid
@@ -92,26 +96,32 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    # one format string for the whole table, from the first row's cell types
-    rows = list(rows)
-    line = ",".join("%s" if isinstance(c, str) else _FLOAT_FMT for c in rows[0]) + "\n" \
-        if rows else ""
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """One table, given by columns: numpy columns print as `%.9e`, str
+    columns pass through."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(line * len(rows) % tuple(c for row in rows for c in row))
+        fh.write(table_text(columns, 9))
 
 
 def _write_sidecar(path: Path, params: dict, tol: float, data: dict,
-                   wall_ms: float) -> None:
+                   wall_ms: float, arrays: dict | None = None) -> None:
+    """One JSON line.  Each of the float `arrays` joins `data` as `%.16e`
+    text, spliced in for a placeholder string that holds its key's place;
+    no other string of the document can hold a NUL, so each placeholder's
+    JSON text occurs once."""
+    arrays = arrays or {}
     doc = {
         "params": params,
         "tol": tol,
-        "data": data,
+        "data": {**data, **{key: "\0" + key for key in arrays}},
         "manifest": {"version": __version__, "wall_ms": wall_ms},
     }
+    text = json.dumps(doc, sort_keys=True)
+    for key, values in arrays.items():
+        text = text.replace(json.dumps("\0" + key), json_array(values), 1)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(stem: Path, config: dict, outputs: list[Path],
@@ -165,7 +175,7 @@ def cmd_coeffs(args) -> int:
     }
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["j", "c_j"], zip(keys, coeffs))
+        _write_csv(csv_path, ["j", "c_j"], [keys, table.coeffs])
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol, meta, wall)
     outs.append(json_path)
@@ -183,13 +193,12 @@ def cmd_eval_L(args) -> int:
     vals = np.asarray(eval_fundamental(L, grid))
     wall = (time.perf_counter() - t0) * 1e3
     csv_path, json_path = _outputs(args, f"evalL_a{args.alpha:g}_k{params.k}.csv")
-    xs, vals = grid.tolist(), vals.tolist()
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["x", "L_k"], zip(xs, vals))
+        _write_csv(csv_path, ["x", "L_k"], [grid, vals])
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"x": xs, "L_k": vals, **_build_report(L)}, wall)
+                   _build_report(L), wall, {"x": grid, "L_k": vals})
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs,
                     {"table_tail_bound": L.table.tail_bound}, wall)
@@ -206,14 +215,13 @@ def cmd_interp(args) -> int:
     vals = interpolate_grid(L, data, grid, max(tol, 1e-12))
     wall = (time.perf_counter() - t0) * 1e3
     csv_path, json_path = _outputs(args, f"interp_a{args.alpha:g}_k{params.k}.csv")
-    xs, vals = grid.tolist(), vals.tolist()
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["x", "f_b"], zip(xs, vals))
+        _write_csv(csv_path, ["x", "f_b"], [grid, vals])
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"x": xs, "f_b": vals, "data": str(args.data),
-                    **_build_report(L)}, wall)
+                   {"data": str(args.data), **_build_report(L)}, wall,
+                   {"x": grid, "f_b": vals})
     outs.append(json_path)
     _write_manifest(csv_path, _config_echo(args), outs, {}, wall)
     return 0
@@ -243,8 +251,7 @@ def cmd_reproduce(args) -> int:
     csv_path, json_path = _outputs(args, f"reproduce_{args.basis}_a{args.alpha:g}_k{params.k}.csv")
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, ["x", "g", "f_b", "abs_err"],
-                   zip(grid.tolist(), g.tolist(), fb.tolist(), abs_err.tolist()))
+        _write_csv(csv_path, ["x", "g", "f_b", "abs_err"], [grid, g, fb, abs_err])
         outs.append(csv_path)
     max_err = float(np.max(abs_err))
     gate = gate_tol * max(1.0, float(np.max(np.abs(g))))
@@ -277,7 +284,8 @@ def cmd_converge(args) -> int:
             for r in reports]
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, header, rows)
+        _write_csv(csv_path, header, [c if isinstance(c[0], str) else np.array(c)
+                                      for c in zip(*rows)])
         outs.append(csv_path)
     _write_sidecar(json_path, {"alpha": alpha, "k": [r.params.k for r in reports]},
                    tol,

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cardspline
+from cardspline import (SplineParams, build_fundamental, eval_fundamental,
+                        interpolate_grid, sequence_from_csv)
 from cardspline.cli import main
 from cardspline.errors import (DataFormatError, MissingDataError,
                                ParameterDomainError, QuadratureConvergenceError,
@@ -122,6 +125,29 @@ class TestEvalL:
         assert rc == 2
         assert not out.exists()
 
+    def test_unbuildable_grid_count_exit_2(self, tmp_path, capsys):
+        # numpy refuses this count before allocating anything
+        out = tmp_path / "L.csv"
+        rc = main(["eval-L", "--alpha", "1", "--k", "2",
+                   "--grid", "0:1:100000000000000000000", "-o", str(out)])
+        assert rc == 2
+        assert "grid count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [9, 401])
+    def test_json_only_format(self, tmp_path, count):
+        # both sides of the writers' small-input size; the sidecar arrays
+        # parse back to the library's doubles bit for bit
+        out = tmp_path / "L.csv"
+        assert main(["eval-L", "--alpha", "1", "--k", "3", "--grid", f"-4.3:5.1:{count}",
+                     "--format", "json", "-o", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["L.json", "L.manifest.json"]
+        data = json.loads(out.with_suffix(".json").read_text())["data"]
+        grid = np.linspace(-4.3, 5.1, count)
+        vals = eval_fundamental(build_fundamental(SplineParams(1.0, 3), 1e-10), grid)
+        assert [v.hex() for v in data["x"]] == [v.hex() for v in grid.tolist()]
+        assert [v.hex() for v in data["L_k"]] == [v.hex() for v in vals.tolist()]
+
     def test_float_format(self, tmp_path):
         out = tmp_path / "L.csv"
         main(["eval-L", "--alpha", "1", "--k", "1", "--grid", "0:1:3",
@@ -187,6 +213,23 @@ class TestInterp:
                    "--grid", grid, "-o", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("count", [9, 401])
+    def test_json_only_format(self, tmp_path, count):
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_text("j,b_j\n-2,0.5\n0,1.0\n1,-2.25\n3,0.125\n")
+        out = tmp_path / "i.csv"
+        assert main(["interp", "--alpha", "1", "--k", "2", "--data", str(data_csv),
+                     "--grid", f"-4.3:5.1:{count}", "--format", "json",
+                     "-o", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["d.csv", "i.json", "i.manifest.json"]
+        data = json.loads(out.with_suffix(".json").read_text())["data"]
+        grid = np.linspace(-4.3, 5.1, count)
+        vals = interpolate_grid(build_fundamental(SplineParams(1.0, 2), 1e-10),
+                                sequence_from_csv(data_csv), grid, 1e-10)
+        assert [v.hex() for v in data["x"]] == [v.hex() for v in grid.tolist()]
+        assert [v.hex() for v in data["f_b"]] == [v.hex() for v in vals.tolist()]
 
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["interp", "--alpha", "1", "--k", "2", "--data",
@@ -465,18 +508,39 @@ class TestCardinalityReport:
 
 class TestWriters:
     def test_csv_bytes_pinned(self, tmp_path):
-        # str cells pass through, floats (numpy included) print as %.9e
-        import numpy as np
+        # str columns pass through, numpy columns print as %.9e
         from cardspline.cli import _write_csv
         out = tmp_path / "t.csv"
         _write_csv(out, ["alpha", "k", "target", "err"],
-                   [(1.0, "1", "half-band", 0.1118020563),
-                    (0.25, "12", "sinc", np.float64(-2.5e-300))])
+                   [np.array([1.0, 0.25]), ["1", "12"], ["half-band", "sinc"],
+                    np.array([0.1118020563, -2.5e-300])])
         assert out.read_bytes() == (b"alpha,k,target,err\n"
                                     b"1.000000000e+00,1,half-band,1.118020563e-01\n"
                                     b"2.500000000e-01,12,sinc,-2.500000000e-300\n")
-        _write_csv(out, ["x"], [])
+        _write_csv(out, ["x"], [np.array([])])
         assert out.read_bytes() == b"x\n"
+
+    def test_csv_bytes_pinned_above_the_small_input_size(self, tmp_path):
+        # 640 float cells take the vectorized path: signed zero, ties, carries,
+        # non-finite, subnormal and out-of-range values print as Python's %
+        from cardspline._floattext import SMALL_INPUT
+        from cardspline.cli import _write_csv
+        rows = [(1.0, "1", 0.1118020563, b"1.000000000e+00,1,1.118020563e-01\n"),
+                (0.25, "12", -2.5e-300, b"2.500000000e-01,12,-2.500000000e-300\n"),
+                (-0.0, "a", np.nan, b"-0.000000000e+00,a,nan\n"),
+                (9.9999999996, "bb", np.inf, b"1.000000000e+01,bb,inf\n"),
+                (1.0000000005, "", -np.inf, b"1.000000001e+00,,-inf\n"),
+                (-123.456, "x", 5e-324, b"-1.234560000e+02,x,4.940656458e-324\n"),
+                (12345678905.0, "tie", 12345678915.0,
+                 b"1.234567890e+10,tie,1.234567892e+10\n"),
+                (1e280, "big", -9.9999999995e-281, b"1.000000000e+280,big,-9.999999999e-281\n")]
+        rows *= 40
+        assert 2 * len(rows) >= SMALL_INPUT
+        out = tmp_path / "t.csv"
+        _write_csv(out, ["x", "label", "y"],
+                   [np.array([r[0] for r in rows]), [r[1] for r in rows],
+                    np.array([r[2] for r in rows])])
+        assert out.read_bytes() == b"x,label,y\n" + b"".join(r[3] for r in rows)
 
     def test_sidecar_and_manifest_are_one_json_line(self, tmp_path):
         out = tmp_path / "c.csv"
