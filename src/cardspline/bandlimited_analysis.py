@@ -261,13 +261,6 @@ def _deviation_split(params: SplineParams, xi, s_tol: float, t_tol: float):
     return rest / P, rest2 / P / P, M2k
 
 
-def interp_deviation(params: SplineParams, xi, tol: float = 1e-12):
-    """S(xi) = 1 - sqrt(2 pi) Lhat_k(xi) = P^{!=0}(xi) / P(xi) for xi in
-    [-pi, pi], to absolute accuracy tol (_deviation_split)."""
-    S, _, _ = _deviation_split(params, xi, tol, tol)
-    return float(S[0]) if np.ndim(xi) == 0 else S
-
-
 def replica_power(params: SplineParams, xi, tol: float = 1e-12):
     """(T(xi), M) for xi in [-pi, pi]: T = sum_{l != 0} 2 pi Lhat_k(xi - 2 pi l)^2
     = S_2k^{!=0}(xi) / P(xi)^2 to absolute accuracy tol, and M the replicas
@@ -387,8 +380,6 @@ def _sup_grid(grid_half_width: float, n: int) -> np.ndarray:
 
 def _sup_window(L: FundamentalFunction, grid_half_width: float, tol: float) -> int:
     """L's window J at the sup-error grid's edge."""
-    if L.compact:
-        return 1
     return _solve_window(L, int(round(float(grid_half_width))), GrowthModel(), tol,
                          clip_to_knee=True)
 
@@ -456,13 +447,3 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
                                    cond_B=L.table.cond_B))
     return reports
 
-
-def error_report(params: SplineParams, target: BandlimitedTarget,
-                 tol: float = 1e-10, grid_half_width: float = 5.0,
-                 n: int = 101, L: FundamentalFunction | None = None) -> ErrorReport:
-    """error_sweep of one order; L, when given, must be built for params."""
-    if L is None:
-        L = build_fundamental(params, 1e-10)
-    elif L.params != params:
-        raise ValueError(f"L is built for {L.params}, not {params}")
-    return error_sweep(target, [L], tol, grid_half_width, n)[0]

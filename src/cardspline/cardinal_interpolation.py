@@ -38,7 +38,7 @@ from .errors import (DataFormatError, MissingDataError, ParameterDomainError,
                      UnknownBasisError, WindowOverflowError)
 from .greens_kernel import (GreenKernel, SplineParams, build_green_kernel,
                             eval_green)
-from .spectral_symbol import CoefficientTable, compute_coefficients
+from .spectral_symbol import CoefficientTable, _check_tol, compute_coefficients
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_HORIZON = 4000
@@ -66,27 +66,45 @@ _MODEL_FLOOR_SLACK = 25.0
 
 @dataclass(frozen=True)
 class FundamentalFunction:
-    """Evaluation-ready L_k: kernel, coefficient table and decay metadata.
+    """Evaluation-ready L_k: kernel, coefficient table and the two checks
+    build_fundamental measures on them, which eval_fundamental does not
+    read: FundamentalFunction(kernel, table) is L_k before its checks.
 
     env_rate/env_amplitude describe the envelope |L_k(x)| <= C e^{-r |x|}:
     r is the table's exact decay rate, C the largest |L_k(x)| e^{r x} on the
-    envelope grid, raised by _ENV_MARGIN; noise_floor is the
-    double-precision cancellation scale of the synthesis.  compact is True
-    for k = 1 (support in [-1, 1]).
+    envelope grid, raised by _ENV_MARGIN; both are None for k = 1, whose
+    support is [-1, 1] (compact).  cardinality_error is max |L_k(j) -
+    delta_j| on -20..20 (NaN before the check), certified below 1e-8.
+    noise_floor is the double-precision cancellation scale of the
+    synthesis: the products c_j E(x-j) reach ~ max|c| * max E and cancel
+    down to O(1), so ~16 digits below the term scale nothing survives.
     """
 
-    params: SplineParams
     kernel: GreenKernel
     table: CoefficientTable
-    env_rate: Optional[float]
-    env_amplitude: Optional[float]
-    noise_floor: float
-    cardinality_ok: bool
-    cardinality_error: float = 0.0
+    env_amplitude: Optional[float] = None
+    cardinality_error: float = math.nan
+
+    @property
+    def params(self) -> SplineParams:
+        return self.table.params
 
     @cached_property
     def compact(self) -> bool:
         return self.table.compact_support
+
+    @property
+    def env_rate(self) -> Optional[float]:
+        return None if self.compact else self.table.decay_rate
+
+    @cached_property
+    def noise_floor(self) -> float:
+        return (1e-16 * self.table.max_abs_coeff * (4.0 * self.kernel.peak + 1.0)
+                * _INV_SQRT_2PI)
+
+    @property
+    def cardinality_ok(self) -> bool:
+        return self.cardinality_error < 1e-8
 
 
 def _green_rows(L: FundamentalFunction, xs):
@@ -187,32 +205,22 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     evaluates one kernel row per offset.  An envelope that underflows on
     its whole grid (alpha ~ 400 and up) gets amplitude 0.
     """
-    if tol < 1e-14:
-        raise ParameterDomainError(f"tol must be >= 1e-14, got {tol:g}")
+    _check_tol(tol)
     kernel = build_green_kernel(params)
     # the coefficient tail enters L scaled by max|E_k|, which blows up at small
     # alpha; tighten the table tolerance accordingly
     table_tol = max(1e-14, tol / max(1.0, kernel.peak * _INV_SQRT_2PI))
-    table = compute_coefficients(params, table_tol)
-
-    # double-precision floor of the synthesis: the products c_j E(x-j) reach
-    # ~ max|c| * max E and cancel down to O(1), so ~16 digits below the term
-    # scale nothing survives
-    noise = 1e-16 * table.max_abs_coeff * (4.0 * kernel.peak + 1.0) * _INV_SQRT_2PI
-
-    L = FundamentalFunction(params=params, kernel=kernel, table=table,
-                            env_rate=None, env_amplitude=None,
-                            noise_floor=noise, cardinality_ok=False)
+    L = FundamentalFunction(kernel, compute_coefficients(params, table_tol))
     env_xs = np.empty(0) if L.compact else np.arange(2.0, 15.0, 1 / 32)
     js = np.arange(-20, 21)
     env_vals, card_vals = np.split(eval_fundamental(L, np.concatenate([env_xs, js])),
                                    [len(env_xs)])
-    rate = amp = None
+    amp = None
     if not L.compact:
-        rate = table.decay_rate
         # in logs: e^{r x} overflows on the grid once r > 47
         with np.errstate(divide="ignore"):
-            amp = _ENV_MARGIN * math.exp(np.max(np.log(np.abs(env_vals)) + rate * env_xs))
+            amp = _ENV_MARGIN * math.exp(np.max(np.log(np.abs(env_vals))
+                                                + L.env_rate * env_xs))
 
     card_err = float(np.max(np.abs(card_vals - (js == 0))))
     # the synthesis rounds each product c_j E(x-j) at eps * |term|, so for
@@ -222,8 +230,7 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     if card_err > 1e-4:
         raise ParameterDomainError(
             f"cardinality check failed: max |L(j) - delta| = {card_err:.3e}")
-    return replace(L, env_rate=rate, env_amplitude=amp,
-                   cardinality_ok=card_err < 1e-8, cardinality_error=card_err)
+    return replace(L, env_amplitude=amp, cardinality_error=card_err)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +271,33 @@ class DataSequence:
     zero_fill: bool = True
 
     def values(self, js: np.ndarray) -> np.ndarray:
+        """b_j at each index of js, in any order and with repeats; a strict
+        table raises MissingDataError at the first absent index."""
         if self.rule is not None:
             return np.asarray(self.rule(np.asarray(js, dtype=float)), dtype=float)
-        out = np.empty(len(js), dtype=float)
-        for i, j in enumerate(js):
-            j = int(j)
-            if j in self.table:
-                out[i] = self.table[j]
-            elif self.zero_fill:
-                out[i] = 0.0
-            else:
-                raise MissingDataError(f"no sample at index {j} in sequence {self.name!r}")
-        return out
+        b, present = _gather_samples(self, js)
+        if not (self.zero_fill or present.all()):
+            j = int(np.asarray(js)[np.argmin(present)])
+            raise MissingDataError(f"no sample at index {j} in sequence {self.name!r}")
+        return b
+
+
+def _gather_samples(data: DataSequence, js):
+    """b_j at the indices js as one array, zero where a table stores none,
+    with the mask of stored indices (all True for generator rules)."""
+    if data.rule is not None:
+        return data.values(js), np.ones(len(js), dtype=bool)
+    js = np.asarray(js).astype(np.int64)
+    keys = np.fromiter(data.table, dtype=np.int64, count=len(data.table))
+    vals = np.fromiter(data.table.values(), dtype=float, count=len(data.table))
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    pos = np.searchsorted(keys, js)
+    present = pos < len(keys)
+    present[present] = keys[pos[present]] == js[present]
+    b = np.zeros(len(js))
+    b[present] = vals[pos[present]]
+    return b, present
 
 
 def sequence_from_table(values: dict, growth_beta: float | None = None,
@@ -482,37 +504,11 @@ def _solve_window(L: FundamentalFunction, center: int, growth: GrowthModel,
     return int(_solve_windows(L, [center], growth, tol, clip_to_knee)[0])
 
 
-def select_window(L: FundamentalFunction, x: float, beta: float, tol: float) -> int:
-    """Certified summation half width for polynomial-growth data in Y^beta.
-
-    Monotone nondecreasing in beta and in |x|.
-    """
-    if beta < 0:
-        raise ParameterDomainError(f"beta must be >= 0, got {beta}")
-    return _solve_window(L, int(round(x)), GrowthModel(beta=beta), tol)
-
-
 def interpolate_at(L: FundamentalFunction, data: DataSequence, x: float,
                    tol: float = 1e-8, best_effort: bool = False) -> float:
     """f_b(x) at one point: interpolate_grid on a one-point grid."""
     return float(interpolate_grid(L, data, np.array([x], dtype=float), tol,
                                   best_effort)[0])
-
-
-def _gather_samples(data: DataSequence, js: np.ndarray):
-    """b_j at the sorted indices js as one array, with the mask of stored
-    indices (all True for generator rules)."""
-    if data.table is None:
-        return data.values(js), np.ones(len(js), dtype=bool)
-    keys = np.fromiter(data.table, dtype=np.int64, count=len(data.table))
-    vals = np.fromiter(data.table.values(), dtype=float, count=len(data.table))
-    pos = np.minimum(np.searchsorted(js, keys), len(js) - 1)
-    hit = js[pos] == keys
-    b = np.zeros(len(js))
-    present = np.zeros(len(js), dtype=bool)
-    b[pos[hit]] = vals[hit]
-    present[pos[hit]] = True
-    return b, present
 
 
 def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,

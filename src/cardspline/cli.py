@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from ._floattext import json_array, table_text
-from .bandlimited_analysis import error_sweep, target_gallery
+from .bandlimited_analysis import error_sweep, gallery_names, target_gallery
 from .cardinal_interpolation import (_basis_rule, build_fundamental,
                                      interpolate_grid, eval_fundamental,
                                      sequence_from_csv, sequence_from_rule)
@@ -42,7 +42,7 @@ from .errors import (CardsplineError, DataFormatError, MissingDataError,
                      ToleranceUnreachableError, UnknownBasisError,
                      UnknownTargetError, WindowOverflowError)
 from .greens_kernel import SplineParams
-from .spectral_symbol import compute_coefficients
+from .spectral_symbol import _check_tol, compute_coefficients
 
 _GRID_RE = re.compile(r"^[^:]+:[^:]+:\d+$")
 
@@ -90,12 +90,6 @@ def _parse_k(spec: str) -> int:
     return ks[0]
 
 
-def _check_tol(tol: float) -> float:
-    if not (1e-14 <= tol <= 1e-2):
-        raise ParameterDomainError(f"tol must lie in [1e-14, 1e-2], got {tol:g}")
-    return tol
-
-
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """One table, given by columns: numpy columns print as `%.9e`, str
     columns pass through."""
@@ -124,28 +118,34 @@ def _write_sidecar(path: Path, params: dict, tol: float, data: dict,
         fh.write(text + "\n")
 
 
-def _write_manifest(stem: Path, config: dict, outputs: list[Path],
-                    tolerances: dict, wall_ms: float) -> Path:
-    path = stem.with_suffix(".manifest.json")
-    doc = {
+def _single_order(args) -> tuple[SplineParams, float]:
+    """(params, tol) of a command that builds one L_k."""
+    return SplineParams(alpha=args.alpha, k=_parse_k(args.k)), _check_tol(args.tol)
+
+
+def _emit(args, default: str, alpha: float, k, tol: float, wall_ms: float,
+          data: dict, header: list[str], columns: list,
+          arrays: dict | None = None, tolerances: dict | None = None) -> None:
+    """Every file of one run: the CSV (at --output, else `default`) unless
+    --format json, the JSON sidecar beside it, and the manifest that echoes
+    the arguments and names the files written."""
+    csv_path = Path(args.output) if args.output else Path(default)
+    json_path = csv_path.with_suffix(".json")
+    outs = []
+    if args.format != "json":
+        _write_csv(csv_path, header, columns)
+        outs.append(csv_path)
+    _write_sidecar(json_path, {"alpha": alpha, "k": k}, tol, data, wall_ms, arrays)
+    outs.append(json_path)
+    manifest = {
         "version": __version__,
-        "config": config,
-        "outputs": [p.name for p in outputs],
-        "tolerances": tolerances,
+        "config": {key: v for key, v in vars(args).items() if key != "fn"},
+        "outputs": [p.name for p in outs],
+        "tolerances": tolerances or {},
         "wall_ms": wall_ms,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    return path
-
-
-def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "fn"}
-
-
-def _outputs(args, default: str) -> tuple[Path, Path]:
-    out = Path(args.output) if args.output else Path(default)
-    return out, out.with_suffix(".json")
+    with open(csv_path.with_suffix(".manifest.json"), "w") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def _build_report(L) -> dict:
@@ -157,13 +157,11 @@ def _build_report(L) -> dict:
 
 
 def cmd_coeffs(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
-    tol = _check_tol(args.tol)
+    params, tol = _single_order(args)
     t0 = time.perf_counter()
     table = compute_coefficients(params, tol)
     wall = (time.perf_counter() - t0) * 1e3
-    csv_path, json_path = _outputs(args, f"coeffs_a{args.alpha:g}_k{params.k}.csv")
-    keys, coeffs = [str(j) for j in table.indices.tolist()], table.coeffs.tolist()
+    keys = [str(j) for j in table.indices.tolist()]
     meta = {
         "half_width": table.half_width,
         "tail_bound": table.tail_bound,
@@ -171,65 +169,43 @@ def cmd_coeffs(args) -> int:
         "decay_rate": table.decay_rate if math.isfinite(table.decay_rate) else None,
         "decay_amplitude": table.decay_amplitude,
         "cond_B": table.cond_B,
-        "coeffs": dict(zip(keys, coeffs)),
+        "coeffs": dict(zip(keys, table.coeffs.tolist())),
     }
-    outs = []
-    if args.format != "json":
-        _write_csv(csv_path, ["j", "c_j"], [keys, table.coeffs])
-        outs.append(csv_path)
-    _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol, meta, wall)
-    outs.append(json_path)
-    _write_manifest(csv_path, _config_echo(args), outs,
-                    {"tail_bound": table.tail_bound}, wall)
+    _emit(args, f"coeffs_a{args.alpha:g}_k{params.k}.csv", params.alpha, params.k,
+          tol, wall, meta, ["j", "c_j"], [keys, table.coeffs],
+          tolerances={"tail_bound": table.tail_bound})
     return 0
 
 
 def cmd_eval_L(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
-    tol = _check_tol(args.tol)
+    params, tol = _single_order(args)
     grid = _parse_grid(args.grid)
     t0 = time.perf_counter()
     L = build_fundamental(params, tol)
     vals = np.asarray(eval_fundamental(L, grid))
     wall = (time.perf_counter() - t0) * 1e3
-    csv_path, json_path = _outputs(args, f"evalL_a{args.alpha:g}_k{params.k}.csv")
-    outs = []
-    if args.format != "json":
-        _write_csv(csv_path, ["x", "L_k"], [grid, vals])
-        outs.append(csv_path)
-    _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   _build_report(L), wall, {"x": grid, "L_k": vals})
-    outs.append(json_path)
-    _write_manifest(csv_path, _config_echo(args), outs,
-                    {"table_tail_bound": L.table.tail_bound}, wall)
+    _emit(args, f"evalL_a{args.alpha:g}_k{params.k}.csv", params.alpha, params.k,
+          tol, wall, _build_report(L), ["x", "L_k"], [grid, vals],
+          {"x": grid, "L_k": vals}, {"table_tail_bound": L.table.tail_bound})
     return 0
 
 
 def cmd_interp(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
-    tol = _check_tol(args.tol)
+    params, tol = _single_order(args)
     grid = _parse_grid(args.grid)
     data = sequence_from_csv(args.data)
     t0 = time.perf_counter()
     L = build_fundamental(params, tol)
     vals = interpolate_grid(L, data, grid, max(tol, 1e-12))
     wall = (time.perf_counter() - t0) * 1e3
-    csv_path, json_path = _outputs(args, f"interp_a{args.alpha:g}_k{params.k}.csv")
-    outs = []
-    if args.format != "json":
-        _write_csv(csv_path, ["x", "f_b"], [grid, vals])
-        outs.append(csv_path)
-    _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, tol,
-                   {"data": str(args.data), **_build_report(L)}, wall,
-                   {"x": grid, "f_b": vals})
-    outs.append(json_path)
-    _write_manifest(csv_path, _config_echo(args), outs, {}, wall)
+    _emit(args, f"interp_a{args.alpha:g}_k{params.k}.csv", params.alpha, params.k,
+          tol, wall, {"data": str(args.data), **_build_report(L)}, ["x", "f_b"],
+          [grid, vals], {"x": grid, "f_b": vals})
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    params = SplineParams(alpha=args.alpha, k=_parse_k(args.k))
-    gate_tol = _check_tol(args.tol)
+    params, gate_tol = _single_order(args)
     grid = _parse_grid(args.grid)
     fn, power, _ = _basis_rule(args.basis, params.alpha)
     if power >= params.k:
@@ -248,19 +224,13 @@ def cmd_reproduce(args) -> int:
     fb = interpolate_grid(L, data, grid, point_tol, best_effort=True)
     abs_err = np.abs(fb - g)
     wall = (time.perf_counter() - t0) * 1e3
-    csv_path, json_path = _outputs(args, f"reproduce_{args.basis}_a{args.alpha:g}_k{params.k}.csv")
-    outs = []
-    if args.format != "json":
-        _write_csv(csv_path, ["x", "g", "f_b", "abs_err"], [grid, g, fb, abs_err])
-        outs.append(csv_path)
     max_err = float(np.max(abs_err))
     gate = gate_tol * max(1.0, float(np.max(np.abs(g))))
-    _write_sidecar(json_path, {"alpha": params.alpha, "k": params.k}, gate_tol,
-                   {"basis": args.basis, "max_abs_err": max_err, "gate": gate,
-                    **_build_report(L)}, wall)
-    outs.append(json_path)
-    _write_manifest(csv_path, _config_echo(args), outs,
-                    {"max_abs_err": max_err, "gate": gate}, wall)
+    _emit(args, f"reproduce_{args.basis}_a{args.alpha:g}_k{params.k}.csv",
+          params.alpha, params.k, gate_tol, wall,
+          {"basis": args.basis, "max_abs_err": max_err, "gate": gate, **_build_report(L)},
+          ["x", "g", "f_b", "abs_err"], [grid, g, fb, abs_err],
+          tolerances={"max_abs_err": max_err, "gate": gate})
     return 0 if max_err < gate else 1
 
 
@@ -276,31 +246,23 @@ def cmd_converge(args) -> int:
                           tol=max(tol, 1e-12))
     wall = (time.perf_counter() - t0) * 1e3
 
-    csv_path, json_path = _outputs(args, f"converge_{args.target}_a{alpha:g}.csv")
     header = ["alpha", "k", "target", "l2_error", "l2_bound", "sup_error",
               "ell_trunc", "quad_res"]
     rows = [(r.params.alpha, "%d" % r.params.k, r.target, r.l2_error, r.l2_bound,
              r.sup_error_grid, "%d" % r.ell_truncation, "%d" % r.quadrature_resolution)
             for r in reports]
-    outs = []
-    if args.format != "json":
-        _write_csv(csv_path, header, [c if isinstance(c[0], str) else np.array(c)
-                                      for c in zip(*rows)])
-        outs.append(csv_path)
-    _write_sidecar(json_path, {"alpha": alpha, "k": [r.params.k for r in reports]},
-                   tol,
-                   {"target": args.target,
-                    "rows": [{"k": r.params.k, "l2_error": r.l2_error,
-                              "l2_bound": r.l2_bound, "sup_error": r.sup_error_grid,
-                              "ell_trunc": r.ell_truncation,
-                              "quad_res": r.quadrature_resolution,
-                              "cardinality_error": r.cardinality_error,
-                              "decay_rate": r.decay_rate, "cond_B": r.cond_B,
-                              "window": r.sup_window}
-                             for r in reports]},
-                   wall)
-    outs.append(json_path)
-    _write_manifest(csv_path, _config_echo(args), outs, {}, wall)
+    meta = {"target": args.target,
+            "rows": [{"k": r.params.k, "l2_error": r.l2_error,
+                      "l2_bound": r.l2_bound, "sup_error": r.sup_error_grid,
+                      "ell_trunc": r.ell_truncation,
+                      "quad_res": r.quadrature_resolution,
+                      "cardinality_error": r.cardinality_error,
+                      "decay_rate": r.decay_rate, "cond_B": r.cond_B,
+                      "window": r.sup_window}
+                     for r in reports]}
+    _emit(args, f"converge_{args.target}_a{alpha:g}.csv", alpha,
+          [r.params.k for r in reports], tol, wall, meta, header,
+          [c if isinstance(c[0], str) else np.array(c) for c in zip(*rows)])
     return 0
 
 
@@ -348,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("converge", help="error sweep over spline orders")
     common(sp)
     sp.add_argument("--target", type=str, required=True,
-                    help="sinc | triangle-spectrum | bump-spectrum | half-band")
+                    help=" | ".join(gallery_names()))
     sp.set_defaults(fn=cmd_converge)
     return p
 

@@ -5,9 +5,9 @@ The central objects, all 2 pi periodic in xi:
 
     P(xi)     = sum_j Ehat_k(xi - 2 pi j)          (periodized symbol)
     Lhat(xi)  = (2 pi)^{-1/2} Ehat_k(xi) / P(xi)   (fundamental function transform)
-    sigma(xi) = 1 / P(xi)                          (periodic reciprocal symbol)
 
-sigma is real analytic, so its Fourier coefficients
+The periodic reciprocal symbol sigma = 1 / P is real analytic, so its
+Fourier coefficients
 
     c_j = (2 pi)^{-1} int_{-pi}^{pi} sigma(xi) e^{i j xi} d xi
 
@@ -40,7 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError, ToleranceUnreachableError
+from .errors import (ParameterDomainError, QuadratureConvergenceError,
+                     ToleranceUnreachableError)
 from .greens_kernel import SplineParams, _rational_poly, eval_green_hat
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -212,39 +213,34 @@ def fundamental_hat(params: SplineParams, xi, tol: float = 1e-12):
     return _INV_SQRT_2PI * eval_green_hat(params, xi) / denom
 
 
-def reciprocal_symbol(params: SplineParams, xi, tol: float = 1e-12):
-    """sigma(xi) = 1 / P(xi): 2 pi periodic, even, real analytic, sign (-1)^k."""
-    p_tol = tol * abs(eval_green_hat(params, np.pi))
-    return 1.0 / periodized_green_hat(params, xi, p_tol)
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Symmetric table of lattice coefficients c_{-J}..c_J of the reciprocal
-    symbol: |c_j| <= decay_amplitude e^{-decay_rate |j|}, decay_rate exact,
-    tail_bound the envelope's bound on sum_{|j| > J} |c_j|, and cond_B =
-    B(0) / B(pi) for the symbol B of the exponential B-spline.  At k = 1
-    the table is exact: J = 1, no tail and an infinite rate."""
+    symbol, c_j = coeffs[J + j]: |c_j| <= decay_amplitude e^{-decay_rate |j|},
+    decay_rate exact, tail_bound the envelope's bound on sum_{|j| > J} |c_j|,
+    and cond_B = B(0) / B(pi) for the symbol B of the exponential B-spline.
+    At k = 1 the table is exact: J = 1, no tail and an infinite rate."""
 
     params: SplineParams
-    half_width: int
     coeffs: np.ndarray = field(repr=False)
-    tail_bound: float
     decay_rate: float
     decay_amplitude: float
     cond_B: float
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (2 * self.half_width + 1,):
-            raise ValueError("coefficient array must have length 2*half_width+1")
+        if c.ndim != 1 or len(c) % 2 == 0:
+            raise ValueError("coefficient array must have odd length 2*half_width+1")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def coeff(self, j: int) -> float:
-        if abs(j) > self.half_width:
-            return 0.0
-        return float(self.coeffs[self.half_width + j])
+    @property
+    def half_width(self) -> int:
+        return len(self.coeffs) // 2
+
+    @property
+    def tail_bound(self) -> float:
+        return _envelope_tail(self.decay_amplitude, self.decay_rate, self.half_width)
 
     @property
     def indices(self) -> np.ndarray:
@@ -412,6 +408,13 @@ def _envelope_tail(amplitude: float, rate: float, J: int) -> float:
     return 2.0 * amplitude * math.exp(-rate * (J + 1)) / (1.0 - math.exp(-rate))
 
 
+def _check_tol(tol: float) -> float:
+    """tol, if it lies in [1e-14, 1e-2] (NaN does not)."""
+    if not (1e-14 <= tol <= 1e-2):
+        raise ParameterDomainError(f"tol must lie in [1e-14, 1e-2], got {tol:g}")
+    return tol
+
+
 def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> CoefficientTable:
     """Fourier coefficients of sigma = 1 / P from the exponential B-spline.
 
@@ -423,15 +426,22 @@ def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> Coefficien
     L-splines", 1976; Unser, Aldroubi and Eden, IEEE Trans. Signal
     Process. 41(2), 1993); A = max_j |c_j| e^{r|j|}, and J is the smallest
     index whose envelope tail lies below both tol and eps max|c_j|.
+
+    Raises ParameterDomainError for a tol outside [1e-14, 1e-2] and for an
+    (alpha, k) whose B-spline samples leave decimal's exponent range.
     """
-    if not (1e-14 <= tol <= 1e-2):
-        raise ValueError(f"tol must lie in [1e-14, 1e-2], got {tol:g}")
+    _check_tol(tol)
     k = params.k
     with localcontext() as ctx:
         # the full exponent range: (2 cosh a)^k passes the default 10^999999
         # at (1e5, 24)
         ctx.prec, ctx.Emax, ctx.Emin = _DIGITS, MAX_EMAX, MIN_EMIN
-        beta, taps = _bspline_samples(params)
+        try:
+            beta, taps = _bspline_samples(params)
+        except ArithmeticError:     # e^{-a} underflows, or (2 cosh a)^k overflows
+            raise ParameterDomainError(
+                f"alpha={params.alpha:g} at k={k} lies outside the decimal "
+                "exponent range of the B-spline samples") from None
         roots = _inner_roots(params, beta)
         b_0 = 2 * sum(beta) - beta[0]
         b_pi = 2 * sum(b if n % 2 == 0 else -b for n, b in enumerate(beta)) - beta[0]
@@ -443,7 +453,7 @@ def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> Coefficien
     lams = [float(z) for z in roots]
 
     if k == 1:
-        c, J, tail, rate, amplitude = x, 1, 0.0, math.inf, abs(x[0])
+        c, J, rate, amplitude = x, 1, math.inf, abs(x[0])
     else:
         rate = -math.log(-min(lams))
         margin = math.ceil(20.0 / rate)     # l^{2 margin} < 1e-17
@@ -466,9 +476,7 @@ def compute_coefficients(params: SplineParams, tol: float = 1e-10) -> Coefficien
             if J + margin <= n:
                 break
             n *= 2
-        tail = _envelope_tail(amplitude, rate, J)
 
     sym = np.array(c[J:0:-1] + c[:J + 1])
-    return CoefficientTable(params=params, half_width=J, coeffs=sym,
-                            tail_bound=tail, decay_rate=rate,
+    return CoefficientTable(params=params, coeffs=sym, decay_rate=rate,
                             decay_amplitude=amplitude, cond_B=cond)

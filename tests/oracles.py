@@ -9,7 +9,9 @@ or at k = 1, 2 from their closed form), mpmath quadrature for the lattice
 sums' tail integrals (tail_integral_mp), and mpmath roots and residues for
 the coefficient table (coefficients_mp).  The exceptions are plain or earlier forms kept as bitwise references for their
 faster replacements: interpolate_pointwise (one point at a time: its own
-window solve and one np.dot over its kept window, for interpolate_grid),
+window solve, samples read from the data's dict or rule rather than through
+the package's table lookup, and one np.dot over its kept window, for
+interpolate_grid),
 eval_fundamental_direct (one kernel row and one np.dot per point, for the
 shared kernel rows and gathered contraction of eval_fundamental; each value
 of both is its own BLAS ddot, so neither depends on the batch),
@@ -33,11 +35,11 @@ from scipy.integrate import quad
 from cardspline import cardinal_interpolation as ci
 from cardspline.bandlimited_analysis import _panel_nodes
 from cardspline.cardinal_interpolation import _solve_window, eval_fundamental
-from cardspline.errors import WindowOverflowError
+from cardspline.errors import MissingDataError, WindowOverflowError
 from cardspline.greens_kernel import (SplineParams, _rational_poly,
                                       build_green_kernel, eval_green, eval_green_hat)
 from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
-                                        reciprocal_symbol)
+                                        periodized_green_hat)
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -120,7 +122,7 @@ def eval_fundamental_spectral(params: SplineParams, x: float, tol: float = 1e-9)
     # sigma mean by one-period trapezoid (independent of the table pipeline)
     n = 4096
     xi_grid = 2.0 * math.pi * np.arange(n) / n
-    sig = np.asarray(reciprocal_symbol(params, xi_grid, 1e-13))
+    sig = 1.0 / periodized_green_hat(params, xi_grid, 1e-13 * abs(eval_green_hat(params, np.pi)))
     c_mean = float(np.mean(sig))
 
     # beyond T, Lhat = (2pi)^{-1/2} sigma Ehat splits into the mean part, whose
@@ -362,19 +364,27 @@ def half_band_time(x):
 
 def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
                           best_effort: bool = False) -> float:
-    """f_b(x) one point at a time: its own window solve, a dict gather and its
-    own L_k synthesis over the kept window indices."""
+    """f_b(x) one point at a time: its own window solve, b_j read from the
+    data's own dict or rule, and its own L_k synthesis over the kept window
+    indices."""
+    def samples(js):
+        if data.table is None:
+            return np.asarray(data.rule(js.astype(float)), dtype=float)
+        for j in js.tolist():
+            if j not in data.table and not data.zero_fill:
+                raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
+        return np.array([data.table.get(j, 0.0) for j in js.tolist()])
+
     m = int(round(x))
     if L.cardinality_ok and abs(x - m) < 1e-12:
-        return float(data.values(np.array([m]))[0])
+        return float(samples(np.array([m]))[0])
     J = _solve_window(L, m, data.growth, tol, clip_to_knee=best_effort)
     js = np.arange(m - J, m + J + 1)
     if data.table is not None and data.zero_fill:
-        keep = np.array([int(j) in data.table for j in js])
-        js = js[keep]
+        js = js[np.array([j in data.table for j in js.tolist()], dtype=bool)]
         if len(js) == 0:
             return 0.0
-    b = data.values(js)
+    b = samples(js)
     Lv = np.asarray(eval_fundamental_direct(L, x - js.astype(float)))
     return float(np.dot(b, Lv))
 
@@ -484,9 +494,7 @@ def fundamental_checks_four_calls(params: SplineParams, tol: float = 1e-10):
     table_tol = max(1e-14, tol / max(1.0, kernel.peak * INV_SQRT_2PI))
     table = compute_coefficients(params, table_tol)
     noise = 1e-16 * table.max_abs_coeff * (4.0 * kernel.peak + 1.0) * INV_SQRT_2PI
-    L = ci.FundamentalFunction(params=params, kernel=kernel, table=table,
-                               env_rate=None, env_amplitude=None,
-                               noise_floor=noise, cardinality_ok=False)
+    L = ci.FundamentalFunction(kernel, table)
     rate = amp = None
     if not table.compact_support:
         xs = np.arange(2.0, 15.0, 1 / 32)

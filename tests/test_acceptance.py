@@ -84,10 +84,11 @@ class TestCriterion02K1ClosedForm:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_coefficient_table(self, alpha):
         t = compute_coefficients(SplineParams(alpha, 1), 1e-12)
-        assert abs(t.coeff(0) + 2 * alpha / math.tanh(alpha)) < 1e-10
-        assert abs(t.coeff(1) - alpha / math.sinh(alpha)) < 1e-10
-        for j in range(2, t.half_width + 1):
-            assert abs(t.coeff(j)) < 1e-10
+        c, J = t.coeffs, t.half_width
+        assert abs(c[J] + 2 * alpha / math.tanh(alpha)) < 1e-10
+        assert abs(c[J + 1] - alpha / math.sinh(alpha)) < 1e-10
+        for j in range(2, J + 1):
+            assert abs(c[J + j]) < 1e-10
         report(2, f"k=1 coefficients match (-2a coth a, a/sinh a, 0...) at alpha={alpha}")
 
 

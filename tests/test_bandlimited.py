@@ -8,10 +8,9 @@ import pytest
 
 import cardspline.bandlimited_analysis as ba
 from cardspline.bandlimited_analysis import (BandlimitedTarget, ErrorReport,
-                                             aliasing_envelope, error_report,
-                                             error_sweep,
-                                             gallery_names, interp_deviation,
-                                             l2_error_bound, l2_error_spectral,
+                                             aliasing_envelope, error_sweep,
+                                             gallery_names, l2_error_bound,
+                                             l2_error_spectral,
                                              replica_power, sample_integers,
                                              sup_error_grid, target_gallery)
 from cardspline.cardinal_interpolation import build_fundamental
@@ -178,7 +177,7 @@ class TestDeviationIdentity:
         # closed-form periodization arbitrates, for k >= 2 a direct lattice sum
         p = SplineParams(1.0, k)
         xis = np.linspace(-np.pi, np.pi, 33)
-        S = np.asarray(interp_deviation(p, xis))
+        S, _, _ = ba._deviation_split(p, xis, 1e-12, 1e-12)
         if k == 1:
             from oracles import periodized_k1_closed
             num = np.asarray(periodized_k1_closed(1.0, xis))
@@ -315,7 +314,7 @@ class TestDeviationIdentity:
             with pytest.raises(ToleranceUnreachableError):
                 replica_power(SplineParams(1.0, 2), 0.5, tol)
             with pytest.raises(ToleranceUnreachableError):
-                interp_deviation(SplineParams(1.0, 2), 0.5, tol)
+                ba._deviation_split(SplineParams(1.0, 2), 0.5, tol, tol)
             with pytest.raises(ToleranceUnreachableError):
                 l2_error_spectral(SplineParams(1.0, 2), target_gallery("sinc"), tol)
         assert passes == []
@@ -361,7 +360,7 @@ class TestMpmathReference:
         T_ref = np.array([float(T) for _, T in ref])[inv]
         T, _ = replica_power(p, xis)
         S2, T2, _ = ba._deviation_split(p, xis, 1e-12, 2e-10)
-        for S, T in [(interp_deviation(p, xis), T), (S2, T2)]:
+        for S, T in [(ba._deviation_split(p, xis, 1e-12, 1e-12)[0], T), (S2, T2)]:
             assert np.max(np.abs(S / S_ref - 1.0)) < 1e-11
             assert np.max(np.abs(T / T_ref - 1.0)) < 1e-11
 
@@ -432,7 +431,7 @@ class TestL2Error:
 
     def test_error_report_fields(self):
         p = SplineParams(1.0, 2)
-        rep = error_report(p, target_gallery("triangle-spectrum"))
+        rep, = error_sweep(target_gallery("triangle-spectrum"), [build_fundamental(p)])
         assert rep.l2_error <= rep.l2_bound
         assert rep.sup_error_grid >= 0
         assert rep.ell_truncation >= 4
@@ -454,17 +453,12 @@ class TestErrorSweep:
         reports = error_sweep(t, iter(Ls), 1e-10, 4.0, 41)
         assert [r.params for r in reports] == [L.params for L in Ls]
         for L, rep in zip(Ls, reports):
-            assert rep == error_report(L.params, t, 1e-10, 4.0, 41, L=L)
+            assert rep == error_sweep(t, [L], 1e-10, 4.0, 41)[0]
             assert rep.sup_error_grid == sup_error_grid(L.params, t, 4.0, 41, L=L)
 
     def test_rejects_small_grid_before_any_order(self):
         with pytest.raises(ValueError):
             error_sweep(target_gallery("sinc"), iter(()), n=1)
-
-    def test_error_report_rejects_other_params(self):
-        L = build_fundamental(SplineParams(1.0, 2), 1e-10)
-        with pytest.raises(ValueError, match="built for"):
-            error_report(SplineParams(1.0, 3), target_gallery("sinc"), L=L)
 
 
 class TestSupError:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from cardspline import cardinal_interpolation
-from cardspline.cardinal_interpolation import (build_fundamental,
+from cardspline.cardinal_interpolation import (GrowthModel, _solve_window,
+                                               build_fundamental,
                                                eval_fundamental,
                                                interpolate_at,
-                                               interpolate_grid, select_window,
+                                               interpolate_grid,
                                                sequence_from_csv,
                                                sequence_from_rule,
                                                sequence_from_table)
@@ -46,8 +47,12 @@ class TestBuildFundamental:
                                       eval_fundamental(L, -xs))
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ParameterDomainError):
-            build_fundamental(SplineParams(1.0, 2), 1e-16)
+        # the one range of compute_coefficients and the CLI, whatever alpha
+        # does to the table tolerance
+        for params in (SplineParams(1.0, 1), SplineParams(1.0, 2), SplineParams(0.05, 2)):
+            for tol in (1e-16, 1e-15, 0.05, math.nan):
+                with pytest.raises(ParameterDomainError, match="tol must lie in"):
+                    build_fundamental(params, tol)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_k1_closed_form(self, alpha):
@@ -131,36 +136,38 @@ class TestSpectralOracle:
 
 
 class TestSelectWindow:
+    """The certified half width _solve_window gives polynomial-growth data
+    in Y^beta at one center."""
+
+    @staticmethod
+    def window(L, center, beta, tol):
+        return _solve_window(L, center, GrowthModel(beta=beta), tol)
+
     def test_monotone_in_beta(self):
         L = L_of(1.0, 2)
-        j0 = select_window(L, 0.0, 0.0, 1e-8)
-        j2 = select_window(L, 0.0, 2.0, 1e-8)
-        assert j2 >= j0
+        assert self.window(L, 0, 2.0, 1e-8) >= self.window(L, 0, 0.0, 1e-8)
 
     def test_monotone_in_x(self):
         L = L_of(1.0, 3)
-        assert select_window(L, 30.0, 2.0, 1e-8) >= select_window(L, 0.0, 2.0, 1e-8)
+        assert self.window(L, 30, 2.0, 1e-8) >= self.window(L, 0, 2.0, 1e-8)
 
     def test_k2_regression_bound(self):
         # beta=0, tol=1e-8 at the origin resolves within a few dozen lattice steps
-        J = select_window(L_of(1.0, 2), 0.0, 0.0, 1e-8)
+        J = self.window(L_of(1.0, 2), 0, 0.0, 1e-8)
         assert J <= 60
         assert J == 15   # regression value for the exact-rate envelope
 
     def test_compact_support_window(self):
-        assert select_window(L_of(1.0, 1, 1e-12), 0.0, 5.0, 1e-10) == 1
-
-    def test_rejects_negative_beta(self):
-        with pytest.raises(ParameterDomainError):
-            select_window(L_of(1.0, 2), 0.0, -1.0, 1e-8)
+        assert self.window(L_of(1.0, 1, 1e-12), 0, 5.0, 1e-10) == 1
 
     def test_overflow_on_slow_decay(self):
         # synthetic near-flat envelope: the window cap must trip
         from dataclasses import replace
-        L = replace(L_of(1.0, 2), env_rate=1e-5, env_amplitude=1.0,
-                    noise_floor=1e-300)
+        L = L_of(1.0, 2)
+        L = replace(L, table=replace(L.table, decay_rate=1e-5), env_amplitude=1.0)
+        assert L.env_rate == 1e-5
         with pytest.raises(WindowOverflowError):
-            select_window(L, 0.0, 0.0, 1e-8)
+            self.window(L, 0, 0.0, 1e-8)
 
 
 class TestDataSequences:
@@ -173,6 +180,21 @@ class TestDataSequences:
         seq = sequence_from_table({0: 1.0}, zero_fill=False)
         with pytest.raises(MissingDataError):
             seq.values(np.array([1]))
+
+    def test_unsorted_and_repeated_indices(self):
+        # keys stored out of order, indices asked out of order and repeated
+        table = {5: 2.0, -3: 1.5, 0: -1.0, 2: 4.0}
+        js = np.array([2, -3, 7, 2, 0, -3, 5, -8, 5, 6])
+        want = [4.0, 1.5, 0.0, 4.0, -1.0, 1.5, 2.0, 0.0, 2.0, 0.0]
+        assert sequence_from_table(table).values(js).tolist() == want
+        strict = sequence_from_table(table, zero_fill=False)
+        stored = np.array([j in table for j in js.tolist()])
+        assert strict.values(js[stored]).tolist() == np.array(want)[stored].tolist()
+        with pytest.raises(MissingDataError, match="no sample at index 7 "):
+            strict.values(js)
+        with pytest.raises(MissingDataError, match="no sample at index 6 "):
+            strict.values(js[::-1])
+        assert sequence_from_table({}).values(js).tolist() == [0.0] * len(js)
 
     def test_duplicate_and_non_integer_indices(self):
         with pytest.raises(DataFormatError):

@@ -443,6 +443,29 @@ class TestOrderRanges:
         assert builds == [] and list(tmp_path.iterdir()) == []
 
 
+class TestDomainRefusals:
+    """Parameters the library cannot serve end in a typed refusal: exit 2,
+    one stderr line and no file."""
+
+    @pytest.mark.parametrize("argv", [["coeffs", "--alpha", "1e19", "--k", "1"],
+                                      ["eval-L", "--alpha", "1e300", "--k", "2"]])
+    def test_huge_alpha_exit_2(self, tmp_path, capsys, argv):
+        # e^{-alpha} underflows decimal's exponent range from alpha ~ 2.3e18
+        assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "decimal exponent range" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", ["nan", "0.05", "1e-15"])
+    @pytest.mark.parametrize("argv", [["coeffs", "--alpha", "1"],
+                                      ["eval-L", "--alpha", "1"],
+                                      ["converge", "--alpha", "1", "--target", "sinc"]])
+    def test_tol_outside_domain_exit_2(self, tmp_path, capsys, argv, tol):
+        assert main(argv + ["--tol", tol, "-o", str(tmp_path / "x.csv")]) == 2
+        assert "tol must lie in [1e-14, 1e-2]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCardinalityReport:
     """Each sidecar that uses L_k reports its cardinality residual; flagged
     builds (residual above 1e-8) are no longer silent.  CSVs and params are

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import cardspline.spectral_symbol as ss
-from cardspline.errors import QuadratureConvergenceError
+from cardspline.errors import ParameterDomainError, QuadratureConvergenceError
 from cardspline.greens_kernel import SplineParams, eval_green_hat
 from cardspline.spectral_symbol import (compute_coefficients, fundamental_hat,
-                                        periodized_green_hat, reciprocal_symbol)
+                                        periodized_green_hat)
 from oracles import (bits, coefficients_mp, euler_frobenius_roots_mp,
                      periodized_k1_closed, periodized_spatial, plain_tail_bound,
                      reciprocal_k1_closed, tail_integral_mp)
@@ -123,27 +123,32 @@ class TestFundamentalHat:
 
 
 class TestReciprocalSymbol:
+    """sigma = 1 / P, the symbol whose Fourier coefficients the table holds."""
+
     def test_anchor_value(self):
         p = SplineParams(1.0, 1)
-        assert reciprocal_symbol(p, 0.0) == pytest.approx(-0.9242344, abs=1e-7)
+        assert 1 / periodized_green_hat(p, 0.0) == pytest.approx(-0.9242344, abs=1e-7)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_k1_trig_polynomial(self, alpha):
         p = SplineParams(alpha, 1)
-        got = reciprocal_symbol(p, XI_GRID, 1e-13)
+        got = 1 / periodized_green_hat(p, XI_GRID, 1e-15)
         np.testing.assert_allclose(got, reciprocal_k1_closed(alpha, XI_GRID),
                                    rtol=1e-12)
 
     def test_periodic(self):
         p = SplineParams(1.0, 2)
-        np.testing.assert_allclose(reciprocal_symbol(p, XI_GRID),
-                                   reciprocal_symbol(p, XI_GRID + 2 * np.pi),
+        np.testing.assert_allclose(1 / periodized_green_hat(p, XI_GRID),
+                                   1 / periodized_green_hat(p, XI_GRID + 2 * np.pi),
                                    rtol=1e-13)
 
     def test_reciprocal_identity_at_zero(self):
+        # P certified relative to |Ehat_k(pi)|, where |P| is smallest, at
+        # two tolerances
         for (a, k) in [(0.5, 1), (1.0, 3), (2.0, 5)]:
             p = SplineParams(a, k)
-            prod = reciprocal_symbol(p, 0.0) * periodized_green_hat(p, 0.0, 1e-13)
+            sigma = 1 / periodized_green_hat(p, 0.0, 1e-12 * abs(eval_green_hat(p, np.pi)))
+            prod = sigma * periodized_green_hat(p, 0.0, 1e-13)
             assert prod == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
@@ -151,16 +156,17 @@ class TestComputeCoefficients:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_k1_closed_form(self, alpha):
         table = compute_coefficients(SplineParams(alpha, 1), 1e-12)
-        assert table.coeff(0) == pytest.approx(-2 * alpha / math.tanh(alpha), abs=1e-10)
-        assert table.coeff(1) == pytest.approx(alpha / math.sinh(alpha), abs=1e-10)
-        assert table.coeff(-1) == table.coeff(1)
-        for j in range(2, table.half_width + 1):
-            assert abs(table.coeff(j)) < 1e-12
+        c, J = table.coeffs, table.half_width
+        assert c[J] == pytest.approx(-2 * alpha / math.tanh(alpha), abs=1e-10)
+        assert c[J + 1] == pytest.approx(alpha / math.sinh(alpha), abs=1e-10)
+        assert c[J - 1] == c[J + 1]
+        for j in range(2, J + 1):
+            assert abs(c[J + j]) < 1e-12
 
     def test_k1_anchor_values(self):
         table = compute_coefficients(SplineParams(1.0, 1), 1e-12)
-        assert table.coeff(0) == pytest.approx(-2.6260705, abs=1e-7)
-        assert table.coeff(1) == pytest.approx(0.8509181, abs=1e-7)
+        assert table.coeffs.tolist() == pytest.approx([0.8509181, -2.6260705, 0.8509181],
+                                                      abs=1e-7)
         assert table.compact_support
 
     @pytest.mark.parametrize("alpha,k", [(0.5, 2), (1.0, 2), (1.0, 4), (2.0, 3),
@@ -180,14 +186,16 @@ class TestComputeCoefficients:
 
     def test_k2_decreasing_magnitudes(self):
         table = compute_coefficients(SplineParams(1.0, 2), 1e-10)
-        assert abs(table.coeff(2)) < abs(table.coeff(1)) < abs(table.coeff(0))
+        c, J = np.abs(table.coeffs), table.half_width
+        assert c[J + 2] < c[J + 1] < c[J]
 
     def test_two_resolution_stability(self):
         # trapezoid quadrature at two tolerances is its own oracle
         t1 = compute_coefficients(SplineParams(1.0, 2), 1e-8)
         t2 = compute_coefficients(SplineParams(1.0, 2), 1e-12)
         for j in range(0, min(t1.half_width, t2.half_width) + 1):
-            assert t1.coeff(j) == pytest.approx(t2.coeff(j), abs=1e-9)
+            assert t1.coeffs[t1.half_width + j] == \
+                pytest.approx(t2.coeffs[t2.half_width + j], abs=1e-9)
 
     def test_roundtrip_reproduces_symbol(self):
         # sum_j c_j e^{-i j xi} must reproduce sigma on a fresh grid
@@ -198,15 +206,14 @@ class TestComputeCoefficients:
             rec = np.zeros_like(xi)
             for j, cj in zip(table.indices, table.coeffs):
                 rec += cj * np.cos(j * xi)     # even table: e^{-ij xi} pairs to cos
-            sig = np.asarray(reciprocal_symbol(p, xi, 1e-13))
+            sig = 1 / periodized_green_hat(p, xi, 1e-13 * abs(eval_green_hat(p, np.pi)))
             scale = max(1.0, float(np.max(np.abs(sig))))
             assert np.max(np.abs(rec - sig)) < 1e-9 * scale
 
     def test_tol_domain(self):
-        with pytest.raises(ValueError):
-            compute_coefficients(SplineParams(1.0, 2), 1e-15)
-        with pytest.raises(ValueError):
-            compute_coefficients(SplineParams(1.0, 2), 0.5)
+        for tol in (1e-15, 0.5, math.nan):
+            with pytest.raises(ParameterDomainError, match="tol must lie in"):
+                compute_coefficients(SplineParams(1.0, 2), tol)
 
 
 class TestDecayEstimate:
