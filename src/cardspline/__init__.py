@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                    aliasing_envelope, error_sweep,
                                    gallery_names, l2_error_bound,
-                                   l2_error_spectral, sample_integers,
-                                   sup_error_grid, target_gallery)
+                                   l2_error_spectral, sup_error_grid,
+                                   target_gallery)
 from .cardinal_interpolation import (DataSequence, FundamentalFunction,
                                      GrowthModel, build_fundamental,
                                      eval_fundamental, interpolate_at,
@@ -38,7 +38,6 @@ __all__ = [
     "build_green_kernel", "compute_coefficients", "error_sweep",
     "eval_fundamental", "eval_green", "eval_green_hat", "fundamental_hat",
     "gallery_names", "interpolate_at", "interpolate_grid", "l2_error_bound",
-    "l2_error_spectral", "periodized_green_hat", "sample_integers",
-    "sequence_from_csv", "sequence_from_rule", "sequence_from_table",
-    "sup_error_grid", "target_gallery",
+    "l2_error_spectral", "periodized_green_hat", "sequence_from_csv",
+    "sequence_from_rule", "sequence_from_table", "sup_error_grid", "target_gallery",
 ]

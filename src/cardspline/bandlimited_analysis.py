@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cardinal_interpolation import (DataSequence, FundamentalFunction,
-                                     GrowthModel, _solve_window,
-                                     build_fundamental, interpolate_grid)
+from .cardinal_interpolation import (_GATHER_ELEMS, DataSequence,
+                                     FundamentalFunction, GrowthModel,
+                                     _solve_window, interpolate_grid)
 from .errors import (QuadratureConvergenceError, ToleranceUnreachableError,
                      UnknownTargetError)
 from .greens_kernel import SplineParams, eval_green_hat
@@ -40,9 +40,12 @@ from .spectral_symbol import _choose_shift_count, _em_tails
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
-# shifted terms one block of the lattice pass forms at once
-_PASS_ELEMS = 2 ** 14
-# the tolerance of the sup-error window solve
+# the points of each Gauss-Legendre panel
+_GAUSS_ORDER = 24
+# the sup-error grid, _SUP_POINTS equispaced points on [-W, W], W =
+# _SUP_HALF_WIDTH, and the tolerance of its window solve
+_SUP_HALF_WIDTH = 5.0
+_SUP_POINTS = 101
 _SUP_TOL = 1e-9
 # S's absolute tolerance in the error integrals, relative to |Ehat_k(pi)|:
 # at 1e-12 its truncated tail still showed as 1e-13 relative in l2_error
@@ -54,15 +57,14 @@ _S_TOL = 1e-14
 # quadrature helpers (fixed high-order Gauss panels on smooth pieces)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+@cache
+def _gauss_nodes():
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
-def _panel_nodes(pieces: Sequence[tuple], panels_per_piece: int, order: int = 24):
+def _panel_nodes(pieces: Sequence[tuple], panels_per_piece: int):
     """Gauss nodes/weights tiling each smooth piece with `panels_per_piece` panels."""
-    gx, gw = _gauss_nodes(order)
+    gx, gw = _gauss_nodes()
     nodes, weights = [], []
     for (a, b) in pieces:
         edges = np.linspace(a, b, panels_per_piece + 1)
@@ -186,16 +188,8 @@ def target_gallery(name: str) -> BandlimitedTarget:
             f"unknown target {name!r}; available: {', '.join(_GALLERY)}") from None
 
 
-def sample_integers(target: BandlimitedTarget, J: int) -> DataSequence:
-    """Integer samples {g(j): |j| <= J} as a finitely supported sequence with
-    growth beta = 0."""
-    if J < 0:
-        raise ValueError("J must be >= 0")
-    return _sample_sequence(target, np.asarray(target.time_eval(np.arange(-J, J + 1.0))))
-
-
 def _sample_sequence(target: BandlimitedTarget, vals: np.ndarray) -> DataSequence:
-    """sample_integers from its values g(-J..J)."""
+    """The integer samples g(-J..J), given by their values, as a finite table."""
     J = len(vals) // 2
     table = {j: float(v) for j, v in zip(range(-J, J + 1), vals.tolist())}
     amp = max(1.0, float(np.max(np.abs(vals))))
@@ -245,7 +239,7 @@ def _deviation_split(params: SplineParams, xi, s_tol: float, t_tol: float):
     j = np.arange(-M, M + 1)
     shifts = _TWO_PI * j[j != 0]
     rest, rest2 = np.empty_like(xr), np.empty_like(xr)
-    block = max(1, _PASS_ELEMS // len(shifts))
+    block = max(1, _GATHER_ELEMS // len(shifts))
     for s in range(0, len(xr), block):
         w = xr[s:s + block, None] - shifts
         np.multiply(w, w, out=w)
@@ -284,10 +278,10 @@ class ErrorReport:
     sup_error_grid: float
     quadrature_resolution: int
     ell_truncation: int
-    cardinality_error: float = 0.0
-    sup_window: int = 0
-    decay_rate: float | None = None
-    cond_B: float = 1.0
+    cardinality_error: float
+    sup_window: int
+    decay_rate: float | None
+    cond_B: float
 
     def __post_init__(self):
         vals = (self.l2_error, self.l2_bound, self.sup_error_grid)
@@ -339,7 +333,7 @@ def _error_integrals(params: SplineParams, target: BandlimitedTarget,
     S, T, M = _deviation_split(params, np.concatenate([levels(2)[0], levels(4)[0]]),
                                _S_TOL, t_tol)
     prev, cur = integrals(2, S[:n2], T[:n2]), integrals(4, S[n2:], T[n2:])
-    panels, order = 4, 24
+    panels = 4
     while True:
         (prev_exact, prev_s2), (exact, s2) = prev, cur
         scale = max(abs(exact), 1e-30)
@@ -354,7 +348,7 @@ def _error_integrals(params: SplineParams, target: BandlimitedTarget,
         panels *= 2
         S, T, M = _deviation_split(params, levels(panels)[0], _S_TOL, t_tol)
         prev, cur = cur, integrals(panels, S, T)
-    return exact, s2, panels * order * len(target.pieces), M
+    return exact, s2, panels * _GAUSS_ORDER * len(target.pieces), M
 
 
 def l2_error_spectral(params: SplineParams, target: BandlimitedTarget,
@@ -371,62 +365,34 @@ def l2_error_bound(params: SplineParams, target: BandlimitedTarget,
     return math.sqrt(max(2.0 * s2, 0.0))
 
 
-def _sup_grid(grid_half_width: float, n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    W = float(grid_half_width)
-    return np.linspace(-W, W, n)
-
-
-def _sup_window(L: FundamentalFunction, grid_half_width: float, tol: float) -> int:
-    """L's window J at the sup-error grid's edge."""
-    return _solve_window(L, int(round(float(grid_half_width))), GrowthModel(), tol,
-                         clip_to_knee=True)
-
-
-def sup_error_grid(params: SplineParams, target: BandlimitedTarget,
-                   grid_half_width: float = 5.0, n: int = 101,
-                   L: FundamentalFunction | None = None,
-                   tol: float = _SUP_TOL, g: np.ndarray | None = None,
-                   data: DataSequence | None = None) -> float:
-    """max over n equispaced points in [-W, W] of |g(x) - I_k[g](x)|, where
-    I_k[g] is interpolate_grid on the integer samples |j| <= ceil(W) + J + 2,
-    J the window at the grid's edge, in best-effort mode.
-
-    g and data, when given, hold the target's values at those points and
-    its samples; error_sweep computes them once for all the orders of a
-    sweep.
-    """
-    xs = _sup_grid(grid_half_width, n)
-    if L is None:
-        L = build_fundamental(params, 1e-10)
-    if data is None:
-        W = float(grid_half_width)
-        data = sample_integers(target, int(math.ceil(W)) + _sup_window(L, W, tol) + 2)
-    if g is None:
-        g = target.time_eval(xs)
-    fb = interpolate_grid(L, data, xs, tol, best_effort=True)
+def sup_error_grid(L: FundamentalFunction, data: DataSequence, xs: np.ndarray,
+                   g: np.ndarray) -> float:
+    """max over the points xs of |g - I_k[g]|, where g holds the target's
+    values there and I_k[g] is interpolate_grid on its integer samples data,
+    in best-effort mode."""
+    fb = interpolate_grid(L, data, xs, _SUP_TOL, best_effort=True)
     return float(np.max(np.abs(fb - g)))
 
 
 def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFunction],
-                tol: float = 1e-10, grid_half_width: float = 5.0,
-                n: int = 101) -> list[ErrorReport]:
+                tol: float = 1e-10) -> list[ErrorReport]:
     """The ErrorReport of each fundamental function L, at L.params, in turn.
 
-    What the orders share is computed once per sweep: the target's values on
-    the sup-error grid, its integer samples out to the widest order's window
-    (each order takes its slice, the values of its own sample_integers bit
-    for bit, since time_eval does not depend on the batch), and the Gauss
-    panel levels of the error integrals; the target keeps its l2_norm_sq.
+    Each order's sup error is taken on the sup-error grid from the integer
+    samples |j| <= ceil(W) + J + 2, J its window at the grid's edge.  What
+    the orders share is computed once per sweep: the target's values on the
+    grid, its integer samples out to the widest order's window (each order
+    takes its slice, bit for bit the values it would sample alone, since
+    time_eval does not depend on the batch), and the Gauss panel levels of
+    the error integrals; the target keeps its l2_norm_sq.
     """
-    xs = _sup_grid(grid_half_width, n)
     Ls = list(fundamentals)
     if not Ls:
         return []
-    W = float(grid_half_width)
-    wins = [_sup_window(L, W, _SUP_TOL) for L in Ls]
-    half = [int(math.ceil(W)) + J + 2 for J in wins]
+    xs = np.linspace(-_SUP_HALF_WIDTH, _SUP_HALF_WIDTH, _SUP_POINTS)
+    wins = [_solve_window(L, round(_SUP_HALF_WIDTH), GrowthModel(), _SUP_TOL,
+                          clip_to_knee=True) for L in Ls]
+    half = [math.ceil(_SUP_HALF_WIDTH) + J + 2 for J in wins]
     top = max(half)
     samples = np.asarray(target.time_eval(np.arange(-top, top + 1.0)))
     g = target.time_eval(xs)
@@ -434,8 +400,7 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
     reports = []
     for L, J, h in zip(Ls, wins, half):
         exact, s2, quad_res, ell = _error_integrals(L.params, target, tol, levels)
-        data = _sample_sequence(target, samples[top - h:top + h + 1])
-        sup = sup_error_grid(L.params, target, grid_half_width, n, L=L, g=g, data=data)
+        sup = sup_error_grid(L, _sample_sequence(target, samples[top - h:top + h + 1]), xs, g)
         reports.append(ErrorReport(params=L.params, target=target.name,
                                    l2_error=math.sqrt(max(exact, 0.0)),
                                    l2_bound=math.sqrt(max(2.0 * s2, 0.0)),
@@ -446,4 +411,3 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
                                    sup_window=J, decay_rate=L.env_rate,
                                    cond_B=L.table.cond_B))
     return reports
-

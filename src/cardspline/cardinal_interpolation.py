@@ -300,9 +300,9 @@ def _gather_samples(data: DataSequence, js):
     return b, present
 
 
-def sequence_from_table(values: dict, growth_beta: float | None = None,
-                        growth_amplitude: float | None = None,
-                        zero_fill: bool = True, name: str = "table") -> DataSequence:
+def sequence_from_table(values: dict, zero_fill: bool = True,
+                        name: str = "table") -> DataSequence:
+    """A finite table {j: b_j}, j integers within int64, with flat growth."""
     table = {}
     for j, b in values.items():
         bb = float(b)
@@ -311,25 +311,17 @@ def sequence_from_table(values: dict, growth_beta: float | None = None,
         jj = int(j)
         if jj != j:
             raise DataFormatError(f"{name}: non-integer index {j!r}")
+        if not -2 ** 63 <= jj < 2 ** 63:
+            raise DataFormatError(f"{name}: index {j!r} lies outside the int64 range")
         if jj in table:
             raise DataFormatError(f"{name}: duplicate index {jj}")
         table[jj] = bb
-    if growth_beta is not None:
-        amp = growth_amplitude if growth_amplitude is not None else \
-            max((abs(b) / (1.0 + abs(j)) ** growth_beta for j, b in table.items()),
-                default=1.0)
-        for j, b in table.items():
-            if abs(b) > amp * (1.0 + abs(j)) ** growth_beta * (1 + 1e-12):
-                raise DataFormatError(
-                    f"declared growth violated at j={j}: |{b}| > {amp}*(1+|j|)^{growth_beta}")
-        growth = GrowthModel(beta=growth_beta, amplitude=amp)
-    else:
-        amp = max((abs(b) for b in table.values()), default=1.0)
-        growth = GrowthModel(beta=0.0, amplitude=max(amp, 1.0))
-    return DataSequence(name=name, growth=growth, table=table, zero_fill=zero_fill)
+    amp = max((abs(b) for b in table.values()), default=1.0)
+    return DataSequence(name=name, growth=GrowthModel(amplitude=max(amp, 1.0)),
+                        table=table, zero_fill=zero_fill)
 
 
-def sequence_from_csv(path, **kw) -> DataSequence:
+def sequence_from_csv(path) -> DataSequence:
     """Read `j,b_j` rows (header mandatory)."""
     table = {}
     with open(path, newline="") as fh:
@@ -348,7 +340,7 @@ def sequence_from_csv(path, **kw) -> DataSequence:
             if j in table:
                 raise DataFormatError(f"{path}: duplicate index {row[0]!r}")
             table[j] = b
-    return sequence_from_table(table, name=str(path), **kw)
+    return sequence_from_table(table, name=str(path))
 
 
 def _basis_rule(name: str, alpha: float):
@@ -546,6 +538,9 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
         return out
     if not np.all(np.isfinite(xs)):
         raise ValueError("interpolation points must be finite")
+    # window indices m + o, |o| <= _WINDOW_HORIZON + 1, and their gaps fit in int64
+    if (far := float(np.max(np.abs(xs)))) > 2.0 ** 61:
+        raise DataFormatError(f"interpolation points must satisfy |x| <= 2^61, got {far:g}")
     ms = np.rint(xs).astype(np.int64)
     exact = (np.abs(xs - ms) < 1e-12) & L.cardinality_ok
     Js = np.zeros(len(xs), dtype=np.int64)

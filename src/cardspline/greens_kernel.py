@@ -29,6 +29,7 @@ evaluation at the numeric a.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -125,14 +126,21 @@ def eval_green(kernel: GreenKernel, x) -> float | np.ndarray:
 
     Every step works in place on its own copy of |x| (a 0-d array for scalar
     input, since ufuncs return scalars for 0-d operands without out=).
+
+    The polynomial has its coefficients' one sign and is capped at the largest
+    double: where it overflows, e^{-a|x|} is 0 (alpha >= 1e-4), so E_k is 0 of
+    that sign, not inf * 0 = NaN.  NaN and infinite x still give NaN.
     """
     ax = np.array(x, dtype=float)
     np.abs(ax, out=ax)
     p = np.zeros_like(ax)
-    for cm in kernel.poly_coeffs[::-1]:
-        p *= ax
-        p += cm
-    np.multiply(-kernel.params.alpha, ax, out=ax)
+    with np.errstate(over="ignore"):
+        for cm in kernel.poly_coeffs[::-1]:
+            p *= ax
+            p += cm
+        np.multiply(-kernel.params.alpha, ax, out=ax)
+    c0 = kernel.poly_coeffs[0]
+    (np.minimum if c0 > 0 else np.maximum)(p, math.copysign(sys.float_info.max, c0), out=p)
     np.exp(ax, out=ax)
     ax *= p
     return float(ax) if np.isscalar(x) or np.ndim(x) == 0 else ax

@@ -410,12 +410,14 @@ def bits(a) -> np.ndarray:
 
 
 def eval_green_out_of_place(kernel, x) -> float | np.ndarray:
-    """E_k(x) with a fresh array for every step of the Horner loop."""
+    """E_k(x) with a fresh array for every step of the Horner loop, the
+    polynomial clipped to the finite doubles as eval_green caps it."""
     ax = np.abs(np.asarray(x, dtype=float))
     p = np.zeros_like(ax)
     for cm in kernel.poly_coeffs[::-1]:
         p = p * ax + cm
-    out = np.exp(-kernel.params.alpha * ax) * p
+    big = np.finfo(float).max
+    out = np.exp(-kernel.params.alpha * ax) * np.clip(p, -big, big)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

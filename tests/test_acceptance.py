@@ -20,9 +20,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cardspline.bandlimited_analysis import (aliasing_envelope,
-                                             l2_error_spectral,
-                                             sup_error_grid, target_gallery)
+from cardspline.bandlimited_analysis import (aliasing_envelope, error_sweep,
+                                             l2_error_spectral, target_gallery)
 from cardspline.cardinal_interpolation import (build_fundamental,
                                                eval_fundamental,
                                                interpolate_at,
@@ -267,8 +266,7 @@ class TestCriterion10SupNormTrend:
     @pytest.mark.parametrize("name", TARGETS)
     def test_k8_below_k1(self, name):
         t = target_gallery(name)
-        s1 = sup_error_grid(SplineParams(1.0, 1), t, 5.0, 101, L=L_of(1.0, 1))
-        s8 = sup_error_grid(SplineParams(1.0, 8), t, 5.0, 101, L=L_of(1.0, 8))
+        s1, s8 = (r.sup_error_grid for r in error_sweep(t, [L_of(1.0, 1), L_of(1.0, 8)]))
         assert s8 < s1
         report(10, f"sup error {s8:.2e} (k=8) < {s1:.2e} (k=1) for {name}")
 

@@ -11,8 +11,8 @@ from cardspline.bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                              aliasing_envelope, error_sweep,
                                              gallery_names, l2_error_bound,
                                              l2_error_spectral,
-                                             replica_power, sample_integers,
-                                             sup_error_grid, target_gallery)
+                                             replica_power, sup_error_grid,
+                                             target_gallery)
 from cardspline.cardinal_interpolation import build_fundamental
 from cardspline.errors import (QuadratureConvergenceError,
                                ToleranceUnreachableError, UnknownTargetError)
@@ -109,16 +109,20 @@ class TestGallery:
                                         ((-np.pi / 2, np.pi / 2),), ((-3.0, -1.0), (0.5, 2.5))])
     def test_panel_nodes_bitwise_loop(self, pieces):
         for panels in (1, 2, 16, 100, 256):
-            for order in (8, 24):
-                for got, want in zip(ba._panel_nodes(pieces, panels, order),
-                                     panel_nodes_loop(pieces, panels, order)):
-                    np.testing.assert_array_equal(bits(got), bits(want))
+            for got, want in zip(ba._panel_nodes(pieces, panels),
+                                 panel_nodes_loop(pieces, panels, ba._GAUSS_ORDER)):
+                np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_l2_norms(self):
         assert target_gallery("sinc").l2_norm_sq == pytest.approx(1.0, rel=1e-12, abs=0)
         assert target_gallery("triangle-spectrum").l2_norm_sq == \
             pytest.approx(1.0 / 3.0, rel=1e-12, abs=0)
         assert target_gallery("half-band").l2_norm_sq == pytest.approx(0.5, rel=1e-12, abs=0)
+
+
+def sample_integers(target: BandlimitedTarget, J: int):
+    """The target's integer samples |j| <= J as error_sweep builds them."""
+    return ba._sample_sequence(target, np.asarray(target.time_eval(np.arange(-J, J + 1.0))))
 
 
 class TestSampleIntegers:
@@ -132,10 +136,6 @@ class TestSampleIntegers:
     def test_triangle_single_sample(self):
         data = sample_integers(target_gallery("triangle-spectrum"), 0)
         assert data.values(np.array([0]))[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sample_integers(target_gallery("sinc"), -1)
 
 
 class TestAliasingEnvelope:
@@ -441,45 +441,46 @@ class TestL2Error:
         with pytest.raises(ValueError):
             ErrorReport(params=SplineParams(1.0, 1), target="x", l2_error=2.0,
                         l2_bound=1.0, sup_error_grid=0.0,
-                        quadrature_resolution=1, ell_truncation=4)
+                        quadrature_resolution=1, ell_truncation=4,
+                        cardinality_error=0.0, sup_window=1, decay_rate=None,
+                        cond_B=1.0)
 
 
 class TestErrorSweep:
     def test_matches_one_order_at_a_time(self):
-        # the target values the sweep computes once give every order the sup
-        # error its own sup_error_grid call computes, bit for bit
+        # each order's slice of the shared samples gives the report a sweep
+        # of that order alone gives, bit for bit, and its sup error is
+        # sup_error_grid's on the samples out to 5 + J + 2, J its window
         t = target_gallery("half-band")
         Ls = [build_fundamental(SplineParams(1.0, k), 1e-10) for k in (1, 2, 4)]
-        reports = error_sweep(t, iter(Ls), 1e-10, 4.0, 41)
+        reports = error_sweep(t, iter(Ls), 1e-10)
         assert [r.params for r in reports] == [L.params for L in Ls]
+        xs = np.linspace(-5.0, 5.0, 101)
         for L, rep in zip(Ls, reports):
-            assert rep == error_sweep(t, [L], 1e-10, 4.0, 41)[0]
-            assert rep.sup_error_grid == sup_error_grid(L.params, t, 4.0, 41, L=L)
+            assert rep == error_sweep(t, [L], 1e-10)[0]
+            data = sample_integers(t, 5 + rep.sup_window + 2)
+            assert rep.sup_error_grid == sup_error_grid(L, data, xs, t.time_eval(xs))
 
-    def test_rejects_small_grid_before_any_order(self):
-        with pytest.raises(ValueError):
-            error_sweep(target_gallery("sinc"), iter(()), n=1)
+    def test_empty_sweep(self):
+        assert error_sweep(target_gallery("sinc"), iter(())) == []
 
 
 class TestSupError:
     def test_zero_target(self):
-        assert sup_error_grid(SplineParams(1.0, 2), zero_target(), 5.0, 11) == 0.0
+        rep, = error_sweep(zero_target(), [build_fundamental(SplineParams(1.0, 2))])
+        assert rep.sup_error_grid == 0.0
 
     def test_parity_two_points(self):
-        # even target, even interpolant: the two symmetric grid points agree
+        # even target, even interpolant: the two symmetric points agree
         t = target_gallery("triangle-spectrum")
-        p = SplineParams(1.0, 2)
-        from cardspline.cardinal_interpolation import build_fundamental
-        L = build_fundamental(p, 1e-10)
-        v = sup_error_grid(p, t, 3.0, 2, L=L)
-        assert v >= 0.0
+        L = build_fundamental(SplineParams(1.0, 2), 1e-10)
+        data = sample_integers(t, 20)
+        left, right = (sup_error_grid(L, data, np.array([x]), t.time_eval(np.array([x])))
+                       for x in (-3.3, 3.3))
+        assert right > 0.0 and left == pytest.approx(right, rel=1e-12, abs=0)
 
     def test_trend_k8_below_k1(self):
         t = target_gallery("sinc")
-        s1 = sup_error_grid(SplineParams(1.0, 1), t, 5.0, 101)
-        s8 = sup_error_grid(SplineParams(1.0, 8), t, 5.0, 101)
+        s1, s8 = (r.sup_error_grid for r in error_sweep(
+            t, [build_fundamental(SplineParams(1.0, k)) for k in (1, 8)]))
         assert s8 < s1
-
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            sup_error_grid(SplineParams(1.0, 1), target_gallery("sinc"), 5.0, 1)

@@ -200,10 +200,12 @@ class TestDataSequences:
         with pytest.raises(DataFormatError):
             sequence_from_table({0.5: 1.0})
 
-    def test_growth_declaration_checked(self):
-        with pytest.raises(DataFormatError):
-            sequence_from_table({0: 1.0, 10: 1e6}, growth_beta=1.0,
-                                growth_amplitude=1.0)
+    def test_indices_outside_int64_refused(self):
+        edge = sequence_from_table({2 ** 63 - 1: 1.0, -2 ** 63: 2.0})
+        assert edge.values(np.array([2 ** 63 - 1, -2 ** 63, 0])).tolist() == [1.0, 2.0, 0.0]
+        for j in (2 ** 63, -2 ** 63 - 1, 1e19):
+            with pytest.raises(DataFormatError, match="outside the int64 range"):
+                sequence_from_table({0: 1.0, j: 2.0})
 
     def test_csv_reader(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -462,6 +464,28 @@ class TestPositionInvariance:
 
 class TestInterpolateGrid:
     """The batched evaluator against the one-point-at-a-time reference."""
+
+    def test_points_beyond_2_61_refused(self):
+        # every window index, and the gap between any two, then fits in
+        # int64; 2^61 itself still works
+        L, data = L_of(1.0, 2), sequence_from_table({-1: 0.5, 0: 1.0, 1: -0.25})
+        edge = np.array([2.0 ** 61, -2.0 ** 61, 2.0 ** 61 - 2.5])
+        assert interpolate_grid(L, data, edge, 1e-10).tolist() == [0.0, 0.0, 0.0]
+        for x in (2.0 ** 61 + 2.0 ** 9, -1e19, 9.3e18):
+            with pytest.raises(DataFormatError, match=r"\|x\| <= 2\^61"):
+                interpolate_grid(L, data, np.array([0.5, x]), 1e-10)
+
+    @pytest.mark.xfail(strict=True, raises=WindowOverflowError, reason=(
+        "spurious refusal: noise_floor = 1e-16 max|c| (4 peak + 1)/sqrt(2 pi) "
+        "lets its + 1 term dominate the product scale max|c| peak at large "
+        "alpha or k (floor 1.6e-13 at (10, 2) against a cardinality residual "
+        "of 2.2e-16, 1.6e3 at (50, 6)), so the knee cuts every window short"))
+    @pytest.mark.parametrize("alpha,k", [(10.0, 2), (50.0, 6)])
+    def test_three_point_table_at_large_alpha(self, alpha, k):
+        L = L_of(alpha, k)
+        data = sequence_from_table({-1: 0.5, 0: 1.0, 1: -0.25})
+        got = interpolate_grid(L, data, np.linspace(-2.0, 2.0, 9), 1e-10)
+        assert got[::2].tolist() == [0.0, 0.5, 1.0, -0.25, 0.0]
 
     @pytest.fixture
     def solved_centers(self, monkeypatch):

@@ -148,6 +148,15 @@ class TestEvalL:
         assert [v.hex() for v in data["x"]] == [v.hex() for v in grid.tolist()]
         assert [v.hex() for v in data["L_k"]] == [v.hex() for v in vals.tolist()]
 
+    def test_far_points_write_zero(self, tmp_path, capsys):
+        # |x|^2 overflows there and e^{-|x|} underflows: L_k is 0, not NaN
+        out = tmp_path / "L.csv"
+        assert main(["eval-L", "--alpha", "1", "--k", "3", "--grid", "1e300:1e301:2",
+                     "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [float(r[1]) for r in rows] == [0.0, 0.0]
+        assert capsys.readouterr().err == ""
+
     def test_float_format(self, tmp_path):
         out = tmp_path / "L.csv"
         main(["eval-L", "--alpha", "1", "--k", "1", "--grid", "0:1:3",
@@ -464,6 +473,24 @@ class TestDomainRefusals:
         assert main(argv + ["--tol", tol, "-o", str(tmp_path / "x.csv")]) == 2
         assert "tol must lie in [1e-14, 1e-2]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("argv,data", [
+        (["interp", "--grid", "1e19:2e19:2"], "j,b_j\n0,1.0\n1,2.0\n"),
+        (["interp", "--grid", "9.3e18:9.3e18:2"], "j,b_j\n0,1.0\n1,2.0\n"),
+        (["interp", "--grid", "0:1:3"], "j,b_j\n0,1.0\n1e19,2.0\n"),
+        (["reproduce", "--basis", "xexp-", "--grid", "9.3e18:9.3e18:2"], None)])
+    def test_index_outside_int64_exit_2(self, tmp_path, capsys, argv, data):
+        # grid points past 2^61, or a data index past int64, are refused
+        # before any index is formed
+        if data is not None:
+            (tmp_path / "d.csv").write_text(data)
+            argv = argv + ["--data", str(tmp_path / "d.csv")]
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--alpha", "1", "--k", "2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ("2^61" in err or "int64" in err)
+        assert not out.exists()
 
 
 class TestCardinalityReport:

@@ -88,6 +88,23 @@ class TestEvalGreen:
         kern = build_green_kernel(SplineParams(2.0, 3))
         assert eval_green(kern, 1e4) == 0.0
 
+    @pytest.mark.parametrize("alpha,k", [(1.0, 3), (0.25, 12), (0.05, K_MAX), (50.0, 6)])
+    def test_overflowing_polynomial_gives_signed_zero(self, alpha, k):
+        # |x|^m overflows only where e^{-a|x|} is 0: E_k is then 0 with the
+        # coefficients' sign, not inf * 0 = NaN, and every value the plain
+        # product gives finite keeps its bits
+        kern = build_green_kernel(SplineParams(alpha, k))
+        x = np.geomspace(1e-3, 1e308, 2000)
+        x = np.concatenate([x, -x])
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.exp(-alpha * np.abs(x)) * np.polyval(kern.poly_coeffs[::-1], np.abs(x))
+        got = eval_green(kern, x)
+        assert np.isnan(plain).any() and not np.isnan(got).any()
+        finite = np.isfinite(plain)
+        np.testing.assert_array_equal(bits(got[finite]), bits(plain[finite]))
+        zero = np.copysign(0.0, kern.poly_coeffs[0])
+        np.testing.assert_array_equal(bits(got[~finite]), bits(np.full((~finite).sum(), zero)))
+
     @pytest.mark.parametrize("alpha,k", [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4),
                                          (0.5, 2), (2.0, 4), (0.25, 5)])
     def test_transform_consistency(self, alpha, k):
