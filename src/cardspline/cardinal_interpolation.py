@@ -42,9 +42,6 @@ from .spectral_symbol import CoefficientTable, _check_tol, compute_coefficients
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_HORIZON = 4000
-# points whose kernel rows one _green_rows call builds: rows are shared
-# across the whole batch, and the batch bounds the sharing's memory
-_BATCH_POINTS = 2 ** 12
 # entries one array pass gathers at most: kernel-matrix entries of one
 # synthesis contraction, window entries of one interpolation contraction, and
 # _WINDOW_HORIZON-term tail rows of the window solver's centers.  128 KiB
@@ -107,10 +104,36 @@ class FundamentalFunction:
         return self.cardinality_error < 1e-8
 
 
-def _green_rows(L: FundamentalFunction, xs):
-    """The kernel matrix E_k(|x| - j), |j| <= J, one row per point of xs, as
-    (windows, at): windows[at] is the matrix, and windows[at[a:b]] its rows
-    a..b-1, gathered without building the rest.
+def _row_layout(r: np.ndarray, heads: np.ndarray, width: int):
+    """(spread, rows) of the runs that start at the sorted points heads,
+    whose points lie r above their head: run g holds E_k(|x_0| - s) for
+    s = -J - spread[g] .. J, in that order, at rows[g] .. rows[g + 1] - 1
+    of the runs' rows laid end to end."""
+    spread = r[np.append(heads, len(r))[1:] - 1]
+    rows = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(width + spread, out=rows[1:])
+    return spread, rows
+
+
+def _kernel_arguments(base: np.ndarray, shift: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """base_g - s for s = -shift_g .. lens_g - 1 - shift_g, run after run:
+    each argument rounded once from an exact integer shift.  Formed in
+    place, and returned alone, so that only the arguments outlive the call
+    while eval_green runs."""
+    s = np.arange(int(lens.sum()))
+    s -= np.repeat(shift, lens)
+    arg = np.repeat(base, lens)
+    arg -= s
+    return arg
+
+
+def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
+    """L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j).
+
+    Truncation error is bounded by tail_bound * max|E_k| * (2 pi)^{-1/2}.
+    Arguments are folded to |x| first, making evenness exact in floating
+    point rather than merely up to summation-order noise.  Accepts scalars
+    or arrays.
 
     Each distinct kernel argument is evaluated once, not once per point.  The
     points are sorted by their offset t = |x| - floor(|x|); points with equal
@@ -122,14 +145,21 @@ def _green_rows(L: FundamentalFunction, xs):
     fl(|x| - j) round the same real number and give the same bits.  A run
     costs its row width plus the spread of its integer parts, so a grid pays
     about 2J+1 evaluations per distinct offset and no input pays more than
-    one per matrix entry.  NaN and infinite points run alone and keep their
-    NaN rows.
+    one per kernel value of a per-point synthesis.  NaN and infinite points
+    run alone and keep their NaN rows.
+
+    The rows are built and contracted a block at a time: consecutive runs
+    whose rows hold at most _GATHER_ELEMS kernel values together, so that no
+    array of a block outgrows the budget.  A run whose row would hold more
+    is cut at multiples of the budget, as any point of a run can serve as
+    its base; only a row width above the budget makes a longer block.  Each
+    row is contracted with c in its own BLAS ddot, so a value depends on x
+    alone, not on the block it comes in.
     """
-    ax = np.abs(np.asarray(xs, dtype=float))
-    J = L.table.half_width
-    width = 2 * J + 1
-    if len(ax) == 0:
-        return np.empty((0, width)), np.empty(0, dtype=np.int64)
+    xs = np.asarray(x, dtype=float).ravel()
+    c = L.table.coeffs
+    J, width = L.table.half_width, len(c)
+    ax = np.abs(xs)
     with np.errstate(invalid="ignore"):     # inf - inf: NaN runs alone
         t = ax - np.floor(ax)
         order = np.lexsort((ax, t))
@@ -138,60 +168,42 @@ def _green_rows(L: FundamentalFunction, xs):
         start[1:] = (t[1:] != t[:-1]) | (a[1:] - a[:-1] > width)
         run = np.cumsum(start) - 1
         heads = np.flatnonzero(start)
-        base = a[heads]
-        r = a - base[run]
+        r = a - a[heads][run]
     r[heads] = 0.0
     r = r.astype(np.int64)
-    spread = r[np.append(heads[1:], len(a)) - 1]
-    lens = width + spread
-    row0 = np.cumsum(lens) - lens
-    # run g holds E_k(base_g - s) for s = -J - spread_g .. J, in that order;
-    # the arguments are formed in place, as the rows can outgrow the heap's
-    # free space and then cost page faults for every temporary
-    s = np.arange(int(lens.sum()))
-    s -= np.repeat(row0 + J + spread, lens)
-    arg = np.repeat(base, lens)
-    arg -= s
-    E = eval_green(L.kernel, arg)
-    at = np.empty(len(a), dtype=np.int64)
-    at[order] = row0[run] + spread[run] - r
-    windows = np.lib.stride_tricks.as_strided(E, (len(E) - width + 1, width),
-                                              E.strides * 2, writeable=False)
-    return windows, at
-
-
-def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
-    """L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j).
-
-    Truncation error is bounded by tail_bound * max|E_k| * (2 pi)^{-1/2}.
-    Arguments are folded to |x| first, making evenness exact in floating
-    point rather than merely up to summation-order noise.  Accepts scalars
-    or arrays.
-
-    The kernel matrix comes from one _green_rows call per _BATCH_POINTS
-    points, so the cost scales with the distinct offsets |x| - floor(|x|)
-    rather than with the points.  Each row is contracted with c in its own
-    BLAS ddot, so a value depends on x alone, not on the batch it comes in.
-    """
-    xs = np.asarray(x, dtype=float).ravel()
-    out = np.empty_like(xs)
-    for s in range(0, len(xs), _BATCH_POINTS):
-        out[s:s + _BATCH_POINTS] = _synthesize(
-            L, *_green_rows(L, xs[s:s + _BATCH_POINTS]))
+    spread, rows = _row_layout(r, heads, width)
+    if rows[-1] > _GATHER_ELEMS and spread.max() > _GATHER_ELEMS - width:
+        # a row above the budget is cut at its multiples: any point of a
+        # run can serve as its base
+        start[1:] |= np.diff(r // (max(_GATHER_ELEMS - width, 0) + 1)) != 0
+        run = np.cumsum(start) - 1
+        heads = np.flatnonzero(start)
+        r -= r[heads][run]
+        spread, rows = _row_layout(r, heads, width)
+    base = a[heads]
+    step = max(1, _GATHER_ELEMS // width)
+    vals = np.empty(len(a))
+    g = 0
+    while g < len(heads):
+        h = len(heads)
+        if rows[h] - rows[g] > _GATHER_ELEMS:
+            h = max(g + 1, int(np.searchsorted(rows, rows[g] + _GATHER_ELEMS, "right")) - 1)
+        # runs g..h-1, their rows from row0 on in E
+        row0 = rows[g:h] - rows[g]
+        E = eval_green(L.kernel, _kernel_arguments(base[g:h], row0 + J + spread[g:h],
+                                                   width + spread[g:h]))
+        windows = np.lib.stride_tricks.as_strided(E, (len(E) - width + 1, width),
+                                                  E.strides * 2, writeable=False)
+        first, last = heads[g], heads[h] if h < len(heads) else len(a)
+        at = (row0 + spread[g:h])[run[first:last] - g] - r[first:last]
+        for p in range(first, last, step):
+            q = min(p + step, last)
+            np.vecdot(windows[at[p - first:q - first]], c, out=vals[p:q])
+        g = h
+    vals *= _INV_SQRT_2PI
+    out = np.empty(len(a))
+    out[order] = vals
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
-
-
-def _synthesize(L: FundamentalFunction, windows, at) -> np.ndarray:
-    """(2 pi)^{-1/2} windows[at] @ c for kernel rows from _green_rows: each
-    row is its own np.vecdot (BLAS ddot) with c, gathered at most
-    _GATHER_ELEMS entries at a time."""
-    c = L.table.coeffs
-    step = max(1, _GATHER_ELEMS // len(c))
-    out = np.empty(len(at))
-    for s in range(0, len(at), step):
-        out[s:s + step] = np.vecdot(windows[at[s:s + step]], c)
-    out *= _INV_SQRT_2PI
-    return out
 
 
 def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFunction:
@@ -272,9 +284,18 @@ class DataSequence:
 
     def values(self, js: np.ndarray) -> np.ndarray:
         """b_j at each index of js, in any order and with repeats; a strict
-        table raises MissingDataError at the first absent index."""
+        table raises MissingDataError at the first absent index, and a rule
+        ParameterDomainError at the first index where its value overflows
+        double precision."""
         if self.rule is not None:
-            return np.asarray(self.rule(np.asarray(js, dtype=float)), dtype=float)
+            js = np.asarray(js, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                b = np.asarray(self.rule(js), dtype=float)
+            if not np.all(np.isfinite(b)):
+                raise ParameterDomainError(
+                    f"sequence {self.name!r} overflows double precision at "
+                    f"{js[np.argmin(np.isfinite(b))]:g}")
+            return b
         b, present = _gather_samples(self, js)
         if not (self.zero_fill or present.all()):
             j = int(np.asarray(js)[np.argmin(present)])
@@ -527,10 +548,10 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     points.  Sharing is exact: |t| <= 1/2 and m is an integer, so t = x - m
     carries no rounding, and fl(t - o) == fl(x - (m + o)) are the same kernel
     arguments the point would form itself.  The rows come from
-    eval_fundamental, one call per batch of _BATCH_POINTS window points, so
-    kernel values are shared across offsets as well (t and -t, and the two
-    sides of every row).  Each point's window sum is one BLAS ddot, batched
-    by _contract.
+    eval_fundamental, one call per _GATHER_ELEMS window points, so kernel
+    values are shared across offsets as well (t and -t, and the two sides
+    of every row).  Each point's window sum is one BLAS ddot, batched by
+    _contract.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
@@ -583,13 +604,12 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     order = np.argsort(row, kind="stable")
     todo, row = todo[order], row[order]
     offsets = np.arange(-Jmax, Jmax + 1)
-    batch = max(1, _BATCH_POINTS // len(offsets))
-    # points per contraction: the gathered windows take at most
-    # _GATHER_ELEMS entries
+    # rows per synthesis and points per contraction: the rows, and the
+    # gathered windows, take at most _GATHER_ELEMS entries
     step = max(1, _GATHER_ELEMS // len(offsets))
-    for s in range(0, len(ts), batch):
-        Lv = eval_fundamental(L, ts[s:s + batch, None] - offsets)
-        lo, hi = np.searchsorted(row, [s, s + batch])
+    for s in range(0, len(ts), step):
+        Lv = eval_fundamental(L, ts[s:s + step, None] - offsets)
+        lo, hi = np.searchsorted(row, [s, s + step])
         for p in range(lo, hi, step):
             pts = todo[p:min(hi, p + step)]
             out[pts] = _contract(Lv, row[p:p + len(pts)] - s, Jmax - Js[pts],

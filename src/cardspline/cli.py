@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._floattext import json_array, table_text
+from ._floattext import float_cells, json_array, table_bytes
 from .bandlimited_analysis import error_sweep, gallery_names, target_gallery
 from .cardinal_interpolation import (_basis_rule, build_fundamental,
                                      interpolate_grid, eval_fundamental,
@@ -60,7 +60,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore", over="ignore"):
             grid = np.linspace(start, stop, count)
-    except ValueError as exc:   # a count numpy cannot size an array for
+    except (ValueError, MemoryError) as exc:   # a count numpy cannot size or allocate
         raise DataFormatError(f"grid count {count} is too large") from exc
     if not np.all(np.isfinite(grid)):
         raise DataFormatError(f"grid points must be finite, got {spec!r}")
@@ -91,31 +91,31 @@ def _parse_k(spec: str) -> int:
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """One table, given by columns: numpy columns print as `%.9e`, str
-    columns pass through."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(table_text(columns, 9))
+    """One table, given by columns: `%.9e` cells from `float_cells`, or str
+    columns that pass through."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        fh.write(table_bytes(columns))
 
 
 def _write_sidecar(path: Path, params: dict, tol: float, data: dict,
-                   wall_ms: float, arrays: dict | None = None) -> None:
-    """One JSON line.  Each of the float `arrays` joins `data` as `%.16e`
-    text, spliced in for a placeholder string that holds its key's place;
-    no other string of the document can hold a NUL, so each placeholder's
-    JSON text occurs once."""
-    arrays = arrays or {}
+                   wall_ms: float, arrays: dict) -> None:
+    """One JSON line.  Each of the `arrays`, `%.16e` cells from
+    `float_cells`, joins `data` as a JSON array, spliced in for a
+    placeholder string that holds its key's place; no other string of the
+    document can hold a NUL, so each placeholder's JSON text occurs once."""
     doc = {
         "params": params,
         "tol": tol,
         "data": {**data, **{key: "\0" + key for key in arrays}},
         "manifest": {"version": __version__, "wall_ms": wall_ms},
     }
-    text = json.dumps(doc, sort_keys=True)
-    for key, values in arrays.items():
-        text = text.replace(json.dumps("\0" + key), json_array(values), 1)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    text = json.dumps(doc, sort_keys=True).encode("ascii")
+    for key, cells in arrays.items():
+        text = text.replace(json.dumps("\0" + key).encode("ascii"), json_array(cells), 1)
+    with open(path, "wb") as fh:
+        fh.write(text)
+        fh.write(b"\n")
 
 
 def _single_order(args) -> tuple[SplineParams, float]:
@@ -128,14 +128,22 @@ def _emit(args, default: str, alpha: float, k, tol: float, wall_ms: float,
           arrays: dict | None = None, tolerances: dict | None = None) -> None:
     """Every file of one run: the CSV (at --output, else `default`) unless
     --format json, the JSON sidecar beside it, and the manifest that echoes
-    the arguments and names the files written."""
+    the arguments and names the files written.  One `float_cells` call
+    formats every float array the run writes, `%.9e` for the CSV and
+    `%.16e` for the sidecar, each array once."""
     csv_path = Path(args.output) if args.output else Path(default)
     json_path = csv_path.with_suffix(".json")
+    arrays = arrays or {}
+    csv_columns = columns if args.format != "json" else []
+    cells = iter(float_cells([(c, 9) for c in csv_columns if isinstance(c, np.ndarray)]
+                             + [(a, 16) for a in arrays.values()]))
     outs = []
     if args.format != "json":
-        _write_csv(csv_path, header, columns)
+        _write_csv(csv_path, header,
+                   [next(cells) if isinstance(c, np.ndarray) else c for c in csv_columns])
         outs.append(csv_path)
-    _write_sidecar(json_path, {"alpha": alpha, "k": k}, tol, data, wall_ms, arrays)
+    _write_sidecar(json_path, {"alpha": alpha, "k": k}, tol, data, wall_ms,
+                   {key: next(cells) for key in arrays})
     outs.append(json_path)
     manifest = {
         "version": __version__,
@@ -207,15 +215,17 @@ def cmd_interp(args) -> int:
 def cmd_reproduce(args) -> int:
     params, gate_tol = _single_order(args)
     grid = _parse_grid(args.grid)
-    fn, power, _ = _basis_rule(args.basis, params.alpha)
+    _, power, _ = _basis_rule(args.basis, params.alpha)
     if power >= params.k:
         raise ParameterDomainError(
             f"basis {args.basis!r} has power {power} >= k={params.k}; outside the "
             "reproduced span")
+    # the basis on the grid, and later its samples, are refused where they
+    # overflow double precision
+    data = sequence_from_rule(args.basis, params.alpha)
+    g = data.values(grid)
     t0 = time.perf_counter()
     L = build_fundamental(params, min(1e-10, gate_tol))
-    data = sequence_from_rule(args.basis, params.alpha)
-    g = np.asarray(fn(grid))
     # the pass gate is global (tol * max(1, max|g|)), so every point gets the
     # same absolute window budget
     point_tol = 0.05 * gate_tol * max(1.0, float(np.max(np.abs(g))))

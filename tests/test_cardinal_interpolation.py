@@ -553,18 +553,18 @@ class TestInterpolateGrid:
         Jmax = max(cardinal_interpolation._solve_window(L, int(m), data.growth, 1e-9)
                    for m in np.unique(np.abs(ms)))
         points = []
-        rows = cardinal_interpolation._green_rows
+        synthesize = cardinal_interpolation.eval_fundamental
 
         def counting(fundamental, x):
             points.append(np.size(x))
-            return rows(fundamental, x)
+            return synthesize(fundamental, x)
 
-        monkeypatch.setattr(cardinal_interpolation, "_green_rows", counting)
+        monkeypatch.setattr(cardinal_interpolation, "eval_fundamental", counting)
         interpolate_grid(L, data, xs, 1e-9)
         assert sum(points) == len(offsets) * (2 * Jmax + 1)
 
     def test_batch_size_does_not_change_bits(self, monkeypatch):
-        # the two memory caps split the work, never a sum
+        # the memory budget splits the work into blocks, never a sum
         L = L_of(1.0, 3, 1e-9)
         data = seeded_table(2)
         xs = np.linspace(-30.35, 29.65, 1201)
@@ -577,10 +577,32 @@ class TestInterpolateGrid:
                 [checks.cardinality_error, checks.env_rate, checks.env_amplitude]])
 
         want = results()
-        for batch, gather in [(1, 1), (97, 97), (1, 97), (97, 1)]:
-            monkeypatch.setattr(cardinal_interpolation, "_BATCH_POINTS", batch)
-            monkeypatch.setattr(cardinal_interpolation, "_GATHER_ELEMS", gather)
+        for budget in (1, 97, cardinal_interpolation._GATHER_ELEMS):
+            monkeypatch.setattr(cardinal_interpolation, "_GATHER_ELEMS", budget)
             assert_bitwise(results(), want)
+
+    @pytest.mark.parametrize("budget", [1, 97, 400, 2000, None])
+    def test_long_run_cut_into_blocks(self, monkeypatch, budget):
+        # 5000 points of one offset in unit steps make one run, whose row
+        # is cut wherever it would outgrow the budget
+        L = L_of(1.0, 10)
+        width = 2 * L.table.half_width + 1
+        budget = budget or cardinal_interpolation._GATHER_ELEMS
+        monkeypatch.setattr(cardinal_interpolation, "_GATHER_ELEMS", budget)
+        sizes = []
+        green = cardinal_interpolation.eval_green
+
+        def counting(kernel, x):
+            sizes.append(np.size(x))
+            return green(kernel, x)
+
+        monkeypatch.setattr(cardinal_interpolation, "eval_green", counting)
+        xs = 0.5 + np.arange(5000.0)
+        got = eval_fundamental(L, xs)
+        assert max(sizes) <= max(budget, width)
+        # every kernel value of the run's one row, split at most once per block
+        assert sum(sizes) <= width + len(xs) - 1 + (len(sizes) - 1) * width
+        assert_bitwise(got, eval_fundamental_direct(L, xs))
 
     def test_permuted_grid_with_repeats(self):
         L = L_of(1.0, 3, 1e-9)
@@ -736,7 +758,7 @@ class TestGroupedContraction:
 
     def test_vecdot_is_the_per_row_dot(self):
         # rows against rows (_contract), rows against one vector
-        # (_synthesize, time_eval), and gathered rows of a strided view
+        # (eval_fundamental, time_eval), and gathered rows of a strided view
         rng = np.random.default_rng(601)
         for w in range(601):
             B = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-12, 12, (3, w))
@@ -929,24 +951,33 @@ class TestBuildChecks:
         assert L.cardinality_ok == (card < 1e-8)
 
     def test_one_kernel_pass(self, monkeypatch):
-        calls = []
-        rows = cardinal_interpolation._green_rows
+        calls, kernel_calls = [], []
+        synthesize = cardinal_interpolation.eval_fundamental
+        green = cardinal_interpolation.eval_green
 
         def counting(L, xs):
             calls.append(np.size(xs))
-            return rows(L, xs)
+            return synthesize(L, xs)
 
-        monkeypatch.setattr(cardinal_interpolation, "_green_rows", counting)
+        def counting_kernel(kernel, x):
+            kernel_calls.append(np.size(x))
+            return green(kernel, x)
+
+        monkeypatch.setattr(cardinal_interpolation, "eval_fundamental", counting)
+        monkeypatch.setattr(cardinal_interpolation, "eval_green", counting_kernel)
         build_fundamental(SplineParams(1.0, 6), 1e-10)
         assert calls == [416 + 41]
-        del calls[:]
+        assert len(kernel_calls) == 1
+        del calls[:], kernel_calls[:]
         build_fundamental(SplineParams(1.0, 1), 1e-10)
         assert calls == [41]
+        assert len(kernel_calls) == 1
 
     def test_check_grids_share_kernel_rows(self, monkeypatch):
         # every check point lies on one of 32 offsets t = |x| - floor(|x|),
         # so the pass evaluates about 2J+1 kernel values per offset, not per
-        # point: 14,902 at (1, 12), against 127,766 on the 0.05 grid
+        # point: 14,902 at (1, 12), one block of at most _GATHER_ELEMS
+        assert cardinal_interpolation._GATHER_ELEMS >= 16000
         points = []
         green = cardinal_interpolation.eval_green
 

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,20 @@ class TestReproduce:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["800:900:3", "9.3e18:9.3e18:2", "700:709:3"])
+    def test_basis_overflow_refused(self, tmp_path, capsys, grid):
+        # cosh(x) overflows on the grid, or at window samples past its end
+        # (cosh(711)): a typed refusal, not inf and NaN cells
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["reproduce", "--alpha", "1", "--k", "2", "--basis", "cosh",
+                       "--grid", grid, "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflows double precision" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_basis_exit_2(self, tmp_path):
         rc = main(["reproduce", "--alpha", "1", "--k", "2", "--basis", "nosuch",
                    "--grid", "-2:2:5", "-o", str(tmp_path / "x.csv")])
@@ -475,6 +490,20 @@ class TestDomainRefusals:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_unallocatable_grid_count_exit_2(self, tmp_path, capsys, monkeypatch):
+        # numpy cannot allocate 10^12 points; the test stands in for the
+        # allocation rather than attempt it
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        out = tmp_path / "x.csv"
+        assert main(["eval-L", "--alpha", "1", "--k", "2", "--grid", "0:1:1000000000000",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "cardspline: error: grid count 1000000000000 is too large\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,data", [
         (["interp", "--grid", "1e19:2e19:2"], "j,b_j\n0,1.0\n1,2.0\n"),
         (["interp", "--grid", "9.3e18:9.3e18:2"], "j,b_j\n0,1.0\n1,2.0\n"),
@@ -556,25 +585,31 @@ class TestCardinalityReport:
                                                   clip_to_knee=True) > 1
 
 
+def write_csv(path, header, columns):
+    """The CSV of one run with these columns, as _emit writes it."""
+    from argparse import Namespace
+    from cardspline.cli import _emit
+    _emit(Namespace(output=str(path), format="csv"), "unused.csv", 1.0, 1, 1e-10, 0.0,
+          {}, header, columns)
+
+
 class TestWriters:
     def test_csv_bytes_pinned(self, tmp_path):
         # str columns pass through, numpy columns print as %.9e
-        from cardspline.cli import _write_csv
         out = tmp_path / "t.csv"
-        _write_csv(out, ["alpha", "k", "target", "err"],
-                   [np.array([1.0, 0.25]), ["1", "12"], ["half-band", "sinc"],
-                    np.array([0.1118020563, -2.5e-300])])
+        write_csv(out, ["alpha", "k", "target", "err"],
+                  [np.array([1.0, 0.25]), ["1", "12"], ["half-band", "sinc"],
+                   np.array([0.1118020563, -2.5e-300])])
         assert out.read_bytes() == (b"alpha,k,target,err\n"
                                     b"1.000000000e+00,1,half-band,1.118020563e-01\n"
                                     b"2.500000000e-01,12,sinc,-2.500000000e-300\n")
-        _write_csv(out, ["x"], [np.array([])])
+        write_csv(out, ["x"], [np.array([])])
         assert out.read_bytes() == b"x\n"
 
     def test_csv_bytes_pinned_above_the_small_input_size(self, tmp_path):
         # 640 float cells take the vectorized path: signed zero, ties, carries,
         # non-finite, subnormal and out-of-range values print as Python's %
         from cardspline._floattext import SMALL_INPUT
-        from cardspline.cli import _write_csv
         rows = [(1.0, "1", 0.1118020563, b"1.000000000e+00,1,1.118020563e-01\n"),
                 (0.25, "12", -2.5e-300, b"2.500000000e-01,12,-2.500000000e-300\n"),
                 (-0.0, "a", np.nan, b"-0.000000000e+00,a,nan\n"),
@@ -587,10 +622,36 @@ class TestWriters:
         rows *= 40
         assert 2 * len(rows) >= SMALL_INPUT
         out = tmp_path / "t.csv"
-        _write_csv(out, ["x", "label", "y"],
-                   [np.array([r[0] for r in rows]), [r[1] for r in rows],
-                    np.array([r[2] for r in rows])])
+        write_csv(out, ["x", "label", "y"],
+                  [np.array([r[0] for r in rows]), [r[1] for r in rows],
+                   np.array([r[2] for r in rows])])
         assert out.read_bytes() == b"x,label,y\n" + b"".join(r[3] for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_formatting_call_per_run(self, tmp_path, monkeypatch, fmt):
+        # x and L_k print as %.9e in the CSV and %.16e in the sidecar, from
+        # one float_cells call that formats each array once
+        import cardspline.cli as cli
+        calls = []
+        float_cells = cli.float_cells
+
+        def counting(wanted):
+            calls.append(sorted((len(a), P) for a, P in wanted))
+            return float_cells(wanted)
+
+        monkeypatch.setattr(cli, "float_cells", counting)
+        out = tmp_path / "e.csv"
+        assert main(["eval-L", "--alpha", "1", "--k", "3", "--grid", "-2:2:201",
+                     "--format", fmt, "-o", str(out)]) == 0
+        assert calls == [([(201, 9)] * 2 if fmt == "csv" else []) + [(201, 16)] * 2]
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        grid = np.linspace(-2.0, 2.0, 201)
+        assert [v.hex() for v in sidecar["data"]["x"]] == [v.hex() for v in grid.tolist()]
+        if fmt == "csv":
+            _, rows = read_csv(out)
+            assert [r[0] for r in rows] == ["%.9e" % v for v in grid.tolist()]
+            assert [float(r[1]) for r in rows] == pytest.approx(sidecar["data"]["L_k"],
+                                                                rel=1e-9, abs=0)
 
     def test_sidecar_and_manifest_are_one_json_line(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -73,3 +73,24 @@ def test_every_difference_is_printed(tmp_path, monkeypatch, capsys):
     assert compare_outputs.main([str(old), str(new)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 26 and lines[-1] == "ops 0 files 25 differ 25"
+
+
+def test_document_text(tmp_path):
+    # documents that parse the same but print differently, and ones that
+    # differ only in wall_ms or add a key, which the text check skips
+    same = '{"data": {"v": 1.5}, "manifest": {"wall_ms": 3.25}}'
+    texts = {"a.json": '{"data": {"v": 1.5}, "manifest": {"wall_ms": 9.5e-05}}',
+             "b.json": '{"data": {"v": 1.50}, "manifest": {"wall_ms": 3.25}}',
+             "c.json": '{"manifest": {"wall_ms": 3.25}, "data": {"v": 1.5}}',
+             "d.json": '{"data": {"v":1.5}, "manifest": {"wall_ms": 3.25}}',
+             "e.json": '{"data": {"v": 1.5, "w": 2}, "manifest": {"wall_ms": 1}}'}
+    for label, files in (("old", {name: same for name in texts}), ("new", texts)):
+        root = tmp_path / label
+        root.mkdir()
+        (root / "exit_codes.json").write_text("{}")
+        for name, text in files.items():
+            (root / name).write_text(text)
+    _, files, diffs, added = compare_trees(tmp_path / "old", tmp_path / "new")
+    assert files == 5
+    assert diffs == ["b.json: text differs", "c.json: text differs", "d.json: text differs"]
+    assert added == {"data.w": 1}

@@ -1,5 +1,6 @@
 """Vectorized float text against Python's `%` formatting, the reference."""
 
+import functools
 import json
 import math
 from decimal import Decimal
@@ -8,24 +9,45 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cardspline._floattext import SMALL_INPUT, e_cells, json_array, table_text
+from cardspline._floattext import (SMALL_INPUT, e_cells, float_cells, json_array,
+                                   table_bytes)
 
 PRECISIONS = (9, 16)
 
 
-def kernel_text(x, precision):
-    return [row.tobytes().replace(b"\0", b"").decode("ascii")
-            for row in e_cells(np.asarray(x, dtype=np.float64), precision)]
+def cell_text(cells):
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in cells]
 
 
 def python_text(x, precision):
     return [f"%.{precision}e" % v for v in np.asarray(x, dtype=np.float64).tolist()]
 
 
+def assert_pass_matches_python(x, precisions):
+    """Each precision of one e_cells pass prints every value as Python's %."""
+    x = np.asarray(x, dtype=np.float64)
+    for P, cells in zip(precisions, e_cells(x, precisions)):
+        want = python_text(x, P)
+        if table_bytes([cells], end=" ") == " ".join(want + [""]).encode("ascii"):
+            continue
+        got = cell_text(cells)
+        bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+        assert not bad, f"P={P} of {precisions}: {len(bad)} of {len(want)} differ, first {bad[:3]}"
+
+
 def assert_matches_python(x, precision):
-    got, want = kernel_text(x, precision), python_text(x, precision)
-    bad = [(v, g, w) for v, g, w in zip(np.asarray(x).tolist(), got, want) if g != w]
-    assert not bad, f"{len(bad)} of {len(want)} differ, first {bad[:3]}"
+    # on its own, and derived from the 17 digits of a %.16e pass
+    assert_pass_matches_python(x, (precision,))
+    if precision < 16:
+        assert_pass_matches_python(x, (precision, 16))
+
+
+def table_text(columns, precision):
+    """The CSV rows of columns as the CLI writes them: the numpy columns
+    formatted by one float_cells call."""
+    cells = iter(float_cells([(c, precision) for c in columns if isinstance(c, np.ndarray)]))
+    return table_bytes([next(cells) if isinstance(c, np.ndarray) else c
+                        for c in columns]).decode("ascii")
 
 
 def is_tie(v, precision):
@@ -107,8 +129,9 @@ class TestKernelAgainstPython:
         assert_matches_python(x, precision)
 
     def test_precision_outside_int64_refused(self):
-        with pytest.raises(ValueError):
-            e_cells(np.ones(3), 17)
+        for precisions in [(17,), (9, 17), (0, 16)]:
+            with pytest.raises(ValueError):
+                e_cells(np.ones(3), precisions)
 
 
 class TestTableText:
@@ -126,17 +149,105 @@ class TestTableText:
     def test_empty_table(self):
         assert table_text([np.array([])], 9) == ""
         assert table_text([], 9) == ""
+        assert float_cells([]) == []
 
     @pytest.mark.parametrize("n", [4, SMALL_INPUT + 1])
     def test_json_array_parses_back_to_the_same_doubles(self, n):
         bits = np.random.default_rng(n).integers(0, 2 ** 64, n, dtype=np.uint64)
         x = np.where(np.isnan(bits.view(np.float64)), 1.5, bits.view(np.float64))
-        assert json_array(x) == "[" + ", ".join(python_text(x, 16)) + "]"
-        assert [v.hex() for v in json.loads(json_array(x))] == [v.hex() for v in x.tolist()]
+        assert json_text(x) == "[" + ", ".join(python_text(x, 16)) + "]"
+        assert [v.hex() for v in json.loads(json_text(x))] == [v.hex() for v in x.tolist()]
         x[:4] = [np.nan, np.inf, -np.inf, -0.0]
-        text = json_array(x)
+        text = json_text(x)
         assert text.startswith("[NaN, Infinity, -Infinity, -0.0000000000000000e+00")
         back = json.loads(text)
         assert math.isnan(back[0])
         assert [v.hex() for v in back[1:]] == [v.hex() for v in x[1:].tolist()]
-        assert json_array(np.array([])) == "[]"
+        assert json_text(np.array([])) == "[]"
+
+    def test_one_call_formats_each_array_once(self):
+        # an array asked for at two precisions, and a second array at one
+        x = np.linspace(-3.0, 7.0, 301)
+        y = np.exp(x)
+        got = float_cells([(x, 9), (y, 9), (x, 16)])
+        assert [cell_text(c) for c in got] == [python_text(x, 9), python_text(y, 9),
+                                               python_text(x, 16)]
+
+
+def json_text(x):
+    return json_array(float_cells([(x, 16)])[0]).decode("ascii")
+
+
+@functools.cache
+def exact_exponent(v):
+    """e with 10^e <= |v| < 10^(e+1), exactly."""
+    f = abs(Fraction(v))
+    e = math.floor(math.log10(f))
+    e -= f < Fraction(10) ** e
+    e += f >= Fraction(10) ** (e + 1)
+    return e
+
+
+def tie_side(v, P, T):
+    """Where |v| lies against the rounding of its T + 1 digits D to P + 1
+    when D mod 10^(T-P) is exactly half a unit: -1 below the tie, 0 on it,
+    1 above; None for any other remainder."""
+    y = abs(Fraction(v)) * Fraction(10) ** (T - exact_exponent(v))
+    D, q = round(y), 10 ** (T - P)
+    if D % q != q // 2:
+        return None
+    return (y > D) - (y < D)
+
+
+@functools.cache
+def carries(v, P):
+    """Whether "%.{P}e" rounds |v| up to the next power of ten."""
+    return exact_exponent(v) < int((f"%.{P}e" % v).split("e")[1])
+
+
+class TestPrecisionPairs:
+    """Every precision P below the pass's top T is derived from the T + 1
+    digits of one pass; each pair must print as Python's % does."""
+
+    @pytest.mark.parametrize("T", range(2, 17))
+    def test_half_remainders(self, T):
+        # P + 2 significant digits ending in 5: the T + 1 digits end in
+        # exactly half a unit of the P + 1, and the double lies just below
+        # the tie, just above it or on it
+        for P in range(1, T):
+            rng = np.random.default_rng(100 * T + P)
+            x = [float(f"{n}5e{t}") for n, t in
+                 zip(rng.integers(10 ** P, 10 ** (P + 1), 150), rng.integers(-290, 270, 150))]
+            x = np.concatenate([x, exact_ties(P, rng, 20)[::10]])
+            sides = [tie_side(v, P, T) for v in x.tolist()]
+            assert {-1, 0, 1} <= set(sides), (P, T)
+            assert_pass_matches_python(x, (P, T))
+            assert_pass_matches_python(-x, (T, P))
+
+    @pytest.mark.parametrize("T", range(2, 17))
+    def test_carries_at_one_or_both_precisions(self, T):
+        # the doubles nearest powers of ten and their neighbours, and values
+        # just under 10^(P+1) units of the low precision P
+        powers = np.array([float(f"1e{n}") for n in range(-290, 291)])
+        for P in range(1, T):
+            near = [float((10 ** (P + 1) - Fraction(1, 4)) * Fraction(10) ** (n - P))
+                    for n in range(-270, 271, 9)]
+            x = np.concatenate([powers, np.nextafter(powers, 0.0), near])
+            low_only = [carries(v, P) and not carries(v, T) for v in x.tolist()]
+            both = [carries(v, P) and carries(v, T) for v in x.tolist()]
+            assert any(low_only) and any(both), (P, T)
+            assert_pass_matches_python(x, (P, T))
+            assert_pass_matches_python(-x, (P, T))
+
+    def test_zeros_subnormals_edges_and_non_finite(self):
+        tiny = np.random.default_rng(4).integers(1, 2 ** 52, 200, dtype=np.uint64)
+        values = np.random.default_rng(5).standard_normal(200) * 10.0 ** np.arange(-100, 100)
+        x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             1e-280, -1e-280, np.nextafter(1e-280, 0.0),
+                             np.nextafter(-1e-280, 0.0), 1e280, -1e280,
+                             np.nextafter(1e280, np.inf), np.nextafter(-1e280, -np.inf),
+                             np.inf, -np.inf, np.nan, -np.nan],
+                            tiny.view(np.float64), -tiny.view(np.float64), values, -values])
+        for T in range(2, 17):
+            for P in range(1, T):
+                assert_pass_matches_python(x, (P, T))

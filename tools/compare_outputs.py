@@ -12,7 +12,10 @@ output paths echoed in sidecars and manifests agree.
 Then every file is compared: CSVs and data files byte for byte, JSON
 sidecars and manifests as documents without their `wall_ms`, and each op's
 exit code.  A sidecar key that only NEW writes is listed as added, not as a
-difference; a key that NEW drops or a value that moves is a difference.  A
+difference; a key that NEW drops or a value that moves is a difference.
+Where two documents agree and NEW adds no key, their text must agree too,
+each `wall_ms` value blanked: spacing, key order or float text that parses
+back to the same document is reported as "text differs".  A
 CSV that differs but keeps its shape is reported by its moved cells and the
 largest absolute move among them.  Prints one line per difference, then
 `ops N files N differ N`, and exits 1 on any difference.
@@ -27,6 +30,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -79,6 +83,13 @@ def run_tree(src: Path, out: Path, seeds: list[int], rounds: int) -> None:
             f"    sys.exit('cardspline imported from ' + cardspline.__file__)\n"
             f"compare_outputs.run_rounds({seeds!r}, {rounds!r})\n")
     subprocess.run([sys.executable, "-c", code], cwd=out, env=env, check=True)
+
+
+_WALL_MS = re.compile(r'("wall_ms": )[^,}]+')
+
+
+def blank_wall_ms(text: str) -> str:
+    return _WALL_MS.sub(r"\1null", text)
 
 
 def without_wall_ms(doc):
@@ -150,10 +161,13 @@ def compare_trees(old: Path, new: Path) -> tuple[int, int, list[str], Counter]:
             diffs.append(f"{name}: only in {'old' if a.exists() else 'new'}")
         elif name.suffix == ".json":
             keys: list[str] = []
-            bad = compare_docs(without_wall_ms(json.loads(a.read_text())),
-                               without_wall_ms(json.loads(b.read_text())), "", keys)
+            text_a, text_b = a.read_text(), b.read_text()
+            bad = compare_docs(without_wall_ms(json.loads(text_a)),
+                               without_wall_ms(json.loads(text_b)), "", keys)
             if bad:
                 diffs.append(f"{name}: {bad}")
+            elif not keys and blank_wall_ms(text_a) != blank_wall_ms(text_b):
+                diffs.append(f"{name}: text differs")
             added.update(set(keys))
         elif a.read_bytes() != b.read_bytes():
             diffs.append(f"{name}: " + (csv_moves(a.read_text(), b.read_text())
