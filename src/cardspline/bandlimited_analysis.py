@@ -225,14 +225,21 @@ def _deviation_split(params: SplineParams, xi, s_tol: float, t_tol: float):
     gets fewer terms; the count returned is the order-2k one.
 
     Raises ToleranceUnreachableError at once when a tolerance is not positive
-    (NaN included).
+    (NaN included), and when S_2k^{!=0}'s tolerance t_tol (pi^2 + a^2)^{-2k}
+    / 4 underflows to 0, at large alpha and k (from k = 28 at alpha = 700).
     """
     if not (s_tol > 0 and t_tol > 0):
         raise ToleranceUnreachableError(
             f"lattice tolerances must be positive, got {s_tol:g} and {t_tol:g}")
     a, k = params.alpha, params.k
     e_pi = abs(eval_green_hat(params, np.pi))
-    M2k = _choose_shift_count(a, 2 * k, 0.25 * t_tol * e_pi * e_pi)
+    tol_2k = 0.25 * t_tol * e_pi * e_pi
+    if not tol_2k > 0:
+        raise ToleranceUnreachableError(
+            f"the replica power T at (alpha={a}, k={k}) cannot be certified: its "
+            f"lattice tolerance {t_tol:g} (pi^2 + alpha^2)^(-2k) / 4 underflows "
+            "double precision")
+    M2k = _choose_shift_count(a, 2 * k, tol_2k)
     M = max(M2k, _choose_shift_count(a, k, min(s_tol, 0.25 * t_tol) * e_pi))
     xi_a = np.atleast_1d(np.asarray(xi, dtype=float))
     xr = xi_a - _TWO_PI * np.round(xi_a / _TWO_PI)

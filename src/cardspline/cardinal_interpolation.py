@@ -48,6 +48,10 @@ _WINDOW_HORIZON = 4000
 # of float64: glibc serves larger blocks by mmap, and then page-faults every
 # temporary afresh (2.0 * x took 34 us at 16,000 entries, 206 us at 24,000)
 _GATHER_ELEMS = 2 ** 14
+# a synthesis block whose windows outnumber its points more than this many
+# times contracts only the points' windows: on grids of integer steps 3 to
+# 2J+1 the ddots of every window cost up to 3x the copies at (1, 10)
+_SPARSE = 2
 # |L_k(x)| e^{r x} is close to periodic, and its peaks can fall between the
 # steps of the envelope grid; on steps of 0.05 the amplitude was exceeded
 # by 0.1-0.2% near x = 2.5 without a margin
@@ -104,27 +108,16 @@ class FundamentalFunction:
         return self.cardinality_error < 1e-8
 
 
-def _row_layout(r: np.ndarray, heads: np.ndarray, width: int):
-    """(spread, rows) of the runs that start at the sorted points heads,
-    whose points lie r above their head: run g holds E_k(|x_0| - s) for
-    s = -J - spread[g] .. J, in that order, at rows[g] .. rows[g + 1] - 1
-    of the runs' rows laid end to end."""
-    spread = r[np.append(heads, len(r))[1:] - 1]
-    rows = np.zeros(len(heads) + 1, dtype=np.int64)
-    np.cumsum(width + spread, out=rows[1:])
-    return spread, rows
-
-
-def _kernel_arguments(base: np.ndarray, shift: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """base_g - s for s = -shift_g .. lens_g - 1 - shift_g, run after run:
-    each argument rounded once from an exact integer shift.  Formed in
-    place, and returned alone, so that only the arguments outlive the call
-    while eval_green runs."""
-    s = np.arange(int(lens.sum()))
-    s -= np.repeat(shift, lens)
-    arg = np.repeat(base, lens)
-    arg -= s
-    return arg
+def _runs(a: np.ndarray, start: np.ndarray):
+    """(bounds, spread) of the runs that start where start is True in the
+    sorted points a: run g holds a[bounds[g]:bounds[g + 1]], and its points
+    lie up to spread[g] above its first, an exact integer (0 for a run of
+    one point, NaN and infinite points included)."""
+    bounds = np.flatnonzero(np.append(start, True))
+    multi = np.flatnonzero(np.diff(bounds) > 1)
+    spread = np.zeros(len(bounds) - 1, dtype=np.int64)
+    spread[multi] = a[bounds[multi + 1] - 1] - a[bounds[multi]]
+    return bounds, spread
 
 
 def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
@@ -148,61 +141,97 @@ def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
     one per kernel value of a per-point synthesis.  NaN and infinite points
     run alone and keep their NaN rows.
 
-    The rows are built and contracted a block at a time: consecutive runs
-    whose rows hold at most _GATHER_ELEMS kernel values together, so that no
-    array of a block outgrows the budget.  A run whose row would hold more
-    is cut at multiples of the budget, as any point of a run can serve as
-    its base; only a row width above the budget makes a longer block.  Each
-    row is contracted with c in its own BLAS ddot, so a value depends on x
-    alone, not on the block it comes in.
+    The rows are built and contracted a block at a time.  A block takes runs
+    in order of their spread and pads each row to the block's longest, so
+    that its rows form one (runs x row length) matrix: at most _GATHER_ELEMS
+    kernel values, of which at most _GATHER_ELEMS // 8 are padding.  A run
+    whose row would outgrow the budget is cut at multiples of it, as any
+    point of a run can serve as its base; only a row width above the budget
+    makes a longer block.  The windows are a strided view of the matrix,
+    (runs x (longest spread + 1) x 2J+1), and a point's window is the one at
+    (its run, spread - r).  Where the points take at least 1/_SPARSE of the
+    windows, one np.vecdot contracts them all with c, each read in place;
+    otherwise the points' windows are copied out and contracted, as gaps and
+    padding would cost more ddots than the copies.  Either way each value is
+    its own BLAS ddot of the same doubles, so it depends on x alone, not on
+    the block it comes in.
+
+    Beside the values, the whole-grid arrays are |x| sorted and its sort
+    order, each run's bounds and spread and the runs' order by spread (and a
+    mask of run starts while the runs are formed); the rest is per block.
     """
     xs = np.asarray(x, dtype=float).ravel()
     c = L.table.coeffs
     J, width = L.table.half_width, len(c)
-    ax = np.abs(xs)
+    a = np.abs(xs)
     with np.errstate(invalid="ignore"):     # inf - inf: NaN runs alone
-        t = ax - np.floor(ax)
-        order = np.lexsort((ax, t))
-        a, t = ax[order], t[order]
-        start = np.ones(len(a), dtype=bool)
-        start[1:] = (t[1:] != t[:-1]) | (a[1:] - a[:-1] > width)
-        run = np.cumsum(start) - 1
-        heads = np.flatnonzero(start)
-        r = a - a[heads][run]
-    r[heads] = 0.0
-    r = r.astype(np.int64)
-    spread, rows = _row_layout(r, heads, width)
-    if rows[-1] > _GATHER_ELEMS and spread.max() > _GATHER_ELEMS - width:
-        # a row above the budget is cut at its multiples: any point of a
-        # run can serve as its base
-        start[1:] |= np.diff(r // (max(_GATHER_ELEMS - width, 0) + 1)) != 0
-        run = np.cumsum(start) - 1
-        heads = np.flatnonzero(start)
-        r -= r[heads][run]
-        spread, rows = _row_layout(r, heads, width)
-    base = a[heads]
-    step = max(1, _GATHER_ELEMS // width)
-    vals = np.empty(len(a))
-    g = 0
-    while g < len(heads):
-        h = len(heads)
-        if rows[h] - rows[g] > _GATHER_ELEMS:
-            h = max(g + 1, int(np.searchsorted(rows, rows[g] + _GATHER_ELEMS, "right")) - 1)
-        # runs g..h-1, their rows from row0 on in E
-        row0 = rows[g:h] - rows[g]
-        E = eval_green(L.kernel, _kernel_arguments(base[g:h], row0 + J + spread[g:h],
-                                                   width + spread[g:h]))
-        windows = np.lib.stride_tricks.as_strided(E, (len(E) - width + 1, width),
-                                                  E.strides * 2, writeable=False)
-        first, last = heads[g], heads[h] if h < len(heads) else len(a)
-        at = (row0 + spread[g:h])[run[first:last] - g] - r[first:last]
-        for p in range(first, last, step):
-            q = min(p + step, last)
-            np.vecdot(windows[at[p - first:q - first]], c, out=vals[p:q])
-        g = h
-    vals *= _INV_SQRT_2PI
+        t = np.floor(a)
+        np.subtract(a, t, out=t)
+        order = np.lexsort((a, t))
+        a = a[order]
+        t = t[order]
+        start = np.empty(len(a), dtype=bool)
+        start[:1] = True
+        np.not_equal(t[1:], t[:-1], out=start[1:])
+        del t
+        start[1:] |= np.diff(a) > width
+    bounds, spread = _runs(a, start)
+    cap = max(_GATHER_ELEMS - width, 0)
+    if len(a) and spread.max() > cap:
+        # a row above the budget is cut at its multiples: any point of a run
+        # can serve as its base
+        with np.errstate(invalid="ignore"):
+            piece = (a - np.repeat(a[bounds[:-1]], np.diff(bounds))) // (cap + 1)
+        start[1:] |= piece[1:] != piece[:-1]
+        del piece
+        bounds, spread = _runs(a, start)
+    del start
+    # the runs in order of their spread
+    by = np.argsort(spread, kind="stable")
+    spread = spread[by]
     out = np.empty(len(a))
-    out[order] = vals
+    step = max(1, _GATHER_ELEMS // width)
+    g = 0
+    while g < len(spread):
+        # runs g..h-1: the most whose rows, padded to the longest, hold at
+        # most _GATHER_ELEMS kernel values, _GATHER_ELEMS // 8 of them padding
+        sp = spread[g:g + step]
+        runs = np.arange(1, len(sp) + 1)
+        fits = runs * (width + sp) <= _GATHER_ELEMS
+        fits &= runs * sp - np.cumsum(sp) <= _GATHER_ELEMS // 8
+        h = g + max(1, int(np.count_nonzero(fits)))
+        sel = by[g:h]
+        sp, S = sp[:h - g], int(sp[h - g - 1])
+        first, n = bounds[sel], bounds[sel + 1] - bounds[sel]
+        base = a[first]
+        # row i of the block: E_k(base_i - s) for s = -J - sp_i .. S + J - sp_i
+        arg = np.arange(width + S, dtype=float) - (J + sp)[:, None]
+        np.subtract(base[:, None], arg, out=arg)
+        E = eval_green(L.kernel, arg)
+        windows = np.lib.stride_tricks.as_strided(
+            E, (h - g, S + 1, width), E.strides + E.strides[1:], writeable=False)
+        # each point of the block, in sorted order, and its window (run, sp - r)
+        lead = np.cumsum(n) - n
+        pts = np.repeat(first - lead, n)
+        pts += np.arange(len(pts))
+        with np.errstate(invalid="ignore"):
+            r = a[pts] - np.repeat(base, n)
+        r[lead] = 0.0
+        run = np.repeat(np.arange(h - g), n)
+        at = np.repeat(sp, n)
+        at -= r.astype(np.int64)
+        if _SPARSE * len(pts) < (h - g) * (S + 1):
+            # most windows lie in gaps or padding: contract only the points'
+            # windows, copied out _GATHER_ELEMS values at a time
+            vals = np.empty(len(pts))
+            for p in range(0, len(pts), step):
+                q = p + step
+                np.vecdot(windows[run[p:q], at[p:q]], c, out=vals[p:q])
+        else:
+            vals = np.vecdot(windows, c)[run, at]
+        vals *= _INV_SQRT_2PI
+        out[order[pts]] = vals
+        g = h
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 

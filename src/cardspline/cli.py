@@ -45,9 +45,18 @@ from .greens_kernel import SplineParams
 from .spectral_symbol import _check_tol, compute_coefficients
 
 _GRID_RE = re.compile(r"^[^:]+:[^:]+:\d+$")
+# the memory a run may plan for, and each grid command's peak bytes per
+# grid point (tracemalloc at 300k points, rounded up): a grid is refused where
+# its run would peak above _GRID_BYTES, about 17M points for eval-L and
+# interp and 10M for reproduce
+_GRID_BYTES = 2 ** 33
+_BYTES_PER_POINT = {"eval-L": 500, "interp": 500, "reproduce": 830}
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str, command: str) -> np.ndarray:
+    """The points of `start:stop:count`, endpoints included; a count whose
+    run would peak above _GRID_BYTES is refused before anything is
+    allocated."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise DataFormatError(f"grid must be start:stop:count, got {spec!r}")
@@ -57,11 +66,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DataFormatError(f"bad grid {spec!r}") from exc
     if count < 2:
         raise DataFormatError(f"grid count must be >= 2, got {count}")
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            grid = np.linspace(start, stop, count)
-    except (ValueError, MemoryError) as exc:   # a count numpy cannot size or allocate
-        raise DataFormatError(f"grid count {count} is too large") from exc
+    if count > _GRID_BYTES // _BYTES_PER_POINT[command]:
+        raise DataFormatError(f"grid count {count} is too large")
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = np.linspace(start, stop, count)
     if not np.all(np.isfinite(grid)):
         raise DataFormatError(f"grid points must be finite, got {spec!r}")
     return grid
@@ -187,7 +195,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_eval_L(args) -> int:
     params, tol = _single_order(args)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, args.command)
     t0 = time.perf_counter()
     L = build_fundamental(params, tol)
     vals = np.asarray(eval_fundamental(L, grid))
@@ -200,7 +208,7 @@ def cmd_eval_L(args) -> int:
 
 def cmd_interp(args) -> int:
     params, tol = _single_order(args)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, args.command)
     data = sequence_from_csv(args.data)
     t0 = time.perf_counter()
     L = build_fundamental(params, tol)
@@ -214,7 +222,7 @@ def cmd_interp(args) -> int:
 
 def cmd_reproduce(args) -> int:
     params, gate_tol = _single_order(args)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, args.command)
     _, power, _ = _basis_rule(args.basis, params.alpha)
     if power >= params.k:
         raise ParameterDomainError(

@@ -51,10 +51,10 @@ _TWO_PI = 2.0 * math.pi
 # Euler-Maclaurin corrected, kept as a defensive guard.
 _M_CAP = 10 ** 7
 
-# decimal digits for beta and the roots of its symbol: 120, doubled up to
+# decimal digits for beta and the roots of its symbol: 60, doubled up to
 # _MAX_DIGITS until beta(k-1), the smallest, keeps _KEPT_DIGITS of them
 # through the cancellation of its sum (it does not at (0.05, 22))
-_DIGITS = 120
+_DIGITS = 60
 _KEPT_DIGITS = 20
 _MAX_DIGITS = 960
 _ROOT_TOL = Decimal("1e-40")
@@ -390,15 +390,12 @@ def _cascade(x: list, roots: list, n: int) -> list:
     """
     y = x + [0.0] * (n + 1 - len(x))
     for lam in roots:
-        u0 = 0.0
+        acc = 0.0
         for v in reversed(y):
-            u0 = u0 * lam + v
-        u = [u0]
-        for v in y[1:]:
-            u.append(v + lam * u[-1])
-        y = [u[-1] / (1.0 - lam * lam)]
-        for v in reversed(u[:-1]):
-            y.append(v + lam * y[-1])
+            acc = acc * lam + v
+        u = [acc] + [acc := v + lam * acc for v in y[1:]]
+        acc /= 1.0 - lam * lam
+        y = [acc] + [acc := v + lam * acc for v in reversed(u[:-1])]
         y.reverse()
     return y
 

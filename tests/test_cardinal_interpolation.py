@@ -387,6 +387,71 @@ class TestSharedKernelRows:
             assert_bitwise(got, eval_fundamental_direct(L, xs))
         assert np.all(np.isnan(got[6:9])) and np.isnan(got[10])
 
+    @pytest.mark.parametrize("alpha,k", [(1.0, 3), (1.0, 10)])
+    def test_gaps_repeats_and_signs_bitwise(self, alpha, k):
+        # gaps inside a run (each narrower than a row), repeated points,
+        # both signs of a point, signed zeros, NaN and inf
+        L = L_of(alpha, k)
+        xs = 0.25 + np.array([0.0, 1.0, 3.0, 7.0, 8.0, 20.0, 50.0, 51.0])
+        xs = np.concatenate([xs, -xs, xs[:3], [0.0, -0.0, np.nan, np.inf, -np.inf, 0.25]])
+        with np.errstate(invalid="ignore"):
+            got = eval_fundamental(L, xs)
+            assert_bitwise(got, eval_fundamental_direct(L, xs))
+
+    @pytest.mark.parametrize("runs", [
+        # spread 0, 1, 5, 12 and 30 (the last with gaps): a sparse block
+        [(0.125, 1, 1), (0.25, 2, 1), (0.375, 6, 1), (0.5, 13, 1), (0.625, 11, 3)],
+        # spread 24, 27 and 30, no gaps: a dense block
+        [(0.125, 25, 1), (0.25, 28, 1), (0.375, 31, 1)]])
+    def test_unequal_spreads_share_one_padded_block(self, kernel_points, runs):
+        # the runs (offset, points, step) pad their rows to the longest: one
+        # kernel pass
+        L = L_of(1.0, 6)
+        width = len(L.table.coeffs)
+        xs = np.concatenate([t + np.arange(0.0, n * step, step) for t, n, step in runs])
+        del kernel_points[:]    # the build's own pass
+        got = eval_fundamental(L, xs)
+        assert kernel_points == [len(runs) * (width + 30)]
+        assert_bitwise(got, eval_fundamental_direct(L, xs))
+
+    @pytest.mark.parametrize("alpha,k", [(1.0, 3), (1.0, 10)])
+    def test_dense_and_sparse_runs_bitwise(self, monkeypatch, alpha, k):
+        # runs whose points lie 1 .. 2J+1 apart: dense blocks contract every
+        # window of the strided view (3-D), sparse ones only the points'
+        # windows, copied out (2-D); both give each value its own ddot
+        L = L_of(alpha, k)
+        width = len(L.table.coeffs)
+        shapes = []
+        vecdot = np.vecdot
+
+        def spy(x, *args, **kwargs):
+            shapes.append(x.ndim)
+            return vecdot(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "vecdot", spy)
+        for gap in (1, 2, 3, 9, width // 2, width):
+            del shapes[:]
+            xs = 0.25 + gap * (np.arange(2001.0) - 1000)
+            got = eval_fundamental(L, xs)
+            if gap != 2:
+                assert set(shapes) == ({3} if gap == 1 else {2})
+            assert_bitwise(got, eval_fundamental_direct(L, xs))
+
+    def test_memory_per_point(self):
+        # beside the values, |x| sorted and its sort order, and each run's
+        # bounds, spread and place in spread order: every offset is distinct,
+        # so every point is a run of its own
+        L = L_of(1.0, 3)
+        xs = np.linspace(-20.27, 19.73, 300_000)
+        eval_fundamental(L, xs[:1000])
+        tracemalloc.start()
+        try:
+            eval_fundamental(L, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * len(xs)
+
     def test_empty_and_scalar(self):
         L = L_of(1.0, 3)
         got = eval_fundamental(L, np.array([]))

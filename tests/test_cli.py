@@ -424,6 +424,22 @@ class TestConverge:
                    "-o", str(tmp_path / "conv.csv")])
         assert rc == 3
 
+    def test_replica_power_underflow_refused(self, tmp_path, capsys):
+        # T's lattice tolerance t_tol (pi^2 + alpha^2)^(-2k) / 4 underflows
+        # from k = 28 at alpha = 700: a typed refusal (exit 3), not a
+        # traceback (exit 1)
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--alpha", "700", "--k", "1..30", "--target", "sinc",
+                     "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cardspline: error: the replica power T at (alpha=700.0, "
+                              "k=28) cannot be certified")
+        assert err.count("\n") == 1 and "underflows double precision" in err
+        assert list(tmp_path.iterdir()) == []
+        for k, code in ((27, 0), (28, 3), (30, 3)):
+            assert main(["converge", "--alpha", "700", "--k", str(k), "--target",
+                         "half-band", "-o", str(out)]) == code
+
     def test_json_only_format(self, tmp_path):
         out = tmp_path / "conv.csv"
         rc = main(["converge", "--alpha", "1", "--k", "1..2", "--target",
@@ -491,18 +507,39 @@ class TestDomainRefusals:
 
 
     def test_unallocatable_grid_count_exit_2(self, tmp_path, capsys, monkeypatch):
-        # numpy cannot allocate 10^12 points; the test stands in for the
-        # allocation rather than attempt it
-        def no_memory(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.28 TiB")
+        # 10^12 points lie above the grid cap, which refuses them before
+        # numpy allocates anything
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
 
-        monkeypatch.setattr(np, "linspace", no_memory)
+        monkeypatch.setattr(np, "linspace", no_grid)
         out = tmp_path / "x.csv"
         assert main(["eval-L", "--alpha", "1", "--k", "2", "--grid", "0:1:1000000000000",
                      "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "cardspline: error: grid count 1000000000000 is too large\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-L", "--alpha", "1", "--k", "3"],
+        ["interp", "--alpha", "1", "--k", "3", "--data", "{data}"],
+        ["reproduce", "--alpha", "0.25", "--k", "3", "--basis", "cosh"]])
+    def test_grid_cap(self, tmp_path, capsys, monkeypatch, argv):
+        # one point above the cap is refused before the grid is formed; the
+        # cap itself is accepted
+        from cardspline import cli
+        data = tmp_path / "b.csv"
+        data.write_text("j,b_j\n0,1.0\n1,2.0\n")
+        argv = [a.format(data=data) for a in argv]
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(cli, "_GRID_BYTES", 100 * cli._BYTES_PER_POINT[argv[0]] + 99)
+        with monkeypatch.context() as m:
+            m.setattr(np, "linspace", lambda *a, **k: pytest.fail("the grid was allocated"))
+            assert main(argv + ["--grid", "-2:2:101", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "cardspline: error: grid count 101 is too large\n"
+        assert list(tmp_path.iterdir()) == [data]
+        assert main(argv + ["--grid", "-2:2:100", "-o", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 100
 
     @pytest.mark.parametrize("argv,data", [
         (["interp", "--grid", "1e19:2e19:2"], "j,b_j\n0,1.0\n1,2.0\n"),

@@ -94,3 +94,16 @@ def test_document_text(tmp_path):
     assert files == 5
     assert diffs == ["b.json: text differs", "c.json: text differs", "d.json: text differs"]
     assert added == {"data.w": 1}
+
+
+def test_long_grid_ops(tmp_path, monkeypatch):
+    # run once per tree after the seeded rounds, on grids of thousands of
+    # points
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.chdir(tmp_path)
+    compare_outputs.run_rounds([], 0)
+    codes = json.loads((tmp_path / "exit_codes.json").read_text())
+    names = [f"long/op{i}_{argv[0]}.csv" for i, argv in enumerate(compare_outputs.LONG_OPS)]
+    assert codes == dict.fromkeys(names, 0)
+    rows = [len((tmp_path / name).read_text().splitlines()) - 1 for name in names]
+    assert rows == [100_001, 20_001, 5_001, 8]

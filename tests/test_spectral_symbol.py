@@ -301,8 +301,8 @@ class TestTableAgainstMpmath:
     @pytest.mark.parametrize("alpha,k", [(0.05, 22), (0.05, 30), (0.25, 28), (1.0, 30),
                                          (6.0, 30), (50.0, 30)])
     def test_high_orders_resolve_at_once(self, alpha, k):
-        # beta(k - 1) needs more than 120 digits at (0.05, 22) and (0.05, 30);
-        # np.roots in double gives complex pairs at (0.25, 28)
+        # beta(k - 1) needs more than the starting 60 digits at (0.05, 22)
+        # and (0.05, 30); np.roots in double gives complex pairs at (0.25, 28)
         t0 = time.perf_counter()
         t = compute_coefficients(SplineParams(alpha, k), 1e-10)
         assert time.perf_counter() - t0 < 1.0

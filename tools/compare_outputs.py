@@ -5,9 +5,10 @@
 OLD_SRC and NEW_SRC are checkouts, or their `src` directories.  For each
 tree one subprocess imports that tree's `cardspline` and runs, for every
 seed and every workload, the given number of rounds of the op mix that
-`bench/workloads.py` draws (the module is imported, not changed).  Both
-subprocesses write under the same relative paths, so the data CSV and
-output paths echoed in sidecars and manifests agree.
+`bench/workloads.py` draws (the module is imported, not changed), and then
+the fixed long-grid ops of `LONG_OPS`.  Both subprocesses write under the
+same relative paths, so the data CSV and output paths echoed in sidecars
+and manifests agree.
 
 Then every file is compared: CSVs and data files byte for byte, JSON
 sidecars and manifests as documents without their `wall_ms`, and each op's
@@ -39,11 +40,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CODES = "exit_codes.json"
+# one op of each command on a long grid (the interp data is drawn by
+# bench/workloads.py from a fixed seed), run once per tree in `long/`
+LONG_OPS = (
+    ["eval-L", "--alpha", "1", "--k", "10", "--grid", "-50.03:49.97:100001"],
+    ["interp", "--alpha", "1", "--k", "3", "--tol", "1e-9", "--data", "long/data.csv",
+     "--grid", "-30.15:29.85:20001"],
+    ["reproduce", "--alpha", "0.25", "--k", "3", "--basis", "xexp+",
+     "--grid", "-5.3127:5.3127:5001"],
+    ["converge", "--alpha", "1", "--k", "1..8", "--target", "sinc"],
+)
+
+
+def run_op(cli, argv: list[str]) -> int | str:
+    """The exit code of one op, or the type and message of an untyped
+    exception."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except Exception as exc:   # noqa: BLE001 - compared, not raised
+            return f"untyped {type(exc).__name__}: {exc}"
 
 
 def run_rounds(seeds: list[int], rounds: int) -> None:
-    """Run the seeded rounds in the current directory with the cardspline on
-    sys.path, and record each op's exit code."""
+    """Run the seeded rounds and the long-grid ops in the current directory
+    with the cardspline on sys.path, and record each op's exit code."""
+    import numpy as np
     import workloads
     from cardspline import cli
 
@@ -56,12 +78,13 @@ def run_rounds(seeds: list[int], rounds: int) -> None:
             for r in range(rounds):
                 for i, op in enumerate(mix.next_round()):
                     out = work / f"r{r}_op{i:02d}.csv"
-                    with contextlib.redirect_stderr(io.StringIO()):
-                        try:
-                            rc = cli.main(op.argv + ["-o", str(out)])
-                        except Exception as exc:   # noqa: BLE001 - compared, not raised
-                            rc = f"untyped {type(exc).__name__}: {exc}"
-                    codes[str(out)] = rc
+                    codes[str(out)] = run_op(cli, op.argv + ["-o", str(out)])
+    work = Path("long")
+    work.mkdir()
+    workloads.write_data(np.random.default_rng(0), work / "data.csv")
+    for i, argv in enumerate(LONG_OPS):
+        out = work / f"op{i}_{argv[0]}.csv"
+        codes[str(out)] = run_op(cli, argv + ["-o", str(out)])
     Path(CODES).write_text(json.dumps(codes, sort_keys=True))
 
 
