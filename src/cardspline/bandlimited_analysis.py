@@ -189,11 +189,10 @@ def target_gallery(name: str) -> BandlimitedTarget:
 
 
 def _sample_sequence(target: BandlimitedTarget, vals: np.ndarray) -> DataSequence:
-    """The integer samples g(-J..J), given by their values, as a finite table."""
+    """The integer samples g(-J..J), given by their float values, as a finite table."""
     J = len(vals) // 2
-    table = {j: float(v) for j, v in zip(range(-J, J + 1), vals.tolist())}
     amp = max(1.0, float(np.max(np.abs(vals))))
-    return DataSequence(name=f"{target.name}-samples", table=table,
+    return DataSequence(name=f"{target.name}-samples", table=(np.arange(-J, J + 1), vals),
                         growth=GrowthModel(beta=0.0, amplitude=amp),
                         zero_fill=True)
 
@@ -388,10 +387,10 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
     Each order's sup error is taken on the sup-error grid from the integer
     samples |j| <= ceil(W) + J + 2, J its window at the grid's edge.  What
     the orders share is computed once per sweep: the target's values on the
-    grid, its integer samples out to the widest order's window (each order
-    takes its slice, bit for bit the values it would sample alone, since
-    time_eval does not depend on the batch), and the Gauss panel levels of
-    the error integrals; the target keeps its l2_norm_sq.
+    grid, one table of its integer samples out to the widest order's window
+    (each window lies inside it, every entry stored, so each order sums what
+    it would sum alone), and the Gauss panel levels of the error integrals;
+    the target keeps its l2_norm_sq.
     """
     Ls = list(fundamentals)
     if not Ls:
@@ -399,15 +398,14 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
     xs = np.linspace(-_SUP_HALF_WIDTH, _SUP_HALF_WIDTH, _SUP_POINTS)
     wins = [_solve_window(L, round(_SUP_HALF_WIDTH), GrowthModel(), _SUP_TOL,
                           clip_to_knee=True) for L in Ls]
-    half = [math.ceil(_SUP_HALF_WIDTH) + J + 2 for J in wins]
-    top = max(half)
-    samples = np.asarray(target.time_eval(np.arange(-top, top + 1.0)))
+    top = math.ceil(_SUP_HALF_WIDTH) + max(wins) + 2
+    data = _sample_sequence(target, np.asarray(target.time_eval(np.arange(-top, top + 1.0))))
     g = target.time_eval(xs)
     levels = _gauss_levels(target)
     reports = []
-    for L, J, h in zip(Ls, wins, half):
+    for L, J in zip(Ls, wins):
         exact, s2, quad_res, ell = _error_integrals(L.params, target, tol, levels)
-        sup = sup_error_grid(L, _sample_sequence(target, samples[top - h:top + h + 1]), xs, g)
+        sup = sup_error_grid(L, data, xs, g)
         reports.append(ErrorReport(params=L.params, target=target.name,
                                    l2_error=math.sqrt(max(exact, 0.0)),
                                    l2_bound=math.sqrt(max(2.0 * s2, 0.0)),

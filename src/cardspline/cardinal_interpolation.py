@@ -120,6 +120,12 @@ def _runs(a: np.ndarray, start: np.ndarray):
     return bounds, spread
 
 
+def _windows(a: np.ndarray, w: int) -> np.ndarray:
+    """The read-only view whose [..., i, :] is a[..., i:i + w]."""
+    return np.lib.stride_tricks.as_strided(a, a.shape[:-1] + (a.shape[-1] - w + 1, w),
+                                           a.strides + a.strides[-1:], writeable=False)
+
+
 def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
     """L_k(x) = (2 pi)^{-1/2} sum_{|j| <= J} c_j E_k(x - j).
 
@@ -208,8 +214,7 @@ def eval_fundamental(L: FundamentalFunction, x) -> float | np.ndarray:
         arg = np.arange(width + S, dtype=float) - (J + sp)[:, None]
         np.subtract(base[:, None], arg, out=arg)
         E = eval_green(L.kernel, arg)
-        windows = np.lib.stride_tricks.as_strided(
-            E, (h - g, S + 1, width), E.strides + E.strides[1:], writeable=False)
+        windows = _windows(E, width)
         # each point of the block, in sorted order, and its window (run, sp - r)
         lead = np.cumsum(n) - n
         pts = np.repeat(first - lead, n)
@@ -254,23 +259,21 @@ def build_fundamental(params: SplineParams, tol: float = 1e-10) -> FundamentalFu
     L = FundamentalFunction(kernel, compute_coefficients(params, table_tol))
     env_xs = np.empty(0) if L.compact else np.arange(2.0, 15.0, 1 / 32)
     js = np.arange(-20, 21)
-    env_vals, card_vals = np.split(eval_fundamental(L, np.concatenate([env_xs, js])),
-                                   [len(env_xs)])
-    amp = None
-    if not L.compact:
-        # in logs: e^{r x} overflows on the grid once r > 47
-        with np.errstate(divide="ignore"):
-            amp = _ENV_MARGIN * math.exp(np.max(np.log(np.abs(env_vals))
-                                                + L.env_rate * env_xs))
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        env_vals, card_vals = np.split(eval_fundamental(L, np.concatenate([env_xs, js])),
+                                       [len(env_xs)])
     card_err = float(np.max(np.abs(card_vals - (js == 0))))
     # the synthesis rounds each product c_j E(x-j) at eps * |term|, so for
     # extreme (alpha, k) the delta property cannot reach 1e-8 in double
     # precision; record the residual and flag instead of refusing, and only
-    # reject outright garbage
-    if card_err > 1e-4:
+    # reject outright garbage, and the NaN of products that overflow
+    if not card_err <= 1e-4:
         raise ParameterDomainError(
             f"cardinality check failed: max |L(j) - delta| = {card_err:.3e}")
+    # in logs: e^{r x} overflows on the grid once r > 47
+    with np.errstate(divide="ignore"):
+        amp = None if L.compact else _ENV_MARGIN * math.exp(
+            np.max(np.log(np.abs(env_vals)) + L.env_rate * env_xs))
     return replace(L, env_amplitude=amp, cardinality_error=card_err)
 
 
@@ -301,21 +304,22 @@ class GrowthModel:
 class DataSequence:
     """Lattice data b_j, backed by a finite table or a generator rule.
 
-    Finite tables default to zero outside their support (finitely supported
-    sequence semantics); strict tables raise MissingDataError instead.
+    A finite table, (indices, values) with int64 indices ascending and
+    unique, defaults to zero outside its support (finitely supported
+    sequence semantics); a strict table raises MissingDataError instead.
     """
 
     name: str
     growth: GrowthModel
-    table: Optional[dict] = None
+    table: Optional[tuple[np.ndarray, np.ndarray]] = None
     rule: Optional[Callable] = None
     zero_fill: bool = True
 
-    def values(self, js: np.ndarray) -> np.ndarray:
-        """b_j at each index of js, in any order and with repeats; a strict
-        table raises MissingDataError at the first absent index, and a rule
-        ParameterDomainError at the first index where its value overflows
-        double precision."""
+    def samples(self, js) -> tuple[np.ndarray, np.ndarray]:
+        """(b, stored): b_j at each index of js, in any order and with
+        repeats, zero where a table stores none, and the mask of stored
+        indices (all True for a rule).  A rule raises ParameterDomainError
+        at the first index where its value overflows double precision."""
         if self.rule is not None:
             js = np.asarray(js, dtype=float)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -324,30 +328,24 @@ class DataSequence:
                 raise ParameterDomainError(
                     f"sequence {self.name!r} overflows double precision at "
                     f"{js[np.argmin(np.isfinite(b))]:g}")
-            return b
-        b, present = _gather_samples(self, js)
-        if not (self.zero_fill or present.all()):
-            j = int(np.asarray(js)[np.argmin(present)])
+            return b, np.ones(len(b), dtype=bool)
+        keys, vals = self.table
+        js = np.asarray(js).astype(np.int64)
+        pos = np.searchsorted(keys, js)
+        stored = pos < len(keys)
+        stored[stored] = keys[pos[stored]] == js[stored]
+        b = np.zeros(len(js))
+        b[stored] = vals[pos[stored]]
+        return b, stored
+
+    def values(self, js: np.ndarray) -> np.ndarray:
+        """b_j at each index of js, as samples gives them; a strict table
+        raises MissingDataError at the first absent index."""
+        b, stored = self.samples(js)
+        if not (self.zero_fill or stored.all()):
+            j = int(np.asarray(js)[np.argmin(stored)])
             raise MissingDataError(f"no sample at index {j} in sequence {self.name!r}")
         return b
-
-
-def _gather_samples(data: DataSequence, js):
-    """b_j at the indices js as one array, zero where a table stores none,
-    with the mask of stored indices (all True for generator rules)."""
-    if data.rule is not None:
-        return data.values(js), np.ones(len(js), dtype=bool)
-    js = np.asarray(js).astype(np.int64)
-    keys = np.fromiter(data.table, dtype=np.int64, count=len(data.table))
-    vals = np.fromiter(data.table.values(), dtype=float, count=len(data.table))
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    pos = np.searchsorted(keys, js)
-    present = pos < len(keys)
-    present[present] = keys[pos[present]] == js[present]
-    b = np.zeros(len(js))
-    b[present] = vals[pos[present]]
-    return b, present
 
 
 def sequence_from_table(values: dict, zero_fill: bool = True,
@@ -363,12 +361,12 @@ def sequence_from_table(values: dict, zero_fill: bool = True,
             raise DataFormatError(f"{name}: non-integer index {j!r}")
         if not -2 ** 63 <= jj < 2 ** 63:
             raise DataFormatError(f"{name}: index {j!r} lies outside the int64 range")
-        if jj in table:
-            raise DataFormatError(f"{name}: duplicate index {jj}")
         table[jj] = bb
-    amp = max((abs(b) for b in table.values()), default=1.0)
-    return DataSequence(name=name, growth=GrowthModel(amplitude=max(amp, 1.0)),
-                        table=table, zero_fill=zero_fill)
+    keys = np.array(sorted(table), dtype=np.int64)
+    vals = np.array([table[j] for j in keys.tolist()], dtype=float)
+    amp = float(np.max(np.abs(vals), initial=1.0))
+    return DataSequence(name=name, growth=GrowthModel(amplitude=amp),
+                        table=(keys, vals), zero_fill=zero_fill)
 
 
 def sequence_from_csv(path) -> DataSequence:
@@ -612,7 +610,7 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     js = np.concatenate([np.arange(a - Jmax, z + Jmax + 1)
                          for a, z in zip(cu[starts], cu[ends])])
     first = np.searchsorted(js, ms - Js)
-    b, present = _gather_samples(data, js)
+    b, present = data.samples(js)
     # stored indices per window: zero-filled tables sum over these only
     width = 2 * Js + 1
     stored = np.concatenate([[0], np.cumsum(present)])
@@ -652,8 +650,8 @@ def _contract(Lv, rows, lead, b, present, first, width, kept) -> np.ndarray:
     keeps fewer than width of them.
 
     Each point is its own BLAS ddot, as np.dot gives it: the points with
-    one width and kept count are gathered into contiguous (m, kept) arrays,
-    kept entries in window order, and contracted row by row with np.vecdot.
+    one width and kept count take their windows as rows of _windows views,
+    kept entries in window order, contracted row by row with np.vecdot.
     """
     key = width * (int(np.max(width)) + 1) + kept
     by = np.argsort(key, kind="stable")
@@ -662,11 +660,9 @@ def _contract(Lv, rows, lead, b, present, first, width, kept) -> np.ndarray:
     for a, z in zip(heads.tolist(), np.append(heads[1:], len(by)).tolist()):
         sel = by[a:z]
         w, n = int(width[sel[0]]), int(kept[sel[0]])
-        span = np.arange(w)
-        win = first[sel, None] + span
-        B, Lw = b[win], Lv[rows[sel, None], lead[sel, None] + span]
+        B, Lw = _windows(b, w)[first[sel]], _windows(Lv, w)[rows[sel], lead[sel]]
         if n < w:
-            keep = present[win]
+            keep = _windows(present, w)[first[sel]]
             B, Lw = B[keep].reshape(len(sel), n), Lw[keep].reshape(len(sel), n)
         out[sel] = np.vecdot(B, Lw)
     return out

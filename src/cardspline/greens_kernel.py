@@ -116,8 +116,12 @@ def build_green_kernel(params: SplineParams) -> GreenKernel:
     a, k = params.alpha, params.k
     q = _rational_poly(k)
     sign = -1.0 if k % 2 else 1.0
-    coeffs = np.array([sign * _SQRT_PI_OVER_2 * float(qi) * a ** (-(2 * k - 1 - i))
-                       for i, qi in enumerate(q)])
+    try:
+        coeffs = np.array([sign * _SQRT_PI_OVER_2 * float(qi) * a ** (-(2 * k - 1 - i))
+                           for i, qi in enumerate(q)])
+    except OverflowError:
+        raise ParameterDomainError(f"alpha={a:g} is too small for k={k}: the kernel's "
+                                   f"alpha^-{2 * k - 1} overflows double precision") from None
     return GreenKernel(params=params, poly_coeffs=coeffs)
 
 

@@ -364,24 +364,26 @@ def half_band_time(x):
 
 def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
                           best_effort: bool = False) -> float:
-    """f_b(x) one point at a time: its own window solve, b_j read from the
-    data's own dict or rule, and its own L_k synthesis over the kept window
-    indices."""
+    """f_b(x) one point at a time: its own window solve, b_j read from a
+    dict built from the data's table or from its rule, and its own L_k
+    synthesis over the kept window indices."""
+    table = None if data.table is None else dict(zip(*(a.tolist() for a in data.table)))
+
     def samples(js):
-        if data.table is None:
+        if table is None:
             return np.asarray(data.rule(js.astype(float)), dtype=float)
         for j in js.tolist():
-            if j not in data.table and not data.zero_fill:
+            if j not in table and not data.zero_fill:
                 raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
-        return np.array([data.table.get(j, 0.0) for j in js.tolist()])
+        return np.array([table.get(j, 0.0) for j in js.tolist()])
 
     m = int(round(x))
     if L.cardinality_ok and abs(x - m) < 1e-12:
         return float(samples(np.array([m]))[0])
     J = _solve_window(L, m, data.growth, tol, clip_to_knee=best_effort)
     js = np.arange(m - J, m + J + 1)
-    if data.table is not None and data.zero_fill:
-        js = js[np.array([j in data.table for j in js.tolist()], dtype=bool)]
+    if table is not None and data.zero_fill:
+        js = js[np.array([j in table for j in js.tolist()], dtype=bool)]
         if len(js) == 0:
             return 0.0
     b = samples(js)

@@ -505,6 +505,32 @@ class TestDomainRefusals:
         assert "tol must lie in [1e-14, 1e-2]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["eval-L", "--alpha", "1e-5", "--k", "30"],
+                                      ["eval-L", "--alpha", "1e-8", "--k", "19"]])
+    def test_nan_cardinality_residual_exit_2(self, tmp_path, capsys, argv):
+        # the synthesis overflows to NaN on the check grid, and a NaN
+        # residual fails the check like one above 1e-4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "cardspline: error: cardinality check failed: max |L(j) - delta| = nan\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,power", [
+        (["eval-L", "--alpha", "1e-6", "--k", "30"], 59),
+        (["converge", "--alpha", "1e-6", "--k", "30", "--target", "sinc"], 59),
+        (["reproduce", "--alpha", "1e-300", "--k", "2", "--basis", "cosh"], 3),
+        (["eval-L", "--alpha", "5e-324", "--k", "1"], 1)])
+    def test_kernel_coefficient_overflow_exit_2(self, tmp_path, capsys, argv, power):
+        # alpha^-(2k-1) leaves the double range before any table is built
+        assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("cardspline: error: ")
+        assert f"alpha^-{power} overflows double precision" in err
+        assert list(tmp_path.iterdir()) == []
+
 
     def test_unallocatable_grid_count_exit_2(self, tmp_path, capsys, monkeypatch):
         # 10^12 points lie above the grid cap, which refuses them before

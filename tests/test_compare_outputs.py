@@ -98,7 +98,7 @@ def test_document_text(tmp_path):
 
 def test_long_grid_ops(tmp_path, monkeypatch):
     # run once per tree after the seeded rounds, on grids of thousands of
-    # points
+    # points, and on a data table with gaps that run_rounds writes
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     monkeypatch.chdir(tmp_path)
     compare_outputs.run_rounds([], 0)
@@ -106,4 +106,5 @@ def test_long_grid_ops(tmp_path, monkeypatch):
     names = [f"long/op{i}_{argv[0]}.csv" for i, argv in enumerate(compare_outputs.LONG_OPS)]
     assert codes == dict.fromkeys(names, 0)
     rows = [len((tmp_path / name).read_text().splitlines()) - 1 for name in names]
-    assert rows == [100_001, 20_001, 5_001, 8]
+    assert rows == [100_001, 20_001, 5_001, 8, 1_401, 40_001]
+    assert len((tmp_path / "long/gaps.csv").read_text().splitlines()) == 42

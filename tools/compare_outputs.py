@@ -41,7 +41,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CODES = "exit_codes.json"
 # one op of each command on a long grid (the interp data is drawn by
-# bench/workloads.py from a fixed seed), run once per tree in `long/`
+# bench/workloads.py from a fixed seed), then two paths no workload reaches:
+# interp on a zero-filled table with gaps (every third index of -60..60,
+# written by run_rounds), whose windows keep fewer entries than their width,
+# and eval-L on integers only, one run longer than a synthesis block; run
+# once per tree in `long/`
 LONG_OPS = (
     ["eval-L", "--alpha", "1", "--k", "10", "--grid", "-50.03:49.97:100001"],
     ["interp", "--alpha", "1", "--k", "3", "--tol", "1e-9", "--data", "long/data.csv",
@@ -49,6 +53,9 @@ LONG_OPS = (
     ["reproduce", "--alpha", "0.25", "--k", "3", "--basis", "xexp+",
      "--grid", "-5.3127:5.3127:5001"],
     ["converge", "--alpha", "1", "--k", "1..8", "--target", "sinc"],
+    ["interp", "--alpha", "1", "--k", "3", "--tol", "1e-9", "--data", "long/gaps.csv",
+     "--grid", "-70.15:69.85:1401"],
+    ["eval-L", "--alpha", "1", "--k", "3", "--grid", "0:40000:40001"],
 )
 
 
@@ -82,6 +89,8 @@ def run_rounds(seeds: list[int], rounds: int) -> None:
     work = Path("long")
     work.mkdir()
     workloads.write_data(np.random.default_rng(0), work / "data.csv")
+    (work / "gaps.csv").write_text(
+        "j,b_j\n" + "".join(f"{j},{math.cos(j / 7)!r}\n" for j in range(-60, 61, 3)))
     for i, argv in enumerate(LONG_OPS):
         out = work / f"op{i}_{argv[0]}.csv"
         codes[str(out)] = run_op(cli, argv + ["-o", str(out)])
