@@ -32,7 +32,8 @@ import numpy as np
 
 from .cardinal_interpolation import (_GATHER_ELEMS, DataSequence,
                                      FundamentalFunction, GrowthModel,
-                                     _solve_window, interpolate_grid)
+                                     _solve_window, _table_sequence,
+                                     interpolate_grid)
 from .errors import (QuadratureConvergenceError, ToleranceUnreachableError,
                      UnknownTargetError)
 from .greens_kernel import SplineParams, eval_green_hat
@@ -186,15 +187,6 @@ def target_gallery(name: str) -> BandlimitedTarget:
     except KeyError:
         raise UnknownTargetError(
             f"unknown target {name!r}; available: {', '.join(_GALLERY)}") from None
-
-
-def _sample_sequence(target: BandlimitedTarget, vals: np.ndarray) -> DataSequence:
-    """The integer samples g(-J..J), given by their float values, as a finite table."""
-    J = len(vals) // 2
-    amp = max(1.0, float(np.max(np.abs(vals))))
-    return DataSequence(name=f"{target.name}-samples", table=(np.arange(-J, J + 1), vals),
-                        growth=GrowthModel(beta=0.0, amplitude=amp),
-                        zero_fill=True)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +391,8 @@ def error_sweep(target: BandlimitedTarget, fundamentals: Iterable[FundamentalFun
     wins = [_solve_window(L, round(_SUP_HALF_WIDTH), GrowthModel(), _SUP_TOL,
                           clip_to_knee=True) for L in Ls]
     top = math.ceil(_SUP_HALF_WIDTH) + max(wins) + 2
-    data = _sample_sequence(target, np.asarray(target.time_eval(np.arange(-top, top + 1.0))))
+    js = np.arange(-top, top + 1)
+    data = _table_sequence(f"{target.name}-samples", js, target.time_eval(js))
     g = target.time_eval(xs)
     levels = _gauss_levels(target)
     reports = []

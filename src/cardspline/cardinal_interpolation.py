@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -348,6 +349,15 @@ class DataSequence:
         return b
 
 
+def _table_sequence(name: str, keys: np.ndarray, vals: np.ndarray,
+                    zero_fill: bool = True) -> DataSequence:
+    """The finite table of samples vals at the int64 indices keys, ascending
+    and unique, with flat growth at amplitude max(1, max|b_j|)."""
+    amp = float(np.max(np.abs(vals), initial=1.0))
+    return DataSequence(name=name, growth=GrowthModel(amplitude=amp),
+                        table=(keys, vals), zero_fill=zero_fill)
+
+
 def sequence_from_table(values: dict, zero_fill: bool = True,
                         name: str = "table") -> DataSequence:
     """A finite table {j: b_j}, j integers within int64, with flat growth."""
@@ -364,9 +374,7 @@ def sequence_from_table(values: dict, zero_fill: bool = True,
         table[jj] = bb
     keys = np.array(sorted(table), dtype=np.int64)
     vals = np.array([table[j] for j in keys.tolist()], dtype=float)
-    amp = float(np.max(np.abs(vals), initial=1.0))
-    return DataSequence(name=name, growth=GrowthModel(amplitude=amp),
-                        table=(keys, vals), zero_fill=zero_fill)
+    return _table_sequence(name, keys, vals, zero_fill)
 
 
 def sequence_from_csv(path) -> DataSequence:
@@ -391,31 +399,29 @@ def sequence_from_csv(path) -> DataSequence:
     return sequence_from_table(table, name=str(path))
 
 
-def _basis_rule(name: str, alpha: float):
-    """Reproduction basis: cosh/sinh/exp of alpha x times integer powers.
+_BASIS = re.compile(r"(?P<hyp>cosh|sinh)|(?:x(?P<m>\d*))?exp(?P<sign>[+-])")
 
-    Returns (callable, monomial power, growth model).
-    """
+
+def _basis_sequence(name: str, alpha: float) -> tuple[DataSequence, int]:
+    """The basis `name` of _BASIS at alpha, as a rule sequence, and its power
+    m: cosh or sinh of alpha x, or x^m e^{+-alpha x}, "x" alone meaning m = 1.
+    UnknownBasisError refuses any other name, and an m int() or float cannot hold."""
     n = name.strip().lower()
-    if n == "cosh":
-        return (lambda t: np.cosh(alpha * t)), 0, GrowthModel(rate=alpha)
-    if n == "sinh":
-        return (lambda t: np.sinh(alpha * t)), 0, GrowthModel(rate=alpha)
-    m, rest = 0, n
-    if rest.startswith("x"):
-        body = rest[1:]
-        digits = ""
-        while body and body[0].isdigit():
-            digits += body[0]
-            body = body[1:]
-        m = int(digits) if digits else 1
-        rest = body
-    if rest in ("exp+", "exp-"):
-        s = 1.0 if rest.endswith("+") else -1.0
-        fn = (lambda t: t ** m * np.exp(s * alpha * t)) if m else \
-             (lambda t: np.exp(s * alpha * t))
-        return fn, m, GrowthModel(beta=float(m), rate=alpha)
-    raise UnknownBasisError(f"unknown basis {name!r}")
+    hit = _BASIS.fullmatch(n)
+    if hit is None:
+        raise UnknownBasisError(f"unknown basis {name!r}")
+    try:
+        m = 0 if hit["m"] is None else int(hit["m"] or 1)
+        growth = GrowthModel(beta=float(m), rate=alpha)
+    except (ValueError, OverflowError):
+        raise UnknownBasisError(f"basis {name!r} has a power out of range") from None
+    if hit["hyp"]:
+        f = np.cosh if n == "cosh" else np.sinh
+        fn = lambda t: f(alpha * t)
+    else:
+        s = 1.0 if hit["sign"] == "+" else -1.0
+        fn = lambda t: t ** m * np.exp(s * alpha * t)
+    return DataSequence(name=n, growth=growth, rule=fn), m
 
 
 def sequence_from_rule(name: str, alpha: float, beta: float = 0.0) -> DataSequence:
@@ -428,8 +434,7 @@ def sequence_from_rule(name: str, alpha: float, beta: float = 0.0) -> DataSequen
         return DataSequence(name=f"power-{beta:g}",
                             growth=GrowthModel(beta=beta),
                             rule=lambda t: (1.0 + np.abs(t)) ** beta)
-    fn, _, growth = _basis_rule(n, alpha)
-    return DataSequence(name=n, growth=growth, rule=fn)
+    return _basis_sequence(n, alpha)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +533,17 @@ def _solve_windows(L: FundamentalFunction, centers, growth: GrowthModel,
         refused = past & ~(clip_to_knee | (tol >= achievable / _MODEL_FLOOR_SLACK))
         if refused.any():
             i = int(np.argmax(refused))
-            raise WindowOverflowError(
-                f"window tolerance {tol:g} lies below the double-precision floor "
-                f"~{achievable[i]:.3e} for (alpha={L.params.alpha}, k={L.params.k}): "
-                f"the window would need {J[i]} terms but the synthesis loses "
-                f"signal past {knee:.0f}")
+            message = (f"window tolerance {tol:g} lies below the double-precision floor "
+                       f"~{achievable[i]:.3e} for (alpha={L.params.alpha}, k={L.params.k}): "
+                       f"the window would need {J[i]} terms but the synthesis loses "
+                       f"signal past {knee:.0f}")
+            # the floor scales with the data's amplitude bound: name the bound
+            # where data of amplitude 1 would have met the tolerance
+            unit = achievable[i] / growth.amplitude
+            if tol >= unit / _MODEL_FLOOR_SLACK:
+                message += (f"; the floor is the data's amplitude bound "
+                            f"{growth.amplitude:.3e} times ~{unit:.3e}")
+            raise WindowOverflowError(message)
         J[past] = max(1, int(min(knee, _WINDOW_HORIZON)))
         Js[s:s + step] = J
     return Js

@@ -34,9 +34,9 @@ import numpy as np
 from . import __version__
 from ._floattext import float_cells, json_array, table_bytes
 from .bandlimited_analysis import error_sweep, gallery_names, target_gallery
-from .cardinal_interpolation import (_basis_rule, build_fundamental,
+from .cardinal_interpolation import (_basis_sequence, build_fundamental,
                                      interpolate_grid, eval_fundamental,
-                                     sequence_from_csv, sequence_from_rule)
+                                     sequence_from_csv)
 from .errors import (CardsplineError, DataFormatError, MissingDataError,
                      ParameterDomainError, QuadratureConvergenceError,
                      ToleranceUnreachableError, UnknownBasisError,
@@ -223,14 +223,13 @@ def cmd_interp(args) -> int:
 def cmd_reproduce(args) -> int:
     params, gate_tol = _single_order(args)
     grid = _parse_grid(args.grid, args.command)
-    _, power, _ = _basis_rule(args.basis, params.alpha)
+    data, power = _basis_sequence(args.basis, params.alpha)
     if power >= params.k:
         raise ParameterDomainError(
             f"basis {args.basis!r} has power {power} >= k={params.k}; outside the "
             "reproduced span")
     # the basis on the grid, and later its samples, are refused where they
     # overflow double precision
-    data = sequence_from_rule(args.basis, params.alpha)
     g = data.values(grid)
     t0 = time.perf_counter()
     L = build_fundamental(params, min(1e-10, gate_tol))

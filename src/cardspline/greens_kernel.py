@@ -116,12 +116,17 @@ def build_green_kernel(params: SplineParams) -> GreenKernel:
     a, k = params.alpha, params.k
     q = _rational_poly(k)
     sign = -1.0 if k % 2 else 1.0
+    # a ** -n raises where it overflows, but its product with sqrt(pi/2) q_i
+    # rounds to inf without raising (alpha = 6e-309, k = 1)
     try:
         coeffs = np.array([sign * _SQRT_PI_OVER_2 * float(qi) * a ** (-(2 * k - 1 - i))
                            for i, qi in enumerate(q)])
+        finite = bool(np.all(np.isfinite(coeffs)))
     except OverflowError:
+        finite = False
+    if not finite:
         raise ParameterDomainError(f"alpha={a:g} is too small for k={k}: the kernel's "
-                                   f"alpha^-{2 * k - 1} overflows double precision") from None
+                                   f"alpha^-{2 * k - 1} overflows double precision")
     return GreenKernel(params=params, poly_coeffs=coeffs)
 
 

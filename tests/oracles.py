@@ -7,7 +7,8 @@ summation) route for the periodized symbol, the k = 1 hyperbolic closed
 forms, mpmath lattice sums for the error split S, T (term by term,
 or at k = 1, 2 from their closed form), mpmath quadrature for the lattice
 sums' tail integrals (tail_integral_mp), and mpmath roots and residues for
-the coefficient table (coefficients_mp).  The exceptions are plain or earlier forms kept as bitwise references for their
+the coefficient table (coefficients_mp) and for L_k itself in the
+exponential B-spline basis (fundamental_mp, the extended-precision judge).  The exceptions are plain or earlier forms kept as bitwise references for their
 faster replacements: interpolate_pointwise (one point at a time: its own
 window solve, samples read from the data's dict or rule rather than through
 the package's table lookup, and one np.dot over its kept window, for
@@ -481,11 +482,15 @@ def solve_window_loop(L, center: int, growth, tol: float,
     if J > knee:
         if clip_to_knee or tol >= achievable / ci._MODEL_FLOOR_SLACK:
             return max(1, int(min(knee, ci._WINDOW_HORIZON)))
-        raise WindowOverflowError(
-            f"window tolerance {tol:g} lies below the double-precision floor "
-            f"~{achievable:.3e} for (alpha={L.params.alpha}, k={L.params.k}): "
-            f"the window would need {J} terms but the synthesis loses signal "
-            f"past {knee:.0f}")
+        message = (f"window tolerance {tol:g} lies below the double-precision floor "
+                   f"~{achievable:.3e} for (alpha={L.params.alpha}, k={L.params.k}): "
+                   f"the window would need {J} terms but the synthesis loses signal "
+                   f"past {knee:.0f}")
+        unit = achievable / growth.amplitude
+        if tol >= unit / ci._MODEL_FLOOR_SLACK:
+            message += (f"; the floor is the data's amplitude bound "
+                        f"{growth.amplitude:.3e} times ~{unit:.3e}")
+        raise WindowOverflowError(message)
     return J
 
 
@@ -555,3 +560,45 @@ def coefficients_mp(alpha: float, k: int, J: int, dps: int = 80):
         c = [(-1) ** k * 2 * mpmath.fsum(pm * d[abs(j + k - m)] for m, pm in enumerate(p))
              for j in range(J + 1)]
         return np.array([float(v) for v in c]), float(-mpmath.log(-min(ls)))
+
+
+def fundamental_mp(alpha: float, k: int, dps: int):
+    """The extended-precision judge of L_k at (alpha, k): a function that
+    takes a float x and returns L_k(x) as an mpf at dps digits.
+
+    L_k = sum_j d_j beta(x - j) in the exponential B-spline basis, with no
+    Fourier transform and no synthesis table.  beta(y) = sum_m p_m G(y + k -
+    m) for the taps p and G = e^{-a|u|} sum_i q_i |u|^i, q_i = q_{k,i} /
+    a^{2k-1-i}, as in euler_frobenius_roots_mp, and only the 2k integers j
+    with |x - j| < k contribute, sharing the G of 4k arguments x - n.  d =
+    beta^{-1} on the integers, d_m = sum_l l^{k-2+|m|} / Q'(l) over the roots
+    l of Q (1 / beta(0) at m = 0 for k = 1, whose Q has none), is tabled
+    once for |m| <= N = ceil(dps ln 10 / r) + 2k, past which |d_m| has
+    decayed by about 10^-dps; farther points sum their d_m from the roots."""
+    p, Q, ls = euler_frobenius_roots_mp(alpha, k, dps)
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        q = [mpmath.mpf(f.numerator) / f.denominator / a ** (2 * k - 1 - i)
+             for i, f in enumerate(_rational_poly(k))][::-1]
+        dQ = [mpmath.polyval([i * b for i, b in enumerate(Q)][:0:-1], z) for z in ls]
+
+        def residues(m: int):
+            return mpmath.fsum(z ** (k - 2 + m) / w for z, w in zip(ls, dQ))
+
+        N = 2 * k
+        if ls:
+            N += int(mpmath.ceil(dps * mpmath.log(10) / -mpmath.log(-min(ls))))
+        d = [residues(m) for m in range(N + 1)]
+        if k == 1:
+            d[0] = 1 / Q[0]
+
+    def L(x: float):
+        with mpmath.workdps(dps):
+            x = mpmath.mpf(x)
+            lo, hi = int(mpmath.floor(x - k)) + 1, int(mpmath.ceil(x + k)) - 1
+            G = {n: mpmath.exp(-a * abs(x - n)) * mpmath.polyval(q, abs(x - n))
+                 for n in range(lo - k, hi + k + 1)}
+            return mpmath.fsum((d[abs(j)] if abs(j) <= N else residues(abs(j)))
+                               * mpmath.fsum(pm * G[j - k + m] for m, pm in enumerate(p))
+                               for j in range(lo, hi + 1))
+    return L

@@ -13,7 +13,7 @@ from cardspline.bandlimited_analysis import (BandlimitedTarget, ErrorReport,
                                              l2_error_spectral,
                                              replica_power, sup_error_grid,
                                              target_gallery)
-from cardspline.cardinal_interpolation import build_fundamental
+from cardspline.cardinal_interpolation import _table_sequence, build_fundamental
 from cardspline.errors import (QuadratureConvergenceError,
                                ToleranceUnreachableError, UnknownTargetError)
 from cardspline.greens_kernel import SplineParams, eval_green_hat
@@ -122,7 +122,8 @@ class TestGallery:
 
 def sample_integers(target: BandlimitedTarget, J: int):
     """The target's integer samples |j| <= J as error_sweep builds them."""
-    return ba._sample_sequence(target, np.asarray(target.time_eval(np.arange(-J, J + 1.0))))
+    js = np.arange(-J, J + 1)
+    return _table_sequence(f"{target.name}-samples", js, target.time_eval(js))
 
 
 class TestSampleIntegers:

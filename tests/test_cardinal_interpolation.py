@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,8 +24,8 @@ from cardspline.greens_kernel import SplineParams, eval_green
 from cardspline.spectral_symbol import CoefficientTable
 from oracles import (INV_SQRT_2PI, eval_fundamental_direct,
                      eval_fundamental_spectral, fundamental_checks_four_calls,
-                     fundamental_k1_closed, interpolate_pointwise,
-                     solve_window_loop)
+                     fundamental_k1_closed, fundamental_mp,
+                     interpolate_pointwise, solve_window_loop)
 
 ALPHAS = [0.5, 1.0, 2.0]
 
@@ -238,6 +239,37 @@ class TestDataSequences:
     def test_unknown_basis(self):
         with pytest.raises(UnknownBasisError):
             sequence_from_rule("nosuch", 1.0)
+
+    @pytest.mark.parametrize("name,power,rule", [
+        ("cosh", 0, lambda t: math.cosh(0.5 * t)),
+        (" SINH ", 0, lambda t: math.sinh(0.5 * t)),
+        ("exp+", 0, lambda t: math.exp(0.5 * t)),
+        ("exp-", 0, lambda t: math.exp(-0.5 * t)),
+        ("x0exp+", 0, lambda t: math.exp(0.5 * t)),
+        ("xexp-", 1, lambda t: t * math.exp(-0.5 * t)),
+        ("x12exp+", 12, lambda t: t ** 12 * math.exp(0.5 * t)),
+        # a non-ASCII decimal digit reads as its value
+        ("x\u0663exp+", 3, lambda t: t ** 3 * math.exp(0.5 * t))])
+    def test_basis_grammar(self, name, power, rule):
+        # power and growth as the character loop before the grammar gave them
+        data, m = cardinal_interpolation._basis_sequence(name, 0.5)
+        assert m == power
+        assert data.growth == GrowthModel(beta=float(power), rate=0.5, amplitude=1.0)
+        assert data.name == name.strip().lower()
+        ts = [1.5, -2.0, 0.0, 7.25]
+        assert data.values(np.array(ts)).tolist() == pytest.approx([rule(t) for t in ts],
+                                                                   rel=1e-15, abs=0)
+        assert sequence_from_rule(name, 0.5).values(np.array(ts)).tolist() == \
+            data.values(np.array(ts)).tolist()
+
+    @pytest.mark.parametrize("name", [
+        "x\u00b2exp+", "x\u00b3exp-", "x" + "1" * 5000 + "exp+", "x" + "1" * 400 + "exp+",
+        "3exp+", "x-1exp+", "xexp", "exp", "cosh+", "x2 exp+", "x2exp+-", "", "delta",
+        "power-beta"])
+    def test_basis_grammar_refusals(self, name):
+        # names the grammar does not take, and powers past int() or a float
+        with pytest.raises(UnknownBasisError, match="basis"):
+            cardinal_interpolation._basis_sequence(name, 0.5)
 
 
 class TestInterpolateAt:
@@ -958,6 +990,24 @@ class TestWindowSolver:
             self.loop(L, centers, growth, 1e-10)
         assert got == first_error(loop)
 
+    def test_amplitude_bound_named_where_it_sets_the_floor(self):
+        # samples near the double limit: at amplitude 1 the floor would be
+        # ~2e-13, so the data's amplitude bound is what refuses 1e-10
+        L = L_of(1.0, 3)
+        growth = sequence_from_table({0: 1e308, 1: -1e308}).growth
+        want = first_error(solve_window_loop, L, 0, growth, 1e-10)
+        assert want[0] is WindowOverflowError
+        assert "the floor is the data's amplitude bound 1.000e+308 times ~" in want[1]
+        assert first_error(cardinal_interpolation._solve_windows, L, [0], growth, 1e-10) == want
+        data = sequence_from_table({0: 1e308, 1: -1e308})
+        assert first_error(interpolate_grid, L, data, [0.5], 1e-10) == want
+        # amplitude 1: the floor itself refuses, and no bound is named
+        growth = sequence_from_rule("power-beta", 1.0, beta=2.0).growth
+        got = first_error(cardinal_interpolation._solve_windows, L, [0, 5, 40, 70, 100, 3, 250],
+                          growth, 1e-10)
+        assert got[0] is WindowOverflowError
+        assert "amplitude bound" not in got[1]
+
     def test_divergent_growth(self):
         L = L_of(1.0, 3)
         growth = sequence_from_rule("cosh", 1.0).growth
@@ -1124,3 +1174,43 @@ class TestL2Stability:
             ratios.append(l2 / float(np.linalg.norm(y)))
         fitted = max(ratios[:10])
         assert all(r <= 1.05 * fitted for r in ratios[10:])
+
+
+# the judge's cells and their digits, and points off the integers, near 0
+# and out in the tail
+JUDGE_CELLS = [(1.0, 3, 40), (0.5, 6, 60), (1.0, 10, 80)]
+JUDGE_POINTS = [0.3, -1.7, 4.25, 9.5]
+
+
+@lru_cache(maxsize=None)
+def judge(alpha: float, k: int, dps: int):
+    return fundamental_mp(alpha, k, dps)
+
+
+class TestJudge:
+    """oracles.fundamental_mp, the extended-precision judge of L_k, checked
+    on its own: against the k = 1 closed form, the delta property and
+    itself at twice the digits."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_k1_closed_form(self, alpha):
+        xs = [0.0, 0.3, -0.55, 0.999, 1.0, 1.4, -3.25]
+        got = [float(judge(alpha, 1, 30)(x)) for x in xs]
+        np.testing.assert_allclose(got, fundamental_k1_closed(alpha, xs), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha,k,dps", JUDGE_CELLS)
+    def test_delta_property(self, alpha, k, dps):
+        L = judge(alpha, k, dps)
+        for j in (-3, -1, 0, 1, 2, 7):
+            assert abs(L(j) - (j == 0)) <= mpmath.mpf(10) ** (10 - dps)
+
+    @pytest.mark.parametrize("alpha,k,dps", JUDGE_CELLS)
+    def test_twice_the_digits(self, alpha, k, dps):
+        L, L2 = judge(alpha, k, dps), judge(alpha, k, 2 * dps)
+        for x in JUDGE_POINTS:
+            assert abs(L(x) - L2(x)) <= mpmath.mpf(10) ** (10 - dps) * max(1, abs(L2(x)))
+
+    def test_past_the_table(self):
+        # (1, 3) at 40 digits tables d out to |m| = 106; 150.5 sums its own
+        L = judge(1.0, 3, 40)
+        assert abs(L(150.5) - judge(1.0, 3, 80)(150.5)) <= mpmath.mpf(10) ** -30

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cardspline
+from cardspline import cardinal_interpolation
 from cardspline import (SplineParams, build_fundamental, eval_fundamental,
                         interpolate_grid, sequence_from_csv)
 from cardspline.cli import main
@@ -521,15 +522,27 @@ class TestDomainRefusals:
         (["eval-L", "--alpha", "1e-6", "--k", "30"], 59),
         (["converge", "--alpha", "1e-6", "--k", "30", "--target", "sinc"], 59),
         (["reproduce", "--alpha", "1e-300", "--k", "2", "--basis", "cosh"], 3),
-        (["eval-L", "--alpha", "5e-324", "--k", "1"], 1)])
-    def test_kernel_coefficient_overflow_exit_2(self, tmp_path, capsys, argv, power):
+        (["eval-L", "--alpha", "5e-324", "--k", "1"], 1),
+        # alpha^-1 is finite here, but sqrt(pi/2) alpha^-1 is not
+        (["eval-L", "--alpha", "6e-309", "--k", "1"], 1),
+        (["interp", "--alpha", "6e-309", "--k", "1", "--data", "d.csv"], 1)])
+    def test_kernel_coefficient_overflow_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                argv, power):
         # alpha^-(2k-1) leaves the double range before any table is built
-        assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
+        def no_table(*args, **kwargs):
+            raise AssertionError("the coefficient table was built")
+
+        monkeypatch.setattr(cardinal_interpolation, "compute_coefficients", no_table)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("j,b_j\n0,1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(argv + ["-o", str(out / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("cardspline: error: ")
         assert f"alpha^-{power} overflows double precision" in err
-        assert list(tmp_path.iterdir()) == []
+        assert list(out.iterdir()) == []
 
 
     def test_unallocatable_grid_count_exit_2(self, tmp_path, capsys, monkeypatch):

@@ -174,6 +174,9 @@ CASES = [
     *_cases(2, "reproduce --alpha 0.25 --k 2 --basis x2exp+",
             "reproduce --alpha 0.25 --k 2 --basis bogus",
             "reproduce --alpha 1 --k 3 --basis delta",
+            # digits that are not decimal: superscripts two and three
+            "reproduce --alpha 1 --k 3 --basis x\u00b2exp+",
+            "reproduce --alpha 1 --k 3 --basis x\u00b3exp-",
             "converge --alpha 1 --k 1..3 --target bogus",
             "interp --alpha 1 --k 3",
             "eval-L --k 3",
