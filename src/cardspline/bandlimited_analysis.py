@@ -124,57 +124,39 @@ class BandlimitedTarget:
         return float(np.dot(w, gh * gh))
 
 
-def _sinc_target() -> BandlimitedTarget:
-    c = _INV_SQRT_2PI
-    return BandlimitedTarget(
+def _bump_spectrum(xi):
+    xi = np.asarray(xi, dtype=float)
+    u = xi / np.pi
+    inside = np.abs(u) < 1.0
+    out = np.zeros_like(u)
+    v = np.where(inside, 1.0 - u * u, 1.0)
+    out[inside] = np.exp(-1.0 / v[inside])
+    return out
+
+
+# one shared, frozen instance per target, so each l2_norm_sq is computed once
+_GALLERY = {t.name: t for t in (
+    BandlimitedTarget(
         name="sinc",
-        spectrum=lambda xi: np.full_like(np.asarray(xi, dtype=float), c),
-        pieces=((-np.pi, np.pi),),
-    )
-
-
-def _triangle_target() -> BandlimitedTarget:
+        spectrum=lambda xi: np.full_like(np.asarray(xi, dtype=float), _INV_SQRT_2PI),
+        pieces=((-np.pi, np.pi),)),
     # ghat = (2 pi)^{-1/2}(1 - |xi|/pi): g(x) = (1/2) (sin(pi x/2)/(pi x/2))^2,
     # samples 2/(pi j)^2 at odd j
-    return BandlimitedTarget(
+    BandlimitedTarget(
         name="triangle-spectrum",
         spectrum=lambda xi: _INV_SQRT_2PI * (1.0 - np.abs(xi) / np.pi),
-        pieces=((-np.pi, 0.0), (0.0, np.pi)),
-    )
-
-
-def _bump_target() -> BandlimitedTarget:
-    def spectrum(xi):
-        xi = np.asarray(xi, dtype=float)
-        u = xi / np.pi
-        inside = np.abs(u) < 1.0
-        out = np.zeros_like(u)
-        v = np.where(inside, 1.0 - u * u, 1.0)
-        out[inside] = np.exp(-1.0 / v[inside])
-        return out
-
+        pieces=((-np.pi, 0.0), (0.0, np.pi))),
     # samples decay faster than any polynomial
-    return BandlimitedTarget(name="bump-spectrum", spectrum=spectrum,
-                             pieces=((-np.pi, np.pi),))
-
-
-def _half_band_target() -> BandlimitedTarget:
+    BandlimitedTarget(name="bump-spectrum", spectrum=_bump_spectrum,
+                      pieces=((-np.pi, np.pi),)),
     # ghat = (2 pi)^{-1/2} on [-pi/2, pi/2]: g(x) = sin(pi x/2)/(pi x),
     # samples ~ 1/(pi j) at odd j: slowest admissible l2 decay
-    c = _INV_SQRT_2PI
-    return BandlimitedTarget(
+    BandlimitedTarget(
         name="half-band",
-        spectrum=lambda xi: np.where(np.abs(np.asarray(xi, dtype=float)) <= np.pi / 2, c, 0.0),
-        pieces=((-np.pi / 2, np.pi / 2),),
-    )
-
-
-_GALLERY = {
-    "sinc": _sinc_target,
-    "triangle-spectrum": _triangle_target,
-    "bump-spectrum": _bump_target,
-    "half-band": _half_band_target,
-}
+        spectrum=lambda xi: np.where(np.abs(np.asarray(xi, dtype=float)) <= np.pi / 2,
+                                     _INV_SQRT_2PI, 0.0),
+        pieces=((-np.pi / 2, np.pi / 2),)),
+)}
 
 
 def gallery_names() -> list[str]:
@@ -183,7 +165,7 @@ def gallery_names() -> list[str]:
 
 def target_gallery(name: str) -> BandlimitedTarget:
     try:
-        return _GALLERY[name]()
+        return _GALLERY[name]
     except KeyError:
         raise UnknownTargetError(
             f"unknown target {name!r}; available: {', '.join(_GALLERY)}") from None

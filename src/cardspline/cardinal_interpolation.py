@@ -76,7 +76,8 @@ class FundamentalFunction:
     r is the table's exact decay rate, C the largest |L_k(x)| e^{r x} on the
     envelope grid, raised by _ENV_MARGIN; both are None for k = 1, whose
     support is [-1, 1] (compact).  cardinality_error is max |L_k(j) -
-    delta_j| on -20..20 (NaN before the check), certified below 1e-8.
+    delta_j| on -20..20 (NaN before the check): build_fundamental refuses
+    one above 1e-4 or NaN, and flags one above 1e-8 (cardinality_ok False).
     noise_floor is the double-precision cancellation scale of the
     synthesis: the products c_j E(x-j) reach ~ max|c| * max E and cancel
     down to O(1), so ~16 digits below the term scale nothing survives.

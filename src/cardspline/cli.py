@@ -13,7 +13,8 @@ precision lives in the JSON sidecars, whose `x`, `L_k` and `f_b` arrays are
 `%.16e` text that parses back to the same doubles.  Every run writes a manifest
 referencing the files it emitted.
 
-Exit codes: 0 ok, 1 reproduction failure, 2 bad parameters or input,
+Exit codes: 0 ok, 1 reproduction failure, and otherwise the `exit_code` of
+the error the run ends in (`cardspline.errors`): 2 bad parameters or input,
 3 quadrature non-convergence or an uncertifiable tolerance, 4 summation-window
 overflow.
 """
@@ -37,10 +38,7 @@ from .bandlimited_analysis import error_sweep, gallery_names, target_gallery
 from .cardinal_interpolation import (_basis_sequence, build_fundamental,
                                      interpolate_grid, eval_fundamental,
                                      sequence_from_csv)
-from .errors import (CardsplineError, DataFormatError, MissingDataError,
-                     ParameterDomainError, QuadratureConvergenceError,
-                     ToleranceUnreachableError, UnknownBasisError,
-                     UnknownTargetError, WindowOverflowError)
+from .errors import CardsplineError, DataFormatError, ParameterDomainError
 from .greens_kernel import SplineParams
 from .spectral_symbol import _check_tol, compute_coefficients
 
@@ -134,29 +132,24 @@ def _single_order(args) -> tuple[SplineParams, float]:
 def _emit(args, default: str, alpha: float, k, tol: float, wall_ms: float,
           data: dict, header: list[str], columns: list,
           arrays: dict | None = None, tolerances: dict | None = None) -> None:
-    """Every file of one run: the CSV (at --output, else `default`) unless
-    --format json, the JSON sidecar beside it, and the manifest that echoes
-    the arguments and names the files written.  One `float_cells` call
-    formats every float array the run writes, `%.9e` for the CSV and
-    `%.16e` for the sidecar, each array once."""
+    """The three files of one run: the CSV (at --output, else `default`),
+    the JSON sidecar beside it, and the manifest that echoes the arguments
+    and names the other two.  One `float_cells` call formats every float
+    array the run writes, `%.9e` for the CSV and `%.16e` for the sidecar,
+    each array once."""
     csv_path = Path(args.output) if args.output else Path(default)
     json_path = csv_path.with_suffix(".json")
     arrays = arrays or {}
-    csv_columns = columns if args.format != "json" else []
-    cells = iter(float_cells([(c, 9) for c in csv_columns if isinstance(c, np.ndarray)]
+    cells = iter(float_cells([(c, 9) for c in columns if isinstance(c, np.ndarray)]
                              + [(a, 16) for a in arrays.values()]))
-    outs = []
-    if args.format != "json":
-        _write_csv(csv_path, header,
-                   [next(cells) if isinstance(c, np.ndarray) else c for c in csv_columns])
-        outs.append(csv_path)
+    _write_csv(csv_path, header,
+               [next(cells) if isinstance(c, np.ndarray) else c for c in columns])
     _write_sidecar(json_path, {"alpha": alpha, "k": k}, tol, data, wall_ms,
                    {key: next(cells) for key in arrays})
-    outs.append(json_path)
     manifest = {
         "version": __version__,
         "config": {key: v for key, v in vars(args).items() if key != "fn"},
-        "outputs": [p.name for p in outs],
+        "outputs": [csv_path.name, json_path.name],
         "tolerances": tolerances or {},
         "wall_ms": wall_ms,
     }
@@ -299,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="spline order (converge accepts a..b ranges)")
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--output", "-o", type=str, default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if grid_default is not None:
             sp.add_argument("--grid", type=str, default=grid_default,
                             help="start:stop:count, inclusive endpoints")
@@ -348,21 +340,6 @@ def _patch_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-_EXIT_CODES = (
-    ((ParameterDomainError, UnknownTargetError, UnknownBasisError,
-      DataFormatError, MissingDataError), 2),
-    ((QuadratureConvergenceError, ToleranceUnreachableError), 3),
-    ((WindowOverflowError,), 4),
-)
-
-
-def exit_code_for(exc: Exception) -> int:
-    for types, code in _EXIT_CODES:
-        if isinstance(exc, types):
-            return code
-    return 2 if isinstance(exc, CardsplineError) else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -371,10 +348,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        # the sidecar and the manifest are named by replacing the output's
+        # suffix with .json and .manifest.json
+        if args.output and (not Path(args.output).name
+                            or Path(args.output).suffix.lower() == ".json"):
+            raise DataFormatError(f"--output must name a file not ending in .json, got "
+                                  f"{args.output!r}")
         return args.fn(args)
     except CardsplineError as exc:
         print(f"cardspline: error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"cardspline: error: {exc}", file=sys.stderr)
         return 2

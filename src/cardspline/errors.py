@@ -1,8 +1,13 @@
-"""Exception hierarchy for the cardspline package."""
+"""Exception hierarchy for the cardspline package.
+
+Each class carries the CLI exit code of a run that ends in it: 2 for bad
+parameters or input unless a class says otherwise."""
 
 
 class CardsplineError(Exception):
     """Base class for all cardspline errors."""
+
+    exit_code = 2
 
 
 class ParameterDomainError(CardsplineError):
@@ -12,14 +17,20 @@ class ParameterDomainError(CardsplineError):
 class QuadratureConvergenceError(CardsplineError):
     """Raised when an adaptive quadrature fails to converge within its sample cap."""
 
+    exit_code = 3
+
 
 class ToleranceUnreachableError(CardsplineError):
     """Raised when a requested tolerance cannot be certified."""
+
+    exit_code = 3
 
 
 class WindowOverflowError(CardsplineError):
     """Raised when a summation window would exceed its hard cap, or when the
     requested tolerance is unattainable for the given data growth."""
+
+    exit_code = 4
 
 
 class MissingDataError(CardsplineError):
@@ -35,4 +46,5 @@ class UnknownBasisError(CardsplineError):
 
 
 class DataFormatError(CardsplineError):
-    """Raised for malformed data files (non-integer or duplicate indices, bad grids)."""
+    """Raised for malformed data files (non-integer or duplicate indices, bad
+    grids) and for an output path that the run's other files would overwrite."""

@@ -15,11 +15,10 @@ from cardspline import cardinal_interpolation
 from cardspline import (SplineParams, build_fundamental, eval_fundamental,
                         interpolate_grid, sequence_from_csv)
 from cardspline.cli import main
-from cardspline.errors import (DataFormatError, MissingDataError,
+from cardspline.errors import (CardsplineError, DataFormatError, MissingDataError,
                                ParameterDomainError, QuadratureConvergenceError,
                                ToleranceUnreachableError, UnknownBasisError,
                                UnknownTargetError, WindowOverflowError)
-from cardspline.cli import exit_code_for
 
 
 # non-finite endpoints, and finite ones whose spacing overflows
@@ -137,13 +136,14 @@ class TestEvalL:
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [9, 401])
-    def test_json_only_format(self, tmp_path, count):
+    def test_sidecar_arrays_bit_for_bit(self, tmp_path, count):
         # both sides of the writers' small-input size; the sidecar arrays
         # parse back to the library's doubles bit for bit
         out = tmp_path / "L.csv"
         assert main(["eval-L", "--alpha", "1", "--k", "3", "--grid", f"-4.3:5.1:{count}",
-                     "--format", "json", "-o", str(out)]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["L.json", "L.manifest.json"]
+                     "-o", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["L.csv", "L.json", "L.manifest.json"]
         data = json.loads(out.with_suffix(".json").read_text())["data"]
         grid = np.linspace(-4.3, 5.1, count)
         vals = eval_fundamental(build_fundamental(SplineParams(1.0, 3), 1e-10), grid)
@@ -226,15 +226,14 @@ class TestInterp:
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [9, 401])
-    def test_json_only_format(self, tmp_path, count):
+    def test_sidecar_arrays_bit_for_bit(self, tmp_path, count):
         data_csv = tmp_path / "d.csv"
         data_csv.write_text("j,b_j\n-2,0.5\n0,1.0\n1,-2.25\n3,0.125\n")
         out = tmp_path / "i.csv"
         assert main(["interp", "--alpha", "1", "--k", "2", "--data", str(data_csv),
-                     "--grid", f"-4.3:5.1:{count}", "--format", "json",
-                     "-o", str(out)]) == 0
+                     "--grid", f"-4.3:5.1:{count}", "-o", str(out)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["d.csv", "i.json", "i.manifest.json"]
+            ["d.csv", "i.csv", "i.json", "i.manifest.json"]
         data = json.loads(out.with_suffix(".json").read_text())["data"]
         grid = np.linspace(-4.3, 5.1, count)
         vals = interpolate_grid(build_fundamental(SplineParams(1.0, 2), 1e-10),
@@ -441,14 +440,16 @@ class TestConverge:
             assert main(["converge", "--alpha", "700", "--k", str(k), "--target",
                          "half-band", "-o", str(out)]) == code
 
-    def test_json_only_format(self, tmp_path):
+    def test_one_row_per_order(self, tmp_path):
         out = tmp_path / "conv.csv"
         rc = main(["converge", "--alpha", "1", "--k", "1..2", "--target",
-                   "half-band", "--format", "json", "-o", str(out)])
+                   "half-band", "-o", str(out)])
         assert rc == 0
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["conv.csv", "conv.json", "conv.manifest.json"]
         doc = json.loads(out.with_suffix(".json").read_text())
-        assert len(doc["data"]["rows"]) == 2
+        assert [r["k"] for r in doc["data"]["rows"]] == [1, 2]
+        assert [r[1] for r in read_csv(out)[1]] == ["1", "2"]
 
 
 class TestOrderRanges:
@@ -665,7 +666,7 @@ def write_csv(path, header, columns):
     """The CSV of one run with these columns, as _emit writes it."""
     from argparse import Namespace
     from cardspline.cli import _emit
-    _emit(Namespace(output=str(path), format="csv"), "unused.csv", 1.0, 1, 1e-10, 0.0,
+    _emit(Namespace(output=str(path)), "unused.csv", 1.0, 1, 1e-10, 0.0,
           {}, header, columns)
 
 
@@ -703,8 +704,7 @@ class TestWriters:
                    np.array([r[2] for r in rows])])
         assert out.read_bytes() == b"x,label,y\n" + b"".join(r[3] for r in rows)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_one_formatting_call_per_run(self, tmp_path, monkeypatch, fmt):
+    def test_one_formatting_call_per_run(self, tmp_path, monkeypatch):
         # x and L_k print as %.9e in the CSV and %.16e in the sidecar, from
         # one float_cells call that formats each array once
         import cardspline.cli as cli
@@ -718,16 +718,17 @@ class TestWriters:
         monkeypatch.setattr(cli, "float_cells", counting)
         out = tmp_path / "e.csv"
         assert main(["eval-L", "--alpha", "1", "--k", "3", "--grid", "-2:2:201",
-                     "--format", fmt, "-o", str(out)]) == 0
-        assert calls == [([(201, 9)] * 2 if fmt == "csv" else []) + [(201, 16)] * 2]
+                     "-o", str(out)]) == 0
+        assert calls == [[(201, 9)] * 2 + [(201, 16)] * 2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["e.csv", "e.json", "e.manifest.json"]
         sidecar = json.loads(out.with_suffix(".json").read_text())
         grid = np.linspace(-2.0, 2.0, 201)
         assert [v.hex() for v in sidecar["data"]["x"]] == [v.hex() for v in grid.tolist()]
-        if fmt == "csv":
-            _, rows = read_csv(out)
-            assert [r[0] for r in rows] == ["%.9e" % v for v in grid.tolist()]
-            assert [float(r[1]) for r in rows] == pytest.approx(sidecar["data"]["L_k"],
-                                                                rel=1e-9, abs=0)
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["%.9e" % v for v in grid.tolist()]
+        assert [float(r[1]) for r in rows] == pytest.approx(sidecar["data"]["L_k"],
+                                                            rel=1e-9, abs=0)
 
     def test_sidecar_and_manifest_are_one_json_line(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -738,18 +739,54 @@ class TestWriters:
             assert text.count("\n") == 1 and text.endswith("\n")
         assert json.loads(sidecar)["params"] == {"alpha": 1.0, "k": 2}
         assert json.loads(manifest)["outputs"] == ["c.csv", "c.json"]
+        assert "format" not in json.loads(manifest)["config"]
+
+    @pytest.mark.parametrize("output", ["L.json", "run.manifest.json", "L.JSON", "."])
+    def test_output_its_sidecar_would_overwrite_exit_2(self, tmp_path, monkeypatch,
+                                                        capsys, output):
+        # the sidecar and manifest replace the output's suffix: an output
+        # ending in .json would be overwritten by one of them, and one that
+        # names no file has no suffix to replace; either is refused before
+        # any work
+        import cardspline.cli as cli
+        monkeypatch.setattr(cli, "build_fundamental", None)
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval-L", "--alpha", "1", "--k", "2", "--grid", "0:1:3",
+                     "-o", output]) == 2
+        assert capsys.readouterr().err == ("cardspline: error: --output must name a "
+                                           f"file not ending in .json, got {output!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodeMap:
+    """Each error type carries its CLI exit code, and main returns it."""
+
+    CODES = [(CardsplineError, 2), (ParameterDomainError, 2), (UnknownTargetError, 2),
+             (UnknownBasisError, 2), (DataFormatError, 2), (MissingDataError, 2),
+             (QuadratureConvergenceError, 3), (ToleranceUnreachableError, 3),
+             (WindowOverflowError, 4)]
+
     def test_mapping(self):
-        assert exit_code_for(ParameterDomainError("x")) == 2
-        assert exit_code_for(UnknownTargetError("x")) == 2
-        assert exit_code_for(UnknownBasisError("x")) == 2
-        assert exit_code_for(DataFormatError("x")) == 2
-        assert exit_code_for(MissingDataError("x")) == 2
-        assert exit_code_for(QuadratureConvergenceError("x")) == 3
-        assert exit_code_for(ToleranceUnreachableError("x")) == 3
-        assert exit_code_for(WindowOverflowError("x")) == 4
+        assert [(cls, cls("x").exit_code) for cls, _ in self.CODES] == self.CODES
+
+    def test_every_error_type_is_mapped(self):
+        import cardspline.errors as errors
+        declared = {cls for cls in vars(errors).values()
+                    if isinstance(cls, type) and issubclass(cls, CardsplineError)}
+        assert declared == {cls for cls, _ in self.CODES}
+
+    @pytest.mark.parametrize("cls,code", CODES, ids=[c.__name__ for c, _ in CODES])
+    def test_main_returns_it(self, tmp_path, monkeypatch, capsys, cls, code):
+        import cardspline.cli as cli
+
+        def refuse(params, tol):
+            raise cls("refused")
+
+        monkeypatch.setattr(cli, "compute_coefficients", refuse)
+        out = tmp_path / "c.csv"
+        assert main(["coeffs", "--alpha", "1", "--k", "2", "-o", str(out)]) == code
+        assert capsys.readouterr().err == "cardspline: error: refused\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # `python -m` puts the working directory first on sys.path, so the child

@@ -1,11 +1,14 @@
-"""The CLI contract on a fixed table of edge inputs: each argv ends in the
-exit code README's "Exit codes" line gives its outcome, in-process and
-without an exception escaping.  A refusal writes exactly one error line and
-no file; a run that succeeds, or a reproduction that fails its gate,
-writes its files.  No case raises a RuntimeWarning, and each is quick."""
+"""The CLI contract on a fixed table of edge inputs, and on a seeded slice of
+argv drawn from the CLI grammar: each argv ends in an exit code README's
+"Exit codes" line gives (in the table, the one it gives the outcome),
+in-process and without an exception escaping.  A refusal writes exactly one
+error line and no file; a run that succeeds, or a reproduction that fails
+its gate, writes its three files.  No case raises a RuntimeWarning, and
+each is quick."""
 
 import contextlib
 import io
+import random
 import re
 import time
 import warnings
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from cardspline import errors, gallery_names
 from cardspline.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -149,8 +153,7 @@ CASES = [
             "interp --alpha 1 --k 3 --data {d}/header.csv",
             "interp --alpha 0.05 --k 2 --data {d}/ok.csv",
             "interp --alpha 140 --k 13 --data {d}/ok.csv",
-            "interp --alpha 700 --k 3 --data {d}/ok.csv",
-            "interp --alpha 1 --k 3 --data {d}/ok.csv --format json"),
+            "interp --alpha 700 --k 3 --data {d}/ok.csv"),
     *_cases(2, "interp --alpha 1 --k 3 --data {d}/empty.csv",
             "interp --alpha 1 --k 3 --data {d}/duplicate.csv",
             "interp --alpha 1 --k 3 --data {d}/fraction.csv",
@@ -165,10 +168,7 @@ CASES = [
     *_cases(0, "reproduce --alpha 0.25 --k 2 --basis cosh",
             "reproduce --alpha 0.25 --k 3 --basis xexp+",
             "reproduce --alpha 0.05 --k 2 --basis exp-",
-            "coeffs --alpha 1 --k 3",
-            "coeffs --alpha 1 --k 3 --format json",
-            "eval-L --alpha 1 --k 3 --format json",
-            "converge --alpha 1 --k 1..3 --target sinc --format json"),
+            "coeffs --alpha 1 --k 3"),
     *_cases(1, "reproduce --alpha 0.25 --k 3 --basis cosh --tol 1e-14",
             "reproduce --alpha 0.25 --k 3 --basis sinh --tol 1e-13"),
     *_cases(2, "reproduce --alpha 0.25 --k 2 --basis x2exp+",
@@ -181,56 +181,139 @@ CASES = [
             "interp --alpha 1 --k 3",
             "eval-L --k 3",
             "eval-L --alpha abc",
-            "frobnicate --alpha 1"),
+            "frobnicate --alpha 1",
+            # every run writes all three files: there is no --format
+            "coeffs --alpha 1 --k 3 --format json",
+            "eval-L --alpha 1 --k 3 --format json",
+            "interp --alpha 1 --k 3 --data {d}/ok.csv --format json",
+            "converge --alpha 1 --k 1..3 --target sinc --format json"),
     *_cases(4, "reproduce --alpha 1 --k 3 --basis cosh"),
 ]
 
 # the error line main prints, or argparse's, which names the subcommand
 ERROR = re.compile(r"^cardspline( [\w-]+)?: error: ")
 WALLS = {}
+SEEDED_WALLS = {}
+
+
+def _draw(rng: random.Random) -> list[str]:
+    """One argv from the CLI grammar.  Each value is drawn half the time
+    from ordinary values and half the time from its edges: alpha at the ends
+    of the double range and of the table's domain, orders at the edges of
+    the refused cells, tolerances at and just past their bounds, grids with
+    non-finite, far or too few points, every data file, unknown names, and
+    outputs the sidecar would overwrite.  No grid has more than 2,001
+    points."""
+    def pick(ordinary, edges):
+        return rng.choice(ordinary if rng.random() < 0.5 else edges)
+
+    command = rng.choice(["coeffs", "eval-L", "interp", "reproduce", "converge"])
+    alpha = pick(["0.25", "1", "4", "%.3g" % 10 ** rng.uniform(-1, 2)],
+                 ["1e-300", "5e-324", "1e-6", "0.05", "140", "400",
+                  "%.4g" % rng.uniform(450, 745), "1e3", "2.3e18", "inf", "-inf", "nan",
+                  "0", "-1"])
+    k = pick(["1", "2", "3", "5"], ["0", "13", "14", "28", "30", "31", "2.5", "1..3"])
+    if command == "converge":
+        k = pick([k, "1..3", "2..5"], ["0..2", "13..14", "28..30", "30..31", "3..1", "a..b"])
+    argv = [command, "--alpha=" + alpha, "--k", k]
+    if rng.random() < 0.5:
+        argv += ["--tol=" + pick(["1e-10", "1e-6", "1e-12"],
+                                 ["1e-14", "9.9e-15", "1e-2", "0.0101", "nan", "0",
+                                  "-1e-10", "inf"])]
+    if command in ("eval-L", "interp", "reproduce") and rng.random() < 0.7:
+        start, stop = pick([("-5", "5"), ("0", "1"), ("-50.5", "49.5")],
+                           [("0", "nan"), ("-inf", "0"), ("0", "1e300"), ("-1e308", "1e308"),
+                            ("2305843009213693952", "2305843009213693952"), ("800", "900"),
+                            ("-2700", "-2600"), ("a", "1")])
+        count = pick(["3", "101", "2001"], ["0", "1", "2", "x"])
+        argv += ["--grid=" + ":".join([start, stop, count])]
+    if command == "interp":
+        argv += ["--data", "{d}/" + pick(["ok.csv"], [*DATA, "missing.csv"])]
+    if command == "reproduce":
+        argv += ["--basis", pick(["cosh", "sinh", "exp+", "exp-", "xexp+"],
+                                 ["x2exp-", "x12exp+", "x²exp+", "delta", "bogus"])]
+    if command == "converge":
+        argv += ["--target", pick(gallery_names(), ["bogus"])]
+    if rng.random() < 0.05:
+        argv += ["-o", rng.choice(["{d}/out/run.json", "{d}/out/run.manifest.json", "."])]
+    return argv
+
+
+_RNG = random.Random(20261021)
+SEEDED = [_draw(_RNG) for _ in range(200)]
 
 
 def test_the_codes_are_readmes():
-    # each code the table expects is one README's "Exit codes" line gives,
-    # and the table reaches every one of them; only reproduce fails its gate
+    # the codes README's "Exit codes" line gives are those of the error
+    # types, plus success and a failed reproduction; the table expects only
+    # these and reaches every one of them, and only reproduce fails its gate
     text = README.read_text()
     line = text[text.index("Exit codes:"):]
     line = line[:line.index("\n\n")]
-    assert set(re.findall(r"`(\d)`", line)) == {str(code) for _, code in CASES}
+    codes = {int(c) for c in re.findall(r"`(\d)`", line)}
+    declared = {cls.exit_code for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.CardsplineError)}
+    assert codes == declared | {0, 1}
+    assert codes == {code for _, code in CASES}
     assert {argv[0] for argv, code in CASES if code == 1} == {"reproduce"}
 
 
-@pytest.mark.parametrize("argv,code", CASES, ids=[" ".join(a) for a, _ in CASES])
-def test_contract(tmp_path, argv, code):
+def _run(tmp_path, argv):
+    """Run argv in-process, its output at out/run.csv unless argv names
+    one, and check what holds for every outcome; the exit code and the
+    wall time."""
     for name, text in DATA.items():
         (tmp_path / name).write_text(text)
     argv = [a.format(d=tmp_path) for a in argv]
     out = tmp_path / "out" / "run.csv"
     out.parent.mkdir()
+    if "-o" not in argv:
+        argv += ["-o", str(out)]
     err = io.StringIO()
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        got = main(argv + ["-o", str(out)])
-    WALLS[" ".join(argv)] = wall = time.perf_counter() - t0
+        got = main(argv)
+    wall = time.perf_counter() - t0
     assert type(got) is int
-    assert got == code
     lines = err.getvalue().splitlines()
-    if code in (0, 1):
+    if got in (0, 1):
         assert lines == []
-        assert out.with_suffix(".json").exists()
-        assert out.exists() == ("json" not in argv)
+        assert sorted(p.name for p in out.parent.iterdir()) == \
+            ["run.csv", "run.json", "run.manifest.json"]
     else:
-        errors = [ln for ln in lines if ERROR.match(ln)]
-        assert len(errors) == 1
+        refusals = [ln for ln in lines if ERROR.match(ln)]
+        assert len(refusals) == 1
         # argparse prints its usage before the error line
-        assert errors == lines or lines[0].startswith("usage: ")
+        assert refusals == lines or lines[0].startswith("usage: ")
         assert list(out.parent.iterdir()) == []
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert wall < 2.0
+    return got, wall
+
+
+@pytest.mark.parametrize("argv,code", CASES, ids=[" ".join(a) for a, _ in CASES])
+def test_contract(tmp_path, argv, code):
+    got, WALLS[" ".join(argv)] = _run(tmp_path, argv)
+    assert got == code
+
+
+@pytest.mark.parametrize("i", range(len(SEEDED)),
+                         ids=[f"{i}:{' '.join(a)}" for i, a in enumerate(SEEDED)])
+def test_seeded_contract(tmp_path, i):
+    # a code README's "Exit codes" line gives; only reproduce fails its gate
+    got, SEEDED_WALLS[i] = _run(tmp_path, SEEDED[i])
+    assert got in (0, 1, 2, 3, 4)
+    assert got != 1 or SEEDED[i][0] == "reproduce"
 
 
 def test_the_table_is_quick():
     if len(WALLS) < len(CASES):
         pytest.skip("only part of the table ran")
     assert sum(WALLS.values()) < 5.0
+
+
+def test_the_seeded_slice_is_quick():
+    if len(SEEDED_WALLS) < len(SEEDED):
+        pytest.skip("only part of the seeded slice ran")
+    assert sum(SEEDED_WALLS.values()) < 5.0
