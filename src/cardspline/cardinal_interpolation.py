@@ -44,10 +44,11 @@ from .spectral_symbol import CoefficientTable, _check_tol, compute_coefficients
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _WINDOW_HORIZON = 4000
 # entries one array pass gathers at most: kernel-matrix entries of one
-# synthesis contraction, window entries of one interpolation contraction, and
-# _WINDOW_HORIZON-term tail rows of the window solver's centers.  128 KiB
-# of float64: glibc serves larger blocks by mmap, and then page-faults every
-# temporary afresh (2.0 * x took 34 us at 16,000 entries, 206 us at 24,000)
+# synthesis contraction, prefilter, kernel-row and gathered entries of one
+# interpolation block, and _WINDOW_HORIZON-term tail rows of the window
+# solver's centers.  128 KiB of float64: glibc serves larger blocks by mmap,
+# and then page-faults every temporary afresh (2.0 * x took 34 us at 16,000
+# entries, 206 us at 24,000)
 _GATHER_ELEMS = 2 ** 14
 # a synthesis block whose windows outnumber its points more than this many
 # times contracts only the points' windows: on grids of integer steps 3 to
@@ -574,23 +575,20 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
     data with flat growth (beta = rate = 0, as tables without a declared
     growth get) pass one center for all points, since their bound is the
     constant log(amplitude), bit for bit.  At integers the cardinality
-    property short-circuits the sum to b_m.  Finite zero-filled tables sum
-    over their stored indices only; strict tables raise MissingDataError at
+    property short-circuits the sum to b_m.  Finite zero-filled tables read
+    0 where they store no sample; strict tables raise MissingDataError at
     the first absent index.  With best_effort, tolerances below the
     double-precision floor degrade to the noise-capped window instead of
     raising (divergent data still raises).
 
-    The samples are gathered once, over the union of the windows.  L_k is
-    synthesized once per distinct offset t = x - m, as the row L_k(t - o) for
-    |o| <= max J, and every point with that offset takes its window's slice
-    of the row; the cost scales with the number of distinct offsets, not
-    points.  Sharing is exact: |t| <= 1/2 and m is an integer, so t = x - m
-    carries no rounding, and fl(t - o) == fl(x - (m + o)) are the same kernel
-    arguments the point would form itself.  The rows come from
-    eval_fundamental, one call per _GATHER_ELEMS window points, so kernel
-    values are shared across offsets as well (t and -t, and the two sides
-    of every row).  Each point's window sum is one BLAS ddot, batched by
-    _contract.
+    The samples are gathered once, over the union of the windows.  The
+    window sum is the synthesis's finite double sum grouped by center, so no
+    L_k value is formed: with t = x - m, exact as |t| <= 1/2, and c even,
+
+        f_b(x) = (2 pi)^{-1/2} sum_{|p| <= J + J_c} a_p E_k(t + p),
+        a_p = sum_{|o| <= J} b_{m+o} c_{p+o},
+
+    which _prefiltered forms one window width at a time.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(len(xs))
@@ -623,58 +621,67 @@ def interpolate_grid(L: FundamentalFunction, data: DataSequence, xs,
                          for a, z in zip(cu[starts], cu[ends])])
     first = np.searchsorted(js, ms - Js)
     b, present = data.samples(js)
-    # stored indices per window: zero-filled tables sum over these only
-    width = 2 * Js + 1
-    stored = np.concatenate([[0], np.cumsum(present)])
-    kept = stored[first + width] - stored[first]
-    if not data.zero_fill and np.any(kept < width):
-        f = first[np.argmax(kept < width)]
-        j = js[f + int(np.argmax(~present[f:]))]
-        raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
+    if not data.zero_fill:
+        # stored indices per window: a strict table needs all 2J + 1
+        width = 2 * Js + 1
+        stored = np.concatenate([[0], np.cumsum(present)])
+        short = stored[first + width] - stored[first] < width
+        if short.any():
+            f = first[np.argmax(short)]
+            j = js[f + int(np.argmax(~present[f:]))]
+            raise MissingDataError(f"no sample at index {j} in sequence {data.name!r}")
     out[exact] = b[first[exact]]
 
-    todo = np.nonzero(~exact)[0]
-    if len(todo) == 0:
-        return out
-    # one row L_k(t - o), |o| <= Jmax, per distinct offset t = x - m; the
-    # points are grouped by row so that each batch's rows are consumed
-    # before the next batch is synthesized
-    ts, row = np.unique(xs[todo] - ms[todo], return_inverse=True)
-    order = np.argsort(row, kind="stable")
-    todo, row = todo[order], row[order]
-    offsets = np.arange(-Jmax, Jmax + 1)
-    # rows per synthesis and points per contraction: the rows, and the
-    # gathered windows, take at most _GATHER_ELEMS entries
-    step = max(1, _GATHER_ELEMS // len(offsets))
-    for s in range(0, len(ts), step):
-        Lv = eval_fundamental(L, ts[s:s + step, None] - offsets)
-        lo, hi = np.searchsorted(row, [s, s + step])
-        for p in range(lo, hi, step):
-            pts = todo[p:min(hi, p + step)]
-            out[pts] = _contract(Lv, row[p:p + len(pts)] - s, Jmax - Js[pts],
-                                 b, present, first[pts], width[pts], kept[pts])
+    todo = np.flatnonzero(~exact)
+    for J in np.unique(Js[todo]).tolist():
+        pts = todo[Js[todo] == J]
+        out[pts] = _prefiltered(L, b, first[pts], ms[pts], xs[pts] - ms[pts], J)
     return out
 
 
-def _contract(Lv, rows, lead, b, present, first, width, kept) -> np.ndarray:
-    """sum_j b_j L_k(x - j) over each point's window, b[first:first+width]
-    against Lv[row, lead:lead+width], over its present entries where it
-    keeps fewer than width of them.
+def _prefiltered(L: FundamentalFunction, b: np.ndarray, first: np.ndarray,
+                 m: np.ndarray, t: np.ndarray, J: int) -> np.ndarray:
+    """(2 pi)^{-1/2} sum_{|p| <= Q} a_p E_k(t + p), Q = J + J_c, at each point
+    m + t whose window b[first:first + 2J + 1] holds b_{m-J} .. b_{m+J}.
 
-    Each point is its own BLAS ddot, as np.dot gives it: the points with
-    one width and kept count take their windows as rows of _windows views,
-    kept entries in window order, contracted row by row with np.vecdot.
+    The prefilter a of each distinct center, and the kernel row of each
+    distinct offset, serve every point that has it.  a_p is one ddot of the
+    window with row p + Q of the strided view of c padded by 2J zeros each
+    side, and a value one ddot of a with its row: operands and lengths fixed
+    by the point's own window, so a value depends on x alone.  Each window
+    is scaled by 2^-e, e >= 0 the exponent of its largest |b|, and its
+    values by 2^e after the sum (exact), so samples near the double limit
+    do not overflow where the sum is finite.  Centers, offsets and points go
+    in blocks of at most _GATHER_ELEMS entries each, one np.vecdot or
+    eval_green call per block.
     """
-    key = width * (int(np.max(width)) + 1) + kept
-    by = np.argsort(key, kind="stable")
-    heads = np.flatnonzero(np.diff(key[by], prepend=-1))
-    out = np.empty(len(width))
-    for a, z in zip(heads.tolist(), np.append(heads[1:], len(by)).tolist()):
-        sel = by[a:z]
-        w, n = int(width[sel[0]]), int(kept[sel[0]])
-        B, Lw = _windows(b, w)[first[sel]], _windows(Lv, w)[rows[sel], lead[sel]]
-        if n < w:
-            keep = _windows(present, w)[first[sel]]
-            B, Lw = B[keep].reshape(len(sel), n), Lw[keep].reshape(len(sel), n)
-        out[sel] = np.vecdot(B, Lw)
+    c = L.table.coeffs
+    w, Q = 2 * J + 1, J + L.table.half_width
+    pad = np.zeros(2 * J)
+    C = _windows(np.concatenate([pad, c, pad]), w)
+    p = np.arange(-Q, Q + 1, dtype=float)
+    step = max(1, _GATHER_ELEMS // len(p))
+    out = np.empty(len(m))
+    _, one, at = np.unique(m, return_index=True, return_inverse=True)
+    starts = first[one]
+    by = np.argsort(at, kind="stable")
+    bounds = np.searchsorted(at[by], np.arange(0, len(one) + step, step))
+    for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        B = _windows(b, w)[starts[g * step:(g + 1) * step]]
+        e = np.frexp(np.max(np.abs(B), axis=1))[1]
+        np.maximum(e, 0, out=e)
+        A = np.vecdot(np.ldexp(B, -e[:, None])[:, None, :], C)
+        sel = by[lo:hi]
+        ts, row = np.unique(t[sel], return_inverse=True)
+        order = np.argsort(row, kind="stable")
+        sel, row = sel[order], row[order]
+        center = at[sel] - g * step
+        for r in range(0, len(ts), step):
+            E = eval_green(L.kernel, ts[r:r + step, None] + p)
+            u, v = np.searchsorted(row, [r, r + step]).tolist()
+            for s in range(u, v, step):
+                z = min(v, s + step)
+                vals = np.vecdot(A[center[s:z]], E[row[s:z] - r])
+                vals *= _INV_SQRT_2PI
+                out[sel[s:z]] = np.ldexp(vals, e[center[s:z]])
     return out

@@ -22,6 +22,7 @@ overflow.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -96,16 +97,8 @@ def _parse_k(spec: str) -> int:
     return ks[0]
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """One table, given by columns: `%.9e` cells from `float_cells`, or str
-    columns that pass through."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        fh.write(table_bytes(columns))
-
-
-def _write_sidecar(path: Path, params: dict, tol: float, data: dict,
-                   wall_ms: float, arrays: dict) -> None:
+def _sidecar_bytes(params: dict, tol: float, data: dict, wall_ms: float,
+                   arrays: dict) -> bytes:
     """One JSON line.  Each of the `arrays`, `%.16e` cells from
     `float_cells`, joins `data` as a JSON array, spliced in for a
     placeholder string that holds its key's place; no other string of the
@@ -119,9 +112,7 @@ def _write_sidecar(path: Path, params: dict, tol: float, data: dict,
     text = json.dumps(doc, sort_keys=True).encode("ascii")
     for key, cells in arrays.items():
         text = text.replace(json.dumps("\0" + key).encode("ascii"), json_array(cells), 1)
-    with open(path, "wb") as fh:
-        fh.write(text)
-        fh.write(b"\n")
+    return text + b"\n"
 
 
 def _single_order(args) -> tuple[SplineParams, float]:
@@ -136,16 +127,13 @@ def _emit(args, default: str, alpha: float, k, tol: float, wall_ms: float,
     the JSON sidecar beside it, and the manifest that echoes the arguments
     and names the other two.  One `float_cells` call formats every float
     array the run writes, `%.9e` for the CSV and `%.16e` for the sidecar,
-    each array once."""
+    each array once.  On a write error the files this run has opened are
+    removed before the error propagates."""
     csv_path = Path(args.output) if args.output else Path(default)
     json_path = csv_path.with_suffix(".json")
     arrays = arrays or {}
     cells = iter(float_cells([(c, 9) for c in columns if isinstance(c, np.ndarray)]
                              + [(a, 16) for a in arrays.values()]))
-    _write_csv(csv_path, header,
-               [next(cells) if isinstance(c, np.ndarray) else c for c in columns])
-    _write_sidecar(json_path, {"alpha": alpha, "k": k}, tol, data, wall_ms,
-                   {key: next(cells) for key in arrays})
     manifest = {
         "version": __version__,
         "config": {key: v for key, v in vars(args).items() if key != "fn"},
@@ -153,8 +141,30 @@ def _emit(args, default: str, alpha: float, k, tol: float, wall_ms: float,
         "tolerances": tolerances or {},
         "wall_ms": wall_ms,
     }
-    with open(csv_path.with_suffix(".manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
+    written = []
+
+    def write(path: Path, *chunks: bytes) -> None:
+        with open(path, "wb") as fh:
+            written.append(path)
+            for chunk in chunks:
+                fh.write(chunk)
+
+    try:
+        # the CSV's columns: `%.9e` cells from `float_cells`, or str columns
+        # that pass through
+        write(csv_path, (",".join(header) + "\n").encode("ascii"),
+              table_bytes([next(cells) if isinstance(c, np.ndarray) else c
+                           for c in columns]))
+        write(json_path, _sidecar_bytes({"alpha": alpha, "k": k}, tol, data, wall_ms,
+                                        {key: next(cells) for key in arrays}))
+        write(csv_path.with_suffix(".manifest.json"),
+              (json.dumps(manifest, sort_keys=True) + "\n").encode("ascii"))
+    except OSError:
+        # a refusal leaves no file behind: remove what this run has opened
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
 
 def _build_report(L) -> dict:

@@ -11,8 +11,9 @@ the coefficient table (coefficients_mp) and for L_k itself in the
 exponential B-spline basis (fundamental_mp, the extended-precision judge).  The exceptions are plain or earlier forms kept as bitwise references for their
 faster replacements: interpolate_pointwise (one point at a time: its own
 window solve, samples read from the data's dict or rule rather than through
-the package's table lookup, and one np.dot over its kept window, for
-interpolate_grid),
+the package's table lookup, its own prefilter of one np.dot per entry and
+one np.dot with its kernel row, for the shared prefilters and kernel rows
+of interpolate_grid),
 eval_fundamental_direct (one kernel row and one np.dot per point, for the
 shared kernel rows and gathered contraction of eval_fundamental; each value
 of both is its own BLAS ddot, so neither depends on the batch),
@@ -366,8 +367,10 @@ def half_band_time(x):
 def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
                           best_effort: bool = False) -> float:
     """f_b(x) one point at a time: its own window solve, b_j read from a
-    dict built from the data's table or from its rule, and its own L_k
-    synthesis over the kept window indices."""
+    dict built from the data's table or from its rule, its own prefilter
+    a_p = sum_o b_{m+o} c_{p+o} (one np.dot per entry, the window scaled by
+    2^-e, e >= 0 the exponent of its largest |b|) and one np.dot of a with
+    the kernel row E_k(t + p), t = x - m, scaled back by 2^e."""
     table = None if data.table is None else dict(zip(*(a.tolist() for a in data.table)))
 
     def samples(js):
@@ -382,14 +385,14 @@ def interpolate_pointwise(L, data, x: float, tol: float = 1e-8,
     if L.cardinality_ok and abs(x - m) < 1e-12:
         return float(samples(np.array([m]))[0])
     J = _solve_window(L, m, data.growth, tol, clip_to_knee=best_effort)
-    js = np.arange(m - J, m + J + 1)
-    if table is not None and data.zero_fill:
-        js = js[np.array([j in table for j in js.tolist()], dtype=bool)]
-        if len(js) == 0:
-            return 0.0
-    b = samples(js)
-    Lv = np.asarray(eval_fundamental_direct(L, x - js.astype(float)))
-    return float(np.dot(b, Lv))
+    b = samples(np.arange(m - J, m + J + 1))
+    e = max(math.frexp(float(np.max(np.abs(b))))[1], 0)
+    b = np.ldexp(b, -e)
+    Q = J + L.table.half_width
+    c = np.concatenate([np.zeros(2 * J), L.table.coeffs, np.zeros(2 * J)])
+    a = np.array([np.dot(b, c[i:i + 2 * J + 1]) for i in range(2 * Q + 1)])
+    E = eval_green(L.kernel, (x - m) + np.arange(-Q, Q + 1, dtype=float))
+    return float(np.ldexp(np.dot(a, E) * INV_SQRT_2PI, e))
 
 
 def eval_fundamental_direct(L, x) -> float | np.ndarray:

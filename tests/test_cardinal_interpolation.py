@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import mpmath
@@ -613,7 +614,8 @@ class TestInterpolateGrid:
                                       pointwise(L, data, xs, 1e-9))
 
     def test_small_zero_filled_table(self):
-        # stored indices only: the kept entries differ from point to point
+        # windows running off the table: the stored entries differ from
+        # point to point
         L = L_of(1.0, 2)
         rng = np.random.default_rng(3)
         data = sequence_from_table({j: float(rng.standard_normal())
@@ -639,26 +641,36 @@ class TestInterpolateGrid:
         np.testing.assert_array_equal(got, pointwise(L, data, xs, 1e-8))
 
     def test_one_row_per_distinct_offset(self, monkeypatch):
+        # one prefilter per distinct center, one kernel row per distinct
+        # offset, and no L_k value
         L = L_of(1.0, 3, 1e-9)
         data = seeded_table(2)
         xs = np.linspace(-30.35, 29.65, 1201)
         ms = np.rint(xs)
         assert L.cardinality_ok
         t = xs - ms
-        offsets = np.unique(t[np.abs(t) >= 1e-12])   # integers synthesize nothing
+        off = np.abs(t) >= 1e-12     # integers synthesize nothing
+        offsets = np.unique(t[off])
         assert len(offsets) < 60
-        Jmax = max(cardinal_interpolation._solve_window(L, int(m), data.growth, 1e-9)
-                   for m in np.unique(np.abs(ms)))
-        points = []
-        synthesize = cardinal_interpolation.eval_fundamental
+        J = cardinal_interpolation._solve_window(L, 0, data.growth, 1e-9)
+        kernel_points, prefilters = [], []
+        green, vecdot = cardinal_interpolation.eval_green, np.vecdot
 
-        def counting(fundamental, x):
-            points.append(np.size(x))
-            return synthesize(fundamental, x)
+        def counting(kernel, x):
+            kernel_points.append(np.size(x))
+            return green(kernel, x)
 
-        monkeypatch.setattr(cardinal_interpolation, "eval_fundamental", counting)
+        def spy(x1, x2, *args, **kwargs):
+            if np.ndim(x1) == 3:      # the windows of a block of centers
+                prefilters.append(len(x1))
+            return vecdot(x1, x2, *args, **kwargs)
+
+        monkeypatch.setattr(cardinal_interpolation, "eval_green", counting)
+        monkeypatch.setattr(cardinal_interpolation, "eval_fundamental", None)
+        monkeypatch.setattr(np, "vecdot", spy)
         interpolate_grid(L, data, xs, 1e-9)
-        assert sum(points) == len(offsets) * (2 * Jmax + 1)
+        assert sum(kernel_points) == len(offsets) * (2 * (J + L.table.half_width) + 1)
+        assert sum(prefilters) == len(np.unique(ms[off]))
 
     def test_batch_size_does_not_change_bits(self, monkeypatch):
         # the memory budget splits the work into blocks, never a sum
@@ -710,10 +722,16 @@ class TestInterpolateGrid:
         pick = np.concatenate([pick, pick[:300], pick[:7]])
         np.testing.assert_array_equal(interpolate_grid(L, data, xs[pick], 1e-9),
                                       vals[pick])
+        # random subsets, the reversed grid and single points: a value
+        # depends on x alone, not on the centers and offsets beside it
+        rng = np.random.default_rng(6)
+        for sub in [rng.choice(len(xs), n, replace=False) for n in (2, 9, 150)] + [
+                np.arange(len(xs))[::-1], [0], [len(xs) // 2 + 3]]:
+            assert_bitwise(interpolate_grid(L, data, xs[sub], 1e-9), vals[sub])
 
     def test_memory_does_not_grow_with_the_windows(self):
-        # distinct offsets everywhere: one row per point, synthesized chunk
-        # by chunk rather than as one points x window matrix
+        # distinct offsets everywhere: one kernel row per point, formed block
+        # by block rather than as one points x row matrix
         L = L_of(1.0, 2)
         data = seeded_table(6)
         xs = np.random.default_rng(6).uniform(-40.0, 40.0, 20000)
@@ -758,8 +776,9 @@ class TestInterpolateGrid:
         assert first_error(interpolate_grid, L, data, xs, 1e-14) == want
 
     def test_gather_memory_does_not_grow_with_the_points(self):
-        # 48,060 points on 8 non-integer offsets: the windows are gathered a
-        # slice of points at a time, not as one points x window matrix
+        # 48,060 points on 8 non-integer offsets: the prefilters and kernel
+        # rows are gathered a block of points at a time, not as one points x
+        # row matrix
         L = L_of(1.0, 2)
         data = seeded_table(6)
         xs = np.tile(np.arange(-400, 401) / 8.0, 60)
@@ -771,6 +790,26 @@ class TestInterpolateGrid:
         finally:
             tracemalloc.stop()
         assert peak < len(xs) * (2 * J + 1) * 8 / 2
+
+    def test_samples_near_the_double_limit(self):
+        # each window is scaled by a power of two before its prefilter, so
+        # samples 2^1020 times larger give values 2^1020 times larger, bit
+        # for bit, where b_j c_i alone would overflow
+        L = L_of(1.0, 3)
+        rng = np.random.default_rng(11)
+        keys = range(-80, 81)
+        small = rng.uniform(0.5, 2.0, len(keys)) * rng.choice([-1.0, 1.0], len(keys))
+        huge = sequence_from_table(dict(zip(keys, np.ldexp(small, 1020))))
+        assert float(np.max(np.abs(huge.table[1]))) * float(np.max(L.table.coeffs)) == math.inf
+        xs = np.linspace(-30.3, 30.3, 241)
+        # tolerances below the floor: both windows clip at the knee
+        base = interpolate_grid(L, sequence_from_table(dict(zip(keys, small))), xs,
+                                1e-15, best_effort=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interpolate_grid(L, huge, xs, 1e-15 * 2.0 ** 1020, best_effort=True)
+        assert_bitwise(got, np.ldexp(base, 1020))
+        assert_bitwise(got, pointwise(L, huge, xs, 1e-15 * 2.0 ** 1020, best_effort=True))
 
     def test_integer_points_use_cardinality(self, solved_centers):
         L = L_of(1.0, 3)
@@ -849,13 +888,15 @@ class TestInterpolateGrid:
 
 
 class TestGroupedContraction:
-    """interpolate_grid contracts the points of one window width (and kept
-    count) in one np.vecdot; every point must keep the bits of its own
-    np.dot."""
+    """interpolate_grid forms the prefilters of a block of centers, and the
+    values of a block of points, one window width at a time in one np.vecdot
+    each; every prefilter entry and every value must keep the bits of its
+    own np.dot."""
 
     def test_vecdot_is_the_per_row_dot(self):
-        # rows against rows (_contract), rows against one vector
-        # (eval_fundamental, time_eval), and gathered rows of a strided view
+        # rows against rows (a block of points), rows against one vector
+        # (eval_fundamental, time_eval), gathered rows of a strided view, and
+        # rows against every row of a strided view (a block of prefilters)
         rng = np.random.default_rng(601)
         for w in range(601):
             B = rng.standard_normal((3, w)) * 10.0 ** rng.integers(-12, 12, (3, w))
@@ -865,6 +906,9 @@ class TestGroupedContraction:
             E = rng.standard_normal(w + 9)
             rows = np.lib.stride_tricks.sliding_window_view(E, w)[[4, 0, 9, 4]]
             assert_bitwise(np.vecdot(rows, Lw[1]), [np.dot(r, Lw[1]) for r in rows])
+            views = np.lib.stride_tricks.sliding_window_view(E, w)
+            assert_bitwise(np.vecdot(B[:, None, :], views),
+                           [[np.dot(b, v) for v in views] for b in B])
 
     @pytest.mark.parametrize("k,basis,tol", [(3, "cosh", 1e-6), (3, "sinh", 1e-6),
                                              (2, "cosh", 1e-8), (2, "xexp+", 1e-6),
@@ -878,8 +922,8 @@ class TestGroupedContraction:
         widths = {cardinal_interpolation._solve_window(L, m, data.growth, tol)
                   for m in range(6)}
         assert len(widths) > 1
-        # a window narrower than the widest takes its L_k values from the
-        # middle of a longer row, with the bits of its own synthesis
+        # each width takes its own prefilter and kernel-row length, with the
+        # bits of a point synthesized alone
         got = interpolate_grid(L, data, xs, tol)
         assert_bitwise(got, pointwise(L, data, xs, tol))
 
@@ -899,7 +943,7 @@ class TestGroupedContraction:
                                              (0.5, 3, 1e-9), (2.0, 3, 1e-10)])
     def test_zero_filled_kept_counts_bitwise(self, alpha, k, tol):
         # stored indices dense on -60..0, sparse on 1..30, none beyond: the
-        # kept counts of one batch run from 0 to 2J + 1
+        # stored counts of one batch's windows run from 0 to 2J + 1
         L = L_of(alpha, k)
         rng = np.random.default_rng(7)
         keys = list(range(-60, 1)) + sorted(rng.choice(np.arange(1, 31), 12,
@@ -911,7 +955,7 @@ class TestGroupedContraction:
         stored = set(data.table[0].tolist())
         kept = {sum(j in stored for j in range(m - J, m + J + 1)) for m in ms}
         assert kept >= {0, 1, 2 * J + 1}
-        # interpolate_pointwise synthesizes L_k over the kept indices alone
+        # absent samples read 0 in the prefilter, as in interpolate_pointwise
         got = interpolate_grid(L, data, xs, tol)
         assert_bitwise(got, pointwise(L, data, xs, tol))
         empty = np.array([m - J > 30 or m + J < -60 for m in ms])
@@ -921,7 +965,7 @@ class TestGroupedContraction:
         (0.25, 2, "cosh", 1e-8), (0.25, 3, "sinh", 1e-8), (0.25, 4, "xexp+", 1e-6),
         (1.0, 3, "power-beta", 1e-8), (1.0, 10, "power-beta", 1e-5)])
     def test_jittered_grids_bitwise(self, alpha, k, basis, tol):
-        # L_k rows all distinct: one offset per point
+        # kernel rows all distinct: one offset per point
         L = L_of(alpha, k)
         data = sequence_from_rule(basis, alpha, beta=1.0)
         rng = np.random.default_rng(k)
@@ -1214,3 +1258,69 @@ class TestJudge:
         # (1, 3) at 40 digits tables d out to |m| = 106; 150.5 sums its own
         L = judge(1.0, 3, 40)
         assert abs(L(150.5) - judge(1.0, 3, 80)(150.5)) <= mpmath.mpf(10) ** -30
+
+
+def higham_bound(L, b, x, J):
+    """The rounding bound of interpolate_grid's two-stage sum at x over the
+    window b = b_{m-J} .. b_{m+J} (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.1): each prefilter entry a_p, a
+    dot product of w = 2J + 1 terms, lies within gamma_w sum_o |b_o c_{p+o}|
+    of its exact value, and the n-term sum of a_p E_k(t + p) within
+    gamma_n sum_p |a_p E_p| of its own; one more rounding each for the
+    scale (2 pi)^{-1/2} and the value.  Formed from the same doubles as the
+    package, the window scaled by 2^-e as it is."""
+    u = 2.0 ** -53
+    m = round(x)
+    e = max(math.frexp(float(np.max(np.abs(b))))[1], 0)
+    b = np.ldexp(b, -e)
+    Q, w = J + L.table.half_width, 2 * J + 1
+    n = 2 * Q + 1
+    pad = np.zeros(2 * J)
+    C = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, L.table.coeffs, pad]), w)
+    a = np.array([np.dot(b, row) for row in C])
+    E = np.abs(eval_green(L.kernel, (x - m) + np.arange(-Q, Q + 1, dtype=float)))
+    gamma_w, gamma_n = w * u / (1.0 - w * u), n * u / (1.0 - n * u)
+    bound = gamma_n * float(np.abs(a) @ E) + gamma_w * (1.0 + gamma_n) * float(
+        (np.abs(C) @ np.abs(b)) @ E)
+    return math.ldexp(bound * INV_SQRT_2PI, e)
+
+
+# a fixed table of 121 samples, and points off the integers at four dyadic
+# offsets (x - j is then exact in double, and shared by the judge's cache)
+JUDGED_TABLE = {j: math.cos(0.7 * j) + 0.25 * math.sin(1.3 * j) for j in range(-60, 61)}
+JUDGED_POINTS = [m + t for m in (-11, -3, 0, 2, 7) for t in (0.125, -0.375, 0.4375, -0.0625)]
+
+
+@pytest.mark.slow
+class TestJudgedInterpolation:
+    """interpolate_grid against sum_{|j - m| <= J} b_j L_k(x - j) with L_k
+    from the extended-precision judge at 40 digits, over the window the
+    package solves: each value lies within the rounding bound of its own
+    two-stage sum plus the table's tail term, tail_bound max|E_k|
+    (2 pi)^{-1/2} per unit of sum |b_j|."""
+
+    @pytest.mark.parametrize("alpha,k,basis,tol", [
+        (1.0, 3, None, 1e-10), (2.0, 4, None, 1e-10), (1.0, 6, None, 1e-10),
+        (0.25, 3, None, 1e-10), (0.25, 3, "sinh", 2e-7)])
+    def test_within_the_rounding_bound(self, alpha, k, basis, tol):
+        L = L_of(alpha, k)
+        data = (sequence_from_table(JUDGED_TABLE) if basis is None
+                else sequence_from_rule(basis, alpha))
+        xs = np.array(JUDGED_POINTS)
+        got = interpolate_grid(L, data, xs, tol, best_effort=basis is not None)
+        L_mp, cache = fundamental_mp(alpha, k, 40), {}
+        tail = L.table.tail_bound * L.kernel.peak * INV_SQRT_2PI
+        for x, v in zip(xs.tolist(), got.tolist()):
+            m = round(x)
+            J = _solve_window(L, m, data.growth, tol, clip_to_knee=basis is not None)
+            js = np.arange(m - J, m + J + 1)
+            b = data.values(js)
+            for y in (x - js).tolist():
+                if y not in cache:
+                    cache[y] = L_mp(y)
+            with mpmath.workdps(40):
+                truth = mpmath.fsum(mpmath.mpf(bj) * cache[y]
+                                    for bj, y in zip(b.tolist(), (x - js).tolist()))
+                err = float(abs(mpmath.mpf(v) - truth))
+            assert err <= (higham_bound(L, b, x, J) + 2.0 ** -52 * abs(v)
+                           + tail * float(np.sum(np.abs(b))))

@@ -757,6 +757,37 @@ class TestWriters:
                                            f"file not ending in .json, got {output!r}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("blocked", ["run.json", "run.manifest.json"])
+    def test_write_error_leaves_no_file(self, tmp_path, capsys, blocked):
+        # a directory where the sidecar or the manifest goes: the run exits 2
+        # and removes the files it wrote before the error
+        (tmp_path / blocked).mkdir()
+        assert main(["eval-L", "--alpha", "1", "--k", "2", "--grid", "0:1:3",
+                     "-o", str(tmp_path / "run.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cardspline: error: ")
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+        assert (tmp_path / blocked).is_dir()
+
+    def test_write_error_keeps_files_it_did_not_open(self, tmp_path, monkeypatch):
+        # a sidecar that cannot be opened is left as it was; the CSV this
+        # run opened is removed
+        import cardspline.cli as cli
+        sidecar = tmp_path / "run.json"
+        sidecar.write_text("kept")
+        real_open = open
+
+        def refusing(path, *args, **kwargs):
+            if Path(path) == sidecar:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing, raising=False)
+        assert main(["eval-L", "--alpha", "1", "--k", "2", "--grid", "0:1:3",
+                     "-o", str(tmp_path / "run.csv")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        assert sidecar.read_text() == "kept"
+
 
 class TestExitCodeMap:
     """Each error type carries its CLI exit code, and main returns it."""

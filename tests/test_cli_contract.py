@@ -10,6 +10,7 @@ import contextlib
 import io
 import random
 import re
+import shutil
 import time
 import warnings
 from pathlib import Path
@@ -305,6 +306,27 @@ def test_seeded_contract(tmp_path, i):
     got, SEEDED_WALLS[i] = _run(tmp_path, SEEDED[i])
     assert got in (0, 1, 2, 3, 4)
     assert got != 1 or SEEDED[i][0] == "reproduce"
+
+
+@pytest.mark.slow
+def test_seeded_contract_slow_slice(tmp_path):
+    # 3,000 argv of a second seed under the checks of test_seeded_contract,
+    # each in a directory of its own that is removed after it; every case
+    # that breaks the contract is reported, not only the first
+    rng = random.Random(20261022)
+    broken = []
+    for i in range(3000):
+        argv = _draw(rng)
+        case = tmp_path / str(i)
+        case.mkdir()
+        try:
+            got, _ = _run(case, argv)
+            assert got in (0, 1, 2, 3, 4)
+            assert got != 1 or argv[0] == "reproduce"
+        except AssertionError as exc:
+            broken.append(f"{i}: {' '.join(argv)}: {exc}")
+        shutil.rmtree(case)
+    assert broken == []
 
 
 def test_the_table_is_quick():

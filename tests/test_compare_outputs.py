@@ -51,11 +51,32 @@ def test_trees(tmp_path):
     ops, files, diffs, added = compare_trees(old, new)
     assert (ops, files) == (2, 6)
     assert diffs == ["b.csv: exit 4 -> 2",
-                     "a.csv: 1 of 2 cells moved, largest move 1.000e+00",
+                     "a.csv: 1 of 2 cells moved, largest move 1.000e+00; "
+                     "largest relative move x 1.000e+00",
                      "c.csv: only in new",
-                     "d.csv: 2 of 8 cells moved, largest move inf",
+                     "d.csv: 2 of 8 cells moved, largest move inf; "
+                     "largest relative move y inf",
                      "e.csv: bytes differ", "f.txt: bytes differ"]
     assert added == {"data.e": 1}
+
+
+def test_relative_moves_per_column():
+    # sup_error spans 1e-3 to 1e-11: a small absolute move can be a large
+    # relative one, so each column reports its own largest relative move
+    old = "k,l2,sup\n1,0.5,1e-3\n2,0.25,1e-11\n3,0,2e-11\n"
+    new = "k,l2,sup\n1,0.5,1.001e-3\n2,0.25,1.5e-11\n3,0,2e-11\n"
+    assert compare_outputs.csv_moves(old, new) == (
+        "2 of 12 cells moved, largest move 1.000e-06; largest relative move sup 5.000e-01")
+    # a move off 0 and a value turning NaN are infinitely large; a text cell
+    # that moves counts but has no size
+    old = "x,f,tag\n0.5,0,a\n1.5,2,b\n"
+    new = "x,f,tag\n0.5,1e-300,a\n1.5,nan,c\n"
+    assert compare_outputs.csv_moves(old, new) == (
+        "3 of 9 cells moved, largest move inf; largest relative move f inf")
+    # a signed zero moves its text but not its value
+    assert compare_outputs.csv_moves("x\n0.0\n", "x\n-0.0\n") == (
+        "1 of 2 cells moved, largest move 0.000e+00; largest relative move x 0.000e+00")
+    assert compare_outputs.csv_moves("x\n1\n", "x\n1\n2\n") == "bytes differ"
 
 
 def test_every_difference_is_printed(tmp_path, monkeypatch, capsys):

@@ -17,8 +17,9 @@ difference; a key that NEW drops or a value that moves is a difference.
 Where two documents agree and NEW adds no key, their text must agree too,
 each `wall_ms` value blanked: spacing, key order or float text that parses
 back to the same document is reported as "text differs".  A
-CSV that differs but keeps its shape is reported by its moved cells and the
-largest absolute move among them.  Prints one line per difference, then
+CSV that differs but keeps its shape is reported by its moved cells, the
+largest absolute move among them, and the largest relative move in each
+column that moved.  Prints one line per difference, then
 `ops N files N differ N`, and exits 1 on any difference.
 """
 
@@ -159,22 +160,36 @@ def compare_docs(old, new, path: str, added: list[str]) -> str | None:
 
 
 def csv_moves(old: str, new: str) -> str:
-    """How a CSV moved: its moved cells and the largest absolute move among
-    the numeric ones (inf where a value turns NaN), or only that its bytes
-    differ when its rows or columns do."""
+    """How a CSV moved: its moved cells, the largest absolute move among the
+    numeric ones, and the largest relative move |new - old| / |old| in each
+    column where a numeric cell moved, named by the header (inf where a
+    value turns NaN, or moves off 0); or only that its bytes differ when its
+    rows or columns do."""
     a, b = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
     if [len(r) for r in a] != [len(r) for r in b]:
         return "bytes differ"
-    moved = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x != y]
-    largest = 0.0
-    for x, y in moved:
-        try:
-            d = abs(float(y) - float(x))
-        except ValueError:
-            continue
-        largest = max(largest, d if d == d else math.inf)
+    largest, relative, moved = 0.0, {}, 0
+    for ra, rb in zip(a, b):
+        for i, (x, y) in enumerate(zip(ra, rb)):
+            if x == y:
+                continue
+            moved += 1
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                continue
+            d = abs(fy - fx)
+            d = d if d == d else math.inf
+            largest = max(largest, d)
+            r = d / abs(fx) if fx else (math.inf if d else 0.0)
+            name = a[0][i] if i < len(a[0]) else str(i)
+            relative[name] = max(relative.get(name, 0.0), r if r == r else math.inf)
     cells = sum(len(r) for r in a)
-    return f"{len(moved)} of {cells} cells moved, largest move {largest:.3e}"
+    line = f"{moved} of {cells} cells moved, largest move {largest:.3e}"
+    if relative:
+        line += "; largest relative move " + ", ".join(
+            f"{name} {r:.3e}" for name, r in relative.items())
+    return line
 
 
 def compare_trees(old: Path, new: Path) -> tuple[int, int, list[str], Counter]:
